@@ -206,7 +206,7 @@ def dynamics_rate(
     omega_w_dot = (-tau_f + tau) / dp.I_wG
     if fidelity is Fidelity.EXACT:
         omega_w_dot = omega_w_dot - omega_c_dot
-    return np.stack([-q1 * omega_c, q0 * omega_c, omega_w, omega_c_dot, omega_w_dot])
+    return np.array([-q1 * omega_c, q0 * omega_c, omega_w, omega_c_dot, omega_w_dot])
 
 
 def angle_dynamics_rate(
@@ -233,7 +233,7 @@ def angle_dynamics_rate(
     omega_w_dot = (-tau_f + tau) / dp.I_wG
     if fidelity is Fidelity.EXACT:
         omega_w_dot = omega_w_dot - omega_c_dot
-    return np.stack([omega_c, omega_w, omega_c_dot, omega_w_dot])
+    return np.array([omega_c, omega_w, omega_c_dot, omega_w_dot])
 
 
 def energies(x, dp: DerivedParams):

@@ -24,13 +24,13 @@ def product(q, r) -> np.ndarray:
     """Complex product q o r, i.e. composition of planar rotations."""
     q0, q1 = q
     r0, r1 = r
-    return np.stack([q0 * r0 - q1 * r1, q0 * r1 + q1 * r0])
+    return np.array([q0 * r0 - q1 * r1, q0 * r1 + q1 * r0])
 
 
 def conjugate(q) -> np.ndarray:
     """Inverse rotation: flips the sign of the imaginary part."""
     q0, q1 = q
-    return np.stack([+q0, -q1])
+    return np.array([+q0, -q1])
 
 
 def norm(q):
@@ -48,7 +48,7 @@ def normalize(q) -> np.ndarray:
     n = norm(q)
     if np.any(n <= 1e-12):
         raise DegenerateInputError("cannot normalize a near-zero complex number")
-    return np.stack([q[0] / n, q[1] / n])
+    return np.array([q[0] / n, q[1] / n])
 
 
 def rotation_matrix(q) -> np.ndarray:
@@ -60,12 +60,12 @@ def rotation_matrix(q) -> np.ndarray:
 def tangent_row(q) -> np.ndarray:
     """Row G(q) = (-q1, q0) mapping rates on the circle to angular velocity."""
     q0, q1 = q
-    return np.stack([-q1, q0])
+    return np.array([-q1, q0])
 
 
 def from_angle(theta) -> np.ndarray:
     """Encode an angle in radians as a unit complex number."""
-    return np.stack([np.cos(theta), np.sin(theta)])
+    return np.array([np.cos(theta), np.sin(theta)])
 
 
 def to_angle(q):
@@ -81,7 +81,7 @@ def kinematics_rate(q, omega) -> np.ndarray:
     constraint is preserved by the continuous flow.
     """
     q0, q1 = q
-    return np.stack([-q1 * omega, q0 * omega])
+    return np.array([-q1 * omega, q0 * omega])
 
 
 def angular_rate(q, q_dot):
