@@ -110,7 +110,7 @@ def rk4_step(
     k3 = plant.dynamics_rate(x + (0.5 * dt) * k2, tau, *args)
     k4 = plant.dynamics_rate(x + dt * k3, tau, *args)
     out = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    out[:2] /= np.sqrt(out[0] ** 2 + out[1] ** 2)
+    out[:2] /= np.sqrt(out[0] * out[0] + out[1] * out[1])
     if not np.isfinite(out).all():
         raise DivergenceError("integration produced a non-finite state")
     return out
