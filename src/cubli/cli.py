@@ -41,9 +41,12 @@ CSV_HEADER = "t,q0,q1,theta_c_deg,theta_w,omega_c,omega_w,u,tau_cmd,tau_applied,
 
 def _parse_float(key, raw):
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ValidationError(f"{key}: not a number: {raw!r}") from None
+    if not math.isfinite(value):
+        raise ValidationError(f"{key}: must be finite, got {raw!r}")
+    return value
 
 
 def _positive(key, raw):

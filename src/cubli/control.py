@@ -10,6 +10,7 @@ frequency omega_n, and wheel-pole scaling alpha.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -38,10 +39,10 @@ class DesignSpec:
     def __post_init__(self):
         if not 0.0 < self.zeta <= 1.0:
             raise ValidationError("zeta must be in (0, 1]")
-        if not self.omega_n > 0.0:
-            raise ValidationError("omega_n must be positive")
-        if self.alpha < 0.0:
-            raise ValidationError("alpha must be nonnegative")
+        if not 0.0 < self.omega_n < math.inf:
+            raise ValidationError("omega_n must be positive and finite")
+        if not 0.0 <= self.alpha < math.inf:
+            raise ValidationError("alpha must be nonnegative and finite")
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ the angle form) integrates N trajectories at once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from enum import Enum
 
@@ -58,8 +59,8 @@ class CubliParams:
 
     def __post_init__(self):
         for f in fields(self):
-            if not getattr(self, f.name) > 0.0:
-                raise ValidationError(f"{f.name} must be strictly positive")
+            if not 0.0 < getattr(self, f.name) < math.inf:
+                raise ValidationError(f"{f.name} must be strictly positive and finite")
 
 
 @dataclass(frozen=True)
@@ -72,8 +73,8 @@ class FrictionParams:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) < 0.0:
-                raise ValidationError(f"{f.name} must be nonnegative")
+            if not 0.0 <= getattr(self, f.name) < math.inf:
+                raise ValidationError(f"{f.name} must be nonnegative and finite")
 
 
 FRICTION_FREE = FrictionParams(0.0, 0.0, 0.0)

@@ -28,8 +28,10 @@ class Disturbance:
     torque: float
 
     def __post_init__(self):
-        if not self.duration > 0.0:
-            raise ValidationError("disturbance duration must be positive")
+        if not (math.isfinite(self.start) and math.isfinite(self.torque)):
+            raise ValidationError("disturbance start and torque must be finite")
+        if not 0.0 < self.duration < math.inf:
+            raise ValidationError("disturbance duration must be positive and finite")
 
     def active(self, t: float) -> bool:
         return self.start <= t < self.start + self.duration
@@ -57,10 +59,17 @@ class Scenario:
     disturbances: tuple[Disturbance, ...] = ()
 
     def __post_init__(self):
-        if not self.dt > 0.0:
-            raise ValidationError("dt must be positive")
-        if self.t_end < self.dt:
-            raise ValidationError("t_end must be at least one step long")
+        if not 0.0 < self.dt < math.inf:
+            raise ValidationError("dt must be positive and finite")
+        if not self.dt <= self.t_end < math.inf:
+            raise ValidationError("t_end must be finite and at least one step long")
+        # the run ends exactly at t_end: a partial last step is not rounded away
+        if abs(round(self.t_end / self.dt) * self.dt - self.t_end) > 1e-9 * self.t_end:
+            raise ValidationError(f"t_end = {self.t_end!r} s is not a whole number of dt = {self.dt!r} s steps")
+        if not math.isfinite(self.sensor_bias):
+            raise ValidationError("sensor_bias must be finite")
+        if not np.isfinite(self.initial.as_array()).all():
+            raise ValidationError("initial state must be finite")
 
 
 @dataclass

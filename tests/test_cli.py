@@ -115,6 +115,38 @@ def test_simulate_zero_t_end_rejected(capsys):
     assert "scenario.t_end" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+def test_params_non_finite_rejected(value, capsys):
+    assert run_cli("params", "--set", f"friction.tau_c={value}") == cli.EXIT_VALIDATION
+    assert "friction.tau_c" in capsys.readouterr().err
+
+
+def test_simulate_nan_initial_angle_names_key(tmp_path, capsys):
+    code = run_cli(
+        "simulate", "--set", "scenario.initial_angle_deg=nan", "--out", str(tmp_path / "x.csv")
+    )
+    assert code == cli.EXIT_VALIDATION
+    assert "scenario.initial_angle_deg" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_simulate_nan_disturbance_rejected(capsys):
+    code = run_cli("simulate", "--set", "scenario.disturbances=nan:0.1:0.05")
+    assert code == cli.EXIT_VALIDATION
+    assert "scenario.disturbances" in capsys.readouterr().err
+
+
+def test_simulate_off_grid_end_time_rejected(tmp_path, capsys):
+    code = run_cli(
+        "simulate",
+        "--set", "scenario.dt=0.01",
+        "--set", "scenario.t_end=0.0105",
+        "--out", str(tmp_path / "x.csv"),
+    )
+    assert code == cli.EXIT_VALIDATION
+    assert "t_end" in capsys.readouterr().err
+
+
 def test_simulate_attitude_only_bias_flags_wheel(tmp_path, capsys):
     code = run_cli(
         "simulate",

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from cubli import analysis, plant, rotor, sim
+from cubli.control import DesignSpec
 from cubli.errors import ValidationError
 from cubli.plant import CubliParams, Fidelity, FrictionParams, GravityModel, State
 
@@ -56,6 +57,40 @@ def test_params_validation():
         CubliParams(l=0.0)
     with pytest.raises(ValidationError, match="c_d"):
         FrictionParams(c_d=-1e-9)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: FrictionParams(tau_c=math.nan),
+        lambda: FrictionParams(b_w=math.inf),
+        lambda: CubliParams(g=math.inf),
+        lambda: DesignSpec(zeta=0.7, omega_n=10.0, alpha=math.nan),
+        lambda: DesignSpec(zeta=0.7, omega_n=math.inf),
+        lambda: sim.Disturbance(start=math.nan, duration=0.1, torque=0.05),
+        lambda: sim.Disturbance(start=1.0, duration=0.1, torque=math.inf),
+        lambda: sim.Scenario(t_end=math.inf),
+        lambda: sim.Scenario(dt=math.nan),
+        lambda: sim.Scenario(sensor_bias=math.nan),
+        lambda: sim.Scenario(initial=State.from_angle(math.nan)),
+    ],
+    ids=[
+        "friction-tau_c-nan", "friction-b_w-inf", "params-g-inf", "design-alpha-nan",
+        "design-omega_n-inf", "disturbance-start-nan", "disturbance-torque-inf",
+        "scenario-t_end-inf", "scenario-dt-nan", "scenario-sensor_bias-nan",
+        "scenario-initial-nan",
+    ],
+)
+def test_non_finite_input_rejected(build):
+    with pytest.raises(ValidationError):
+        build()
+
+
+def test_scenario_rejects_off_grid_end_time():
+    # 0.0105 s is not a whole number of 0.01 s steps; it must not round to 0.01 s
+    with pytest.raises(ValidationError, match="t_end"):
+        sim.Scenario(t_end=0.0105, dt=0.01)
+    assert len(sim.run(sim.Scenario(t_end=0.03, dt=0.01)).t) == 4
 
 
 def test_derive_rejects_small_inertia_ratio():
