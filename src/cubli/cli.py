@@ -32,7 +32,7 @@ EXIT_VALIDATION = 2
 EXIT_SIMULATION = 3
 EXIT_VERIFICATION = 4
 
-CSV_HEADER = "t,q0,q1,theta_c_deg,theta_w,omega_c,omega_w,u,tau_cmd,tau_applied,tau_f,energy"
+CSV_HEADER = ",".join(sim.TimeSeries.COLUMNS)
 
 
 # ---------------------------------------------------------------------------
@@ -255,17 +255,12 @@ def build_scenario(cfg: Config) -> sim.Scenario:
 # output helpers
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def write_csv(ts: sim.TimeSeries, path: str) -> None:
-    """Write a run log with full double precision (shortest round-trip)."""
-    columns = [ts.column(name) for name in sim.TimeSeries.COLUMNS]
+    """Write a run log with full double precision (shortest round-trip repr)."""
+    rows = np.column_stack([getattr(ts, name) for name in sim.TimeSeries.COLUMNS]).tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(CSV_HEADER + "\n")
-        for row in zip(*columns):
-            handle.write(",".join(_fmt(v) for v in row) + "\n")
+        handle.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 def _print_kv(pairs):
@@ -447,22 +442,18 @@ def _check_oracle_equivalence(cfg, dp_by_model, tamper: bool = False):
     xc = np.stack([np.cos(theta), np.sin(theta), rng.uniform(-5, 5, n), rng.uniform(-3, 3, n), rng.uniform(-100, 100, n)])
     xa = np.stack([theta, xc[2], xc[3], xc[4]])
     dt, steps = 1e-4, 10000
+
+    def oracle_rate(x):
+        return plant.angle_dynamics_rate(x, 0.0, dp_oracle, cfg.friction, cfg.plant_gravity)
+
     worst = 0.0
     for k in range(steps):
         xc = sim.rk4_step(xc, 0.0, dt, dp, cfg.friction, cfg.plant_gravity, Fidelity.EXACT)
-        xa = _angle_rk4(xa, 0.0, dt, dp_oracle, cfg.friction, cfg.plant_gravity)
+        xa = sim.rk4(oracle_rate, xa, dt)
         if (k + 1) % 1000 == 0:
             worst = max(worst, _form_deviation(xc, xa))
     suffix = " [tampered oracle gravity]" if tamper else ""
     return worst < 1e-8, f"max trajectory deviation = {worst:.3e} (tol 1e-8, 20 runs, 1 s){suffix}"
-
-
-def _angle_rk4(x, tau, dt, dp, fp, model):
-    k1 = plant.angle_dynamics_rate(x, tau, dp, fp, model)
-    k2 = plant.angle_dynamics_rate(x + (0.5 * dt) * k1, tau, dp, fp, model)
-    k3 = plant.angle_dynamics_rate(x + (0.5 * dt) * k2, tau, dp, fp, model)
-    k4 = plant.angle_dynamics_rate(x + dt * k3, tau, dp, fp, model)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _form_deviation(xc, xa) -> float:

@@ -94,8 +94,14 @@ class TimeSeries:
         "u", "tau_cmd", "tau_applied", "tau_f", "energy",
     )
 
-    def column(self, name: str) -> np.ndarray:
-        return getattr(self, name)
+
+def rk4(f, x, dt: float):
+    """One classical Runge-Kutta step of x' = f(x); broadcasts like f does."""
+    k1 = f(x)
+    k2 = f(x + (0.5 * dt) * k1)
+    k3 = f(x + (0.5 * dt) * k2)
+    k4 = f(x + dt * k3)
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def rk4_step(
@@ -108,17 +114,12 @@ def rk4_step(
     fidelity: Fidelity = Fidelity.EXACT,
     tau_ext=0.0,
 ) -> np.ndarray:
-    """One classical Runge-Kutta step with tau held constant (zero-order hold).
+    """One RK4 step of the plant with tau held constant (zero-order hold).
 
     The orientation is renormalized onto the unit circle afterwards; the
     renormalization changes neither the decoded angle nor the energy.
     """
-    args = (dp, fp, model, fidelity, tau_ext)
-    k1 = plant.dynamics_rate(x, tau, *args)
-    k2 = plant.dynamics_rate(x + (0.5 * dt) * k1, tau, *args)
-    k3 = plant.dynamics_rate(x + (0.5 * dt) * k2, tau, *args)
-    k4 = plant.dynamics_rate(x + dt * k3, tau, *args)
-    out = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    out = rk4(lambda s: plant.dynamics_rate(s, tau, dp, fp, model, fidelity, tau_ext), x, dt)
     out[:2] /= np.sqrt(out[0] * out[0] + out[1] * out[1])
     if not np.isfinite(out).all():
         raise DivergenceError("integration produced a non-finite state")

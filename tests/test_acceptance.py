@@ -152,14 +152,6 @@ def test_05_feedback_linearization_cancellation():
     report(5, "fbl-cancellation", f"max |omega_c_dot - u| {worst:.2e} (tol 1e-12)", started)
 
 
-def _angle_rk4(x, tau, dt, dp, fp, model):
-    k1 = plant.angle_dynamics_rate(x, tau, dp, fp, model)
-    k2 = plant.angle_dynamics_rate(x + (0.5 * dt) * k1, tau, dp, fp, model)
-    k3 = plant.angle_dynamics_rate(x + (0.5 * dt) * k2, tau, dp, fp, model)
-    k4 = plant.angle_dynamics_rate(x + dt * k3, tau, dp, fp, model)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def test_06_oracle_equivalence():
     started = time.perf_counter()
     rng = np.random.default_rng(11)
@@ -170,10 +162,14 @@ def test_06_oracle_equivalence():
     )
     xa = np.stack([theta, xc[2].copy(), xc[3].copy(), xc[4].copy()])
     dt = 1e-4
+
+    def oracle_rate(x):
+        return plant.angle_dynamics_rate(x, 0.0, DP_CON, FRICTION, GravityModel.CONSISTENT)
+
     worst = 0.0
     for k in range(10000):
         xc = sim.rk4_step(xc, 0.0, dt, DP_CON, FRICTION, GravityModel.CONSISTENT, Fidelity.EXACT)
-        xa = _angle_rk4(xa, 0.0, dt, DP_CON, FRICTION, GravityModel.CONSISTENT)
+        xa = sim.rk4(oracle_rate, xa, dt)
         if (k + 1) % 100 == 0:
             worst = max(
                 worst,

@@ -1,8 +1,10 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
-from cubli import cli
+from cubli import cli, sim
 from cubli.errors import ValidationError
 
 
@@ -88,6 +90,24 @@ def test_simulate_writes_csv_and_summary(tmp_path, capsys):
     first = lines[1].split(",")
     assert len(first) == 12
     assert float(first[0]) == 0.0
+
+
+def test_write_csv_matches_per_value_repr(tmp_path):
+    # Edge values: signed zero, tiny, subnormal, huge, non-finite, and a value
+    # whose shortest repr needs all 17 digits.
+    special = [0.0, -0.0, 1e-300, 5e-324, 2.2250738585072014e-308, 1e300, math.nan, math.inf, -math.inf,
+               0.1 + 0.2, -1.0 / 3.0, 12345.678901234567]
+    n = len(special)
+    columns = {
+        name: np.roll(np.array(special), shift) for shift, name in enumerate(sim.TimeSeries.COLUMNS)
+    }
+    ts = sim.TimeSeries(**columns)
+    path = tmp_path / "special.csv"
+    cli.write_csv(ts, str(path))
+    expected = [",".join(sim.TimeSeries.COLUMNS)]
+    for k in range(n):
+        expected.append(",".join(repr(float(columns[name][k])) for name in sim.TimeSeries.COLUMNS))
+    assert path.read_bytes() == ("\n".join(expected) + "\n").encode("utf-8")
 
 
 def test_simulate_csv_deterministic(tmp_path):
