@@ -255,12 +255,17 @@ def build_scenario(cfg: Config) -> sim.Scenario:
 # output helpers
 
 
+CSV_BLOCK_ROWS = 1024  # rows turned into Python floats at a time, so memory stays flat
+
+
 def write_csv(ts: sim.TimeSeries, path: str) -> None:
     """Write a run log with full double precision (shortest round-trip repr)."""
-    rows = np.column_stack([getattr(ts, name) for name in sim.TimeSeries.COLUMNS]).tolist()
+    columns = [getattr(ts, name) for name in sim.TimeSeries.COLUMNS]
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(CSV_HEADER + "\n")
-        handle.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+        for lo in range(0, len(ts.t), CSV_BLOCK_ROWS):
+            rows = np.column_stack([c[lo : lo + CSV_BLOCK_ROWS] for c in columns]).tolist()
+            handle.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 def _print_kv(pairs):

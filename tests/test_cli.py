@@ -92,9 +92,10 @@ def test_simulate_writes_csv_and_summary(tmp_path, capsys):
     assert float(first[0]) == 0.0
 
 
-def test_write_csv_matches_per_value_repr(tmp_path):
+def test_write_csv_matches_per_value_repr(tmp_path, monkeypatch):
     # Edge values: signed zero, tiny, subnormal, huge, non-finite, and a value
-    # whose shortest repr needs all 17 digits.
+    # whose shortest repr needs all 17 digits; blocks of 5 rows end mid-table.
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 5)
     special = [0.0, -0.0, 1e-300, 5e-324, 2.2250738585072014e-308, 1e300, math.nan, math.inf, -math.inf,
                0.1 + 0.2, -1.0 / 3.0, 12345.678901234567]
     n = len(special)

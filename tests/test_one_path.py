@@ -25,9 +25,10 @@ fidelities = st.sampled_from(list(Fidelity))
 
 
 @st.composite
-def stacked(draw, rows, elements=finite):
+def stacked(draw, rows):
+    """Stacked (rows, N) arrays of arbitrary finite values."""
     n = draw(st.integers(1, 8))
-    return draw(hnp.arrays(np.float64, (rows, n), elements=elements))
+    return draw(hnp.arrays(np.float64, (rows, n), elements=finite))
 
 
 @st.composite
