@@ -179,10 +179,13 @@ def gravity_torque(q, dp: DerivedParams, model: GravityModel):
     return _gravity(q[0], q[1], dp, model)
 
 
+_HALF_SQRT2 = np.sqrt(2.0) / 2.0  # cos 45 deg, computed once rather than per call
+
+
 def _gravity(q0, q1, dp, model):
     if model is GravityModel.PAPER_LITERAL:
         return dp.mgd * q0
-    return dp.mgd * (np.sqrt(2.0) / 2.0) * (q0 - q1)
+    return dp.mgd * _HALF_SQRT2 * (q0 - q1)
 
 
 def dynamics_rate(
@@ -203,8 +206,8 @@ def dynamics_rate(
     """
     q0, q1, _theta_w, omega_c, omega_w = x
     tau_f = friction_torque(omega_w, fp)
-    omega_c_dot = (-_gravity(q0, q1, dp, model) + tau_f - tau + tau_ext) / dp.I_cO_bar
-    omega_w_dot = (-tau_f + tau) / dp.I_wG
+    omega_c_dot = (tau_f - _gravity(q0, q1, dp, model) - tau + tau_ext) / dp.I_cO_bar
+    omega_w_dot = (tau - tau_f) / dp.I_wG
     if fidelity is Fidelity.EXACT:
         omega_w_dot = omega_w_dot - omega_c_dot
     return np.array([-q1 * omega_c, q0 * omega_c, omega_w, omega_c_dot, omega_w_dot])
@@ -230,8 +233,8 @@ def angle_dynamics_rate(
     else:
         grav = dp.mgd * np.cos(theta_c + np.pi / 4.0)
     tau_f = friction_torque(omega_w, fp)
-    omega_c_dot = (-grav + tau_f - tau + tau_ext) / dp.I_cO_bar
-    omega_w_dot = (-tau_f + tau) / dp.I_wG
+    omega_c_dot = (tau_f - grav - tau + tau_ext) / dp.I_cO_bar
+    omega_w_dot = (tau - tau_f) / dp.I_wG
     if fidelity is Fidelity.EXACT:
         omega_w_dot = omega_w_dot - omega_c_dot
     return np.array([omega_c, omega_w, omega_c_dot, omega_w_dot])
