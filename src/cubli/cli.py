@@ -528,6 +528,8 @@ def read_steady_state_csv(path: str) -> list:
                 tau, omega = float(parts[0]), float(parts[1])
             except ValueError:
                 raise ValidationError(f"{path}:{lineno}: non-numeric row {stripped!r}") from None
+            if not (math.isfinite(tau) and math.isfinite(omega)):
+                raise ValidationError(f"{path}:{lineno}: non-finite row {stripped!r}")
             points.append(sim.SteadyStatePoint(tau=tau, omega_ss=omega))
     return points
 

@@ -227,6 +227,14 @@ def test_fit_friction_malformed_csv_reports_line(tmp_path, capsys):
     assert ":3:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("row", ["nan,100", "3e-3,inf"])
+def test_fit_friction_non_finite_row_reports_line(row, tmp_path, capsys):
+    path = tmp_path / "nan.csv"
+    path.write_text(f"tau,omega_ss\n{row}\n5e-3,200\n7e-3,300\n9e-3,400\n")
+    assert run_cli("fit-friction", "--input", str(path)) == cli.EXIT_VALIDATION
+    assert ":2:" in capsys.readouterr().err
+
+
 def test_fit_friction_rank_deficiency_exit(tmp_path, capsys):
     path = tmp_path / "two.csv"
     path.write_text("3e-3,100\n5e-3,300\n")
