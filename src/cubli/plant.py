@@ -179,7 +179,7 @@ def gravity_torque(q, dp: DerivedParams, model: GravityModel):
     return _gravity(q[0], q[1], dp, model)
 
 
-_HALF_SQRT2 = np.sqrt(2.0) / 2.0  # cos 45 deg, computed once rather than per call
+_HALF_SQRT2 = np.sqrt(2.0) / 2.0  # cos 45 deg
 
 
 def _gravity(q0, q1, dp, model):
