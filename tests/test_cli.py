@@ -151,8 +151,10 @@ def test_simulate_nan_initial_angle_names_key(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
-def test_simulate_nan_disturbance_rejected(capsys):
-    code = run_cli("simulate", "--set", "scenario.disturbances=nan:0.1:0.05")
+def test_simulate_nan_disturbance_rejected(tmp_path, capsys):
+    code = run_cli(
+        "simulate", "--set", "scenario.disturbances=nan:0.1:0.05", "--out", str(tmp_path / "x.csv")
+    )
     assert code == cli.EXIT_VALIDATION
     assert "scenario.disturbances" in capsys.readouterr().err
 
