@@ -1,7 +1,7 @@
 """Simulation, control, and analysis toolkit for a reaction-wheel inverted
 pendulum balancing on an edge, built on a unit-complex-number attitude."""
 
-from . import analysis, cli, control, plant, rotor, sim
+from . import analysis, cli, control, plant, rotor, sim, verify
 from .control import ControllerConfig, DesignSpec, Gains, Mode
 from .errors import (
     CubliError,
@@ -29,6 +29,7 @@ __all__ = [
     "plant",
     "rotor",
     "sim",
+    "verify",
     "ControllerConfig",
     "DesignSpec",
     "Gains",

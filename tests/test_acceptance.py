@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a pass line.
 
-Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines and metrics.
+The criteria that `cubli verify` checks run from its list, `verify.CHECKS`,
+one test per check.  Run with `pytest tests/test_acceptance.py -v -s` to see
+the per-criterion lines and metrics.
 """
 
 import math
@@ -10,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from cubli import analysis, control, plant, rotor, sim
+from cubli import cli, control, plant, rotor, sim, verify
 from cubli.control import ControllerConfig, DesignSpec, Gains, Mode
 from cubli.plant import CubliParams, Fidelity, FrictionParams, GravityModel, State
 
@@ -19,7 +20,7 @@ SQ2 = math.sqrt(2.0) / 2.0
 PARAMS = CubliParams()
 FRICTION = FrictionParams()
 DP_CON = plant.derive(PARAMS, FRICTION, GravityModel.CONSISTENT)
-DP_LIT = plant.derive(PARAMS, FRICTION, GravityModel.PAPER_LITERAL)
+CONFIG = cli.build_config({})
 
 
 def report(number, name, metric, started):
@@ -71,139 +72,13 @@ def test_01_parameter_derivation():
     report(1, "parameter-derivation", f"max rel err {worst:.2e} (tol 1e-4)", started)
 
 
-def test_02_linearization_oracle():
+@pytest.mark.parametrize("name, check", verify.CHECKS, ids=[name for name, _ in verify.CHECKS])
+def test_verify_check(name, check):
+    # the checks `cubli verify` runs, on the default config
     started = time.perf_counter()
-    worst_fd = 0.0
-    worst_roots = 0.0
-    for model, dp in ((GravityModel.CONSISTENT, DP_CON), (GravityModel.PAPER_LITERAL, DP_LIT)):
-        a, b = plant.linearize(dp, FRICTION, model)
-        smooth = FrictionParams(0.0, FRICTION.b_w, 0.0)  # Coulomb/drag off
-        x0 = State(rotor.UPRIGHT.copy()).as_array()
-        a_fd = analysis.fd_jacobian(
-            lambda x: plant.dynamics_rate(x, 0.0, dp, smooth, model, Fidelity.PAPER_APPROX), x0
-        )
-        worst_fd = max(worst_fd, float(np.max(np.abs(a - a_fd))))
-        roots = analysis.poly_roots(analysis.char_poly(a))
-        expected = np.array([0.0, 0.0, -dp.omega_1, dp.omega_0, -dp.omega_0], dtype=complex)
-        worst_roots = max(worst_roots, analysis.spectrum_mismatch(roots, expected, cluster_tol=1e-7))
-    assert worst_fd < 1e-6
-    assert worst_roots < 1e-8
-    report(
-        2,
-        "linearization-oracle",
-        f"fd err {worst_fd:.2e} (tol 1e-6), root err {worst_roots:.2e} (tol 1e-8)",
-        started,
-    )
-
-
-def test_03_controllability():
-    started = time.perf_counter()
-    ranks = []
-    for model, dp in ((GravityModel.CONSISTENT, DP_CON), (GravityModel.PAPER_LITERAL, DP_LIT)):
-        a, b = plant.linearize(dp, FRICTION, model)
-        ranks.append(analysis.controllability_rank(a, b, tol=1e-9))
-    assert ranks == [4, 4]
-    report(3, "controllability", "rank 4/5 for both gravity models (tol 1e-9)", started)
-
-
-def test_04_gain_synthesis_identity():
-    started = time.perf_counter()
-    rng = np.random.default_rng(42)
-    worst_coeff = 0.0
-    worst_poles = 0.0
-    for _ in range(100):
-        spec = DesignSpec(
-            zeta=rng.uniform(0.3, 1.0),
-            omega_n=rng.uniform(2.0, 20.0),
-            alpha=rng.uniform(0.0, 0.5),
-        )
-        gains = control.full_gains(spec, DP_CON)
-        coeffs = analysis.char_poly(analysis.closed_loop_matrix(gains, DP_CON))
-        target = analysis.design_poly(spec)
-        # coefficient-wise, relative to the polynomial's coefficient scale
-        worst_coeff = max(worst_coeff, float(np.max(np.abs(coeffs - target)) / np.max(np.abs(target))))
-        eigs = np.linalg.eigvals(analysis.closed_loop_matrix(gains, DP_CON))
-        worst_poles = max(worst_poles, analysis.spectrum_mismatch(eigs, analysis.designed_poles(spec)))
-    assert worst_coeff < 1e-9
-    assert worst_poles < 1e-6
-    report(
-        4,
-        "gain-synthesis",
-        f"coeff err {worst_coeff:.2e} (tol 1e-9), pole err {worst_poles:.2e} (tol 1e-6), 100 specs",
-        started,
-    )
-
-
-def test_05_feedback_linearization_cancellation():
-    started = time.perf_counter()
-    rng = np.random.default_rng(7)
-    worst = 0.0
-    for model, dp in ((GravityModel.CONSISTENT, DP_CON), (GravityModel.PAPER_LITERAL, DP_LIT)):
-        for _ in range(1000):
-            q = rotor.from_angle(rng.uniform(-np.pi, np.pi))
-            x = np.array(
-                [q[0], q[1], rng.uniform(-20, 20), rng.uniform(-5, 5), rng.uniform(-300, 300)]
-            )
-            u = rng.uniform(-10.0, 10.0)
-            tau = control.feedback_linearize(u, q, x[4], dp, FRICTION, model)
-            rate = plant.dynamics_rate(x, tau, dp, FRICTION, model, Fidelity.PAPER_APPROX)
-            worst = max(worst, abs(float(rate[3]) - u))
-    assert worst < 1e-12
-    report(5, "fbl-cancellation", f"max |omega_c_dot - u| {worst:.2e} (tol 1e-12)", started)
-
-
-def test_06_oracle_equivalence():
-    started = time.perf_counter()
-    rng = np.random.default_rng(11)
-    n = 100
-    theta = rng.uniform(-np.pi, np.pi, n)
-    xc = np.stack(
-        [np.cos(theta), np.sin(theta), rng.uniform(-10, 10, n), rng.uniform(-3, 3, n), rng.uniform(-100, 100, n)]
-    )
-    xa = np.stack([theta, xc[2].copy(), xc[3].copy(), xc[4].copy()])
-    dt = 1e-4
-
-    def oracle_rate(x):
-        return plant.angle_dynamics_rate(x, 0.0, DP_CON, FRICTION, GravityModel.CONSISTENT)
-
-    worst = 0.0
-    for k in range(10000):
-        xc = sim.rk4_step(xc, 0.0, dt, DP_CON, FRICTION, GravityModel.CONSISTENT, Fidelity.EXACT)
-        xa = sim.rk4(oracle_rate, xa, dt)
-        if (k + 1) % 100 == 0:
-            worst = max(
-                worst,
-                float(np.max(np.abs(xc[0] - np.cos(xa[0])))),
-                float(np.max(np.abs(xc[1] - np.sin(xa[0])))),
-                float(np.max(np.abs(xc[2] - xa[1]))),
-                float(np.max(np.abs(xc[3] - xa[2]))),
-                float(np.max(np.abs(xc[4] - xa[3]))),
-            )
-    assert worst < 1e-8
-    report(6, "oracle-equivalence", f"max deviation {worst:.2e} over 1 s x 100 runs (tol 1e-8)", started)
-
-
-def test_07_energy_conservation():
-    started = time.perf_counter()
-    x = State.from_angle(0.0, omega_c=2.0, omega_w=50.0).as_array()
-    e0 = plant.energies(x, DP_CON)[2]
-    drift = 0.0
-    norm_drift = 0.0
-    for k in range(100000):
-        x = sim.rk4_step(x, 0.0, 1e-4, DP_CON, plant.FRICTION_FREE, GravityModel.CONSISTENT, Fidelity.EXACT)
-        norm_drift = max(norm_drift, abs(math.hypot(x[0], x[1]) - 1.0))
-        if (k + 1) % 1000 == 0:
-            drift = max(drift, abs(plant.energies(x, DP_CON)[2] - e0))
-    drift = max(drift, abs(plant.energies(x, DP_CON)[2] - e0))
-    rel = drift / abs(e0)
-    assert rel < 1e-6
-    assert norm_drift <= 1e-9
-    report(
-        7,
-        "energy-conservation",
-        f"rel drift {rel:.2e} over 10 s (tol 1e-6), norm drift {norm_drift:.2e} (tol 1e-9)",
-        started,
-    )
+    ok, metric = check(CONFIG, verify.derive_all(CONFIG))
+    assert ok, metric
+    report("V", name, metric, started)
 
 
 def test_08_reference_experiment_reproduction():
