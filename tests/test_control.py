@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cubli import analysis, control, plant, rotor
@@ -10,6 +12,11 @@ from cubli.errors import SingularityError, ValidationError
 from cubli.plant import CubliParams, Fidelity, FrictionParams, GravityModel, State
 
 SQ2 = math.sqrt(2.0) / 2.0
+
+DP_BY_MODEL = {model: plant.derive(CubliParams(), FrictionParams(), model) for model in GravityModel}
+
+# no deadline: the host's speed varies too much for per-example timing
+prop = settings(deadline=None, max_examples=300)
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +82,36 @@ def test_full_gains_reference_values(paper_spec, dp_literal):
     assert gains.k_d == pytest.approx(18.42, rel=1e-3)
     assert gains.k_pw == pytest.approx(7.90e-3, rel=2e-3)
     assert gains.k_dw == pytest.approx(2.28e-2, rel=2e-3)
+
+
+@prop
+@given(
+    zeta=st.floats(0.05, 1.0),
+    omega_n=st.floats(0.5, 20.0),
+    alpha=st.floats(0.0, 2.0),
+    model=st.sampled_from(list(GravityModel)),
+)
+def test_full_gains_match_design_polynomial(zeta, omega_n, alpha, model):
+    dp = DP_BY_MODEL[model]
+    spec = DesignSpec(zeta=zeta, omega_n=omega_n, alpha=alpha)
+    coeffs = analysis.char_poly(analysis.closed_loop_matrix(control.full_gains(spec, dp), dp))
+    target = analysis.design_poly(spec)
+    # coefficient-wise, relative to the polynomial's coefficient scale
+    assert np.max(np.abs(coeffs - target)) / np.max(np.abs(target)) < 1e-9
+
+
+@prop
+@given(
+    zeta=st.floats(0.3, 1.0),
+    omega_n=st.floats(2.0, 20.0),
+    alpha=st.floats(0.0, 0.5),
+    model=st.sampled_from(list(GravityModel)),
+)
+def test_closed_loop_eigenvalues_are_designed_poles(zeta, omega_n, alpha, model):
+    dp = DP_BY_MODEL[model]
+    spec = DesignSpec(zeta=zeta, omega_n=omega_n, alpha=alpha)
+    eigs = np.linalg.eigvals(analysis.closed_loop_matrix(control.full_gains(spec, dp), dp))
+    assert analysis.spectrum_mismatch(eigs, analysis.designed_poles(spec)) < 1e-6
 
 
 def test_design_poly_roots_are_designed_poles(paper_spec):
@@ -162,17 +199,22 @@ def test_feedback_linearize_at_equilibrium(dp):
 
 
 @pytest.mark.parametrize("model", list(GravityModel))
-def test_feedback_linearization_cancels_exactly(model):
+@prop
+@given(
+    theta=st.floats(-np.pi, np.pi),
+    theta_w=st.floats(-20.0, 20.0),
+    omega_c=st.floats(-5.0, 5.0),
+    omega_w=st.floats(-300.0, 300.0),
+    u=st.floats(-10.0, 10.0),
+)
+def test_feedback_linearization_cancels_exactly(model, theta, theta_w, omega_c, omega_w, u):
     fp = FrictionParams()
-    dp = plant.derive(CubliParams(), fp, model)
-    rng = np.random.default_rng(2)
-    for _ in range(500):
-        q = rotor.from_angle(rng.uniform(-np.pi, np.pi))
-        x = np.array([q[0], q[1], rng.uniform(-20, 20), rng.uniform(-5, 5), rng.uniform(-300, 300)])
-        u = rng.uniform(-10, 10)
-        tau = control.feedback_linearize(u, q, x[4], dp, fp, model)
-        rate = plant.dynamics_rate(x, tau, dp, fp, model, Fidelity.PAPER_APPROX)
-        assert abs(rate[3] - u) < 1e-12
+    dp = DP_BY_MODEL[model]
+    q = rotor.from_angle(theta)
+    x = np.array([q[0], q[1], theta_w, omega_c, omega_w])
+    tau = control.feedback_linearize(u, q, omega_w, dp, fp, model)
+    rate = plant.dynamics_rate(x, tau, dp, fp, model, Fidelity.PAPER_APPROX)
+    assert abs(rate[3] - u) < 1e-12
 
 
 def test_saturate():

@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cubli import rotor
 from cubli.errors import DegenerateInputError, SingularityError
 
 SQ2 = np.sqrt(2.0) / 2.0
+
+# no deadline: the host's speed varies too much for per-example timing
+group_law = settings(deadline=None, max_examples=500)
+angles = st.floats(-np.pi, np.pi)
+units = angles.map(rotor.from_angle)
 
 
 def random_units(n, seed):
@@ -19,10 +26,10 @@ def test_product_identity_element():
     assert_allclose(rotor.product(r, rotor.IDENTITY), r)
 
 
-def test_product_with_conjugate_is_identity_for_unit():
-    units, _ = random_units(50, 0)
-    for q in units:
-        assert_allclose(rotor.product(q, rotor.conjugate(q)), rotor.IDENTITY, atol=1e-15)
+@group_law
+@given(q=units)
+def test_product_with_conjugate_is_identity_for_unit(q):
+    assert_allclose(rotor.product(q, rotor.conjugate(q)), rotor.IDENTITY, rtol=0, atol=1e-15)
 
 
 def test_two_45_deg_rotations_compose_to_90():
@@ -47,6 +54,13 @@ def test_product_commutative_and_associative():
             rotor.product(q, rotor.product(r, s)),
             atol=1e-12,
         )
+
+
+@group_law
+@given(q=units, r=units, s=units)
+def test_unit_product_is_associative(q, r, s):
+    lhs = rotor.product(rotor.product(q, r), s)
+    assert_allclose(lhs, rotor.product(q, rotor.product(r, s)), rtol=0, atol=1e-15)
 
 
 def test_norm_is_multiplicative():
@@ -96,12 +110,11 @@ def test_angle_codec():
     assert_allclose(rotor.to_angle(rotor.from_angle(thetas)), thetas, atol=1e-12)
 
 
-def test_angle_addition_up_to_wrapping():
-    rng = np.random.default_rng(6)
-    for _ in range(100):
-        a, b = rng.uniform(-np.pi, np.pi, 2)
-        lhs = rotor.product(rotor.from_angle(a), rotor.from_angle(b))
-        assert_allclose(lhs, rotor.from_angle(a + b), atol=1e-12)
+@group_law
+@given(a=angles, b=angles)
+def test_angle_addition_up_to_wrapping(a, b):
+    lhs = rotor.product(rotor.from_angle(a), rotor.from_angle(b))
+    assert_allclose(lhs, rotor.from_angle(a + b), rtol=0, atol=1e-15)
 
 
 def test_kinematics_rate_is_tangent():
@@ -121,12 +134,11 @@ def test_orientation_error():
     assert_allclose(rotor.orientation_error(rotor.IDENTITY, q45), q45)
 
 
-def test_orientation_error_composes_back_to_reference():
-    units, _ = random_units(100, 8)
-    refs, _ = random_units(100, 9)
-    for q, q_r in zip(units, refs):
-        q_e = rotor.orientation_error(q, q_r)
-        assert_allclose(rotor.product(q, q_e), q_r, atol=1e-12)
+@group_law
+@given(q=units, q_r=units)
+def test_orientation_error_composes_back_to_reference(q, q_r):
+    q_e = rotor.orientation_error(q, q_r)
+    assert_allclose(rotor.product(q, q_e), q_r, rtol=0, atol=1e-15)
 
 
 def test_orientation_error_angle_is_wrapped_difference():
