@@ -71,8 +71,12 @@ class ControllerConfig:
     def __post_init__(self):
         if not self.tau_max > 0.0:
             raise ValidationError("tau_max must be positive")
-        if self.q_r is None:
-            object.__setattr__(self, "q_r", rotor.UPRIGHT.copy())
+        q_r = rotor.UPRIGHT.copy() if self.q_r is None else np.asarray(self.q_r, dtype=float)
+        if q_r.shape != (2,) or not np.isfinite(q_r).all() or abs(rotor.norm(q_r) - 1.0) > 1e-9:
+            raise ValidationError(f"q_r must be a finite unit complex number of shape (2,), got {self.q_r!r}")
+        object.__setattr__(self, "q_r", q_r)
+        if not 0.0 <= self.guard < 1.0:
+            raise ValidationError(f"guard must be in [0, 1), got {self.guard!r}")
 
 
 def attitude_gains(zeta: float, omega_n: float):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cubli import analysis, control, plant, rotor
-from cubli.control import DesignSpec, Gains, Mode
+from cubli.control import ControllerConfig, DesignSpec, Gains, Mode
 from cubli.errors import SingularityError, ValidationError
 from cubli.plant import CubliParams, Fidelity, FrictionParams, GravityModel, State
 
@@ -42,6 +42,27 @@ def test_design_spec_validation():
         DesignSpec(zeta=0.5, omega_n=-1.0)
     with pytest.raises(ValidationError):
         DesignSpec(zeta=0.5, omega_n=1.0, alpha=-0.1)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"q_r": [2.0, 0.0]},
+        {"q_r": [0.5, 0.5]},
+        {"q_r": [np.nan, 0.0]},
+        {"q_r": [np.inf, 0.0]},
+        {"q_r": [1.0, 0.0, 0.0]},
+        {"q_r": [[1.0], [0.0]]},
+        {"guard": -1e-3},
+        {"guard": 1.0},
+        {"guard": np.nan},
+        {"guard": np.inf},
+    ],
+)
+def test_controller_config_rejects_bad_reference_or_guard(bad):
+    (key,) = bad
+    with pytest.raises(ValidationError, match=key):
+        ControllerConfig(**bad)
 
 
 def test_attitude_gains():
