@@ -105,17 +105,15 @@ def _string(key, raw):
     return raw.strip()
 
 
+def _fields(section, cls, parser):
+    """Schema entries for a parameter dataclass: one key per field, defaulting to the field's."""
+    return {f"{section}.{f.name}": (parser, repr(f.default)) for f in dataclasses.fields(cls)}
+
+
 # key -> (parser, default as written in a config file)
 CONFIG_SCHEMA = {
-    "physics.l": (_positive, "0.15"),
-    "physics.m_s": (_positive, "0.70"),
-    "physics.m_w": (_positive, "0.15"),
-    "physics.I_sG": (_positive, "3.75e-3"),
-    "physics.I_wG": (_positive, "1.25e-4"),
-    "physics.g": (_positive, "9.81"),
-    "friction.tau_c": (_nonnegative, "2.46e-3"),
-    "friction.b_w": (_nonnegative, "1.06e-5"),
-    "friction.c_d": (_nonnegative, "1.70e-8"),
+    **_fields("physics", CubliParams, _positive),
+    **_fields("friction", FrictionParams, _nonnegative),
     "model.plant_gravity": (_enum(GravityModel), "consistent"),
     "model.controller_gravity": (_enum(GravityModel), "consistent"),
     "model.fidelity": (_enum(Fidelity), "exact"),
@@ -170,6 +168,11 @@ def read_config_file(path: str) -> dict:
     return raw
 
 
+def _section(values, section, cls):
+    """The parameter dataclass built from its section's parsed keys."""
+    return cls(**{f.name: values[f"{section}.{f.name}"] for f in dataclasses.fields(cls)})
+
+
 def build_config(raw: dict) -> Config:
     """Validate raw key/value strings against the schema and assemble a Config."""
     for key in raw:
@@ -179,19 +182,8 @@ def build_config(raw: dict) -> Config:
     for key, (parser, default) in CONFIG_SCHEMA.items():
         values[key] = parser(key, raw.get(key, default))
     return Config(
-        params=CubliParams(
-            l=values["physics.l"],
-            m_s=values["physics.m_s"],
-            m_w=values["physics.m_w"],
-            I_sG=values["physics.I_sG"],
-            I_wG=values["physics.I_wG"],
-            g=values["physics.g"],
-        ),
-        friction=FrictionParams(
-            tau_c=values["friction.tau_c"],
-            b_w=values["friction.b_w"],
-            c_d=values["friction.c_d"],
-        ),
+        params=_section(values, "physics", CubliParams),
+        friction=_section(values, "friction", FrictionParams),
         plant_gravity=values["model.plant_gravity"],
         controller_gravity=values["model.controller_gravity"],
         fidelity=values["model.fidelity"],

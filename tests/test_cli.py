@@ -6,6 +6,7 @@ import pytest
 
 from cubli import cli, sim
 from cubli.errors import ValidationError
+from cubli.plant import CubliParams, FrictionParams
 
 
 def run_cli(*argv):
@@ -250,6 +251,8 @@ def test_fit_friction_requires_source(capsys):
 
 def test_build_config_defaults_match_reference_experiment():
     cfg = cli.build_config({})
+    assert cfg.params == CubliParams()
+    assert cfg.friction == FrictionParams()
     assert cfg.zeta == pytest.approx(0.7071067811865476)
     assert cfg.omega_n_factor == 1.5
     assert cfg.alpha == 0.1
