@@ -27,7 +27,7 @@ for model in GravityModel:
     expected = np.convolve(np.convolve([1, 0, 0], [1, dp.omega_1]), [1, 0, -dp.omega_0**2])
     print("  char poly coefficients:", np.round(coeffs, 6))
     print("  vs s^2 (s + w1)(s^2 - w0^2):", np.round(expected, 6))
-    print("  open-loop poles:", np.round(np.sort(analysis.poly_roots(coeffs).real), 4))
+    print("  open-loop poles:", np.round(np.sort(np.roots(coeffs).real), 4))
     print("  controllability rank:", analysis.controllability_rank(a, b), "of", a.shape[0])
 
     # cross-check the analytic A against a finite-difference Jacobian

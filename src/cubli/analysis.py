@@ -1,5 +1,5 @@
-"""Verification mathematics: characteristic polynomials, roots, rank tests,
-closed-loop matrices, and a finite-difference Jacobian oracle.
+"""Verification mathematics: characteristic polynomials, rank tests,
+closed-loop matrices, spectrum matching, and a finite-difference Jacobian oracle.
 
 Everything here is dense, small (n <= 8), and deliberately simple; the module
 exists so the model and controller claims can be checked by independent
@@ -8,10 +8,12 @@ machinery rather than by the code that produced them.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .control import DesignSpec, Gains
-from .errors import DegenerateInputError, DivergenceError, ValidationError
+from .errors import DivergenceError, ValidationError
 from .plant import DerivedParams
 
 _MAX_DIM = 8
@@ -37,39 +39,6 @@ def char_poly(a) -> np.ndarray:
         m = a @ m + coeffs[k - 1] * ident
         coeffs[k] = -np.trace(a @ m) / k
     return coeffs
-
-
-def companion_matrix(coeffs) -> np.ndarray:
-    """Top-row companion matrix of a monic polynomial."""
-    c = np.asarray(coeffs, dtype=float)
-    c = c / c[0]
-    n = len(c) - 1
-    m = np.zeros((n, n))
-    m[0, :] = -c[1:]
-    m[1:, :-1] += np.eye(n - 1)
-    return m
-
-
-def poly_roots(coeffs) -> np.ndarray:
-    """All roots of the polynomial via companion-matrix eigenvalues."""
-    c = np.atleast_1d(np.asarray(coeffs, dtype=float))
-    nonzero = np.nonzero(np.abs(c) > 0.0)[0]
-    if len(nonzero) == 0:
-        raise DegenerateInputError("cannot take roots of the zero polynomial")
-    c = c[nonzero[0] :]  # strip exact leading zeros
-    if len(c) - 1 > _MAX_DIM:
-        raise ValidationError(f"degree {len(c) - 1} exceeds supported maximum {_MAX_DIM}")
-    if len(c) == 1:
-        return np.array([], dtype=complex)
-    # trailing zero coefficients are exact roots at the origin
-    n_zero_roots = 0
-    while abs(c[-1]) == 0.0 and len(c) > 1:
-        c = c[:-1]
-        n_zero_roots += 1
-    roots = np.zeros(n_zero_roots, dtype=complex)
-    if len(c) > 1:
-        roots = np.concatenate([np.linalg.eigvals(companion_matrix(c)), roots])
-    return roots
 
 
 def controllability_matrix(a, b) -> np.ndarray:
@@ -149,33 +118,28 @@ def designed_poles(spec: DesignSpec) -> np.ndarray:
 
 
 def spectrum_mismatch(computed, expected, cluster_tol: float | None = None) -> float:
-    """Worst distance between matched eigenvalue clusters.
+    """Worst distance between the means of matched eigenvalue groups.
 
-    Repeated expected eigenvalues are compared against the mean of their
-    matched computed group: a defective multiple eigenvalue splits by
-    O(sqrt(eps)) under rounding but its cluster mean stays O(eps) accurate,
-    so this measures the meaningful error.
+    Each expected eigenvalue takes the nearest computed one still unmatched,
+    r away.  Expected values within cluster_tol of each other (default
+    p = 1e-6 times the largest magnitude) form one group, and so do two a
+    distance d apart with (r_i + r_j)^2 / d > p^2.  A defective multiple
+    eigenvalue splits by O(sqrt(eps)) under rounding, and such splits r_i, r_j
+    shift the means of two clusters d apart by about r_i r_j / d, but the
+    mean of the whole group stays O(eps) accurate, so this measures the
+    meaningful error.
     """
     computed = list(np.asarray(computed, dtype=complex))
     expected = np.asarray(expected, dtype=complex)
     if len(computed) != len(expected):
         raise ValidationError("spectra must have equal length")
-    scale = max(1.0, float(np.max(np.abs(expected))))
-    tol = cluster_tol if cluster_tol is not None else 1e-6 * scale
-    clusters: list[list[complex]] = []
-    for val in expected:
-        for cl in clusters:
-            if abs(val - cl[0]) <= tol:
-                cl.append(val)
-                break
-        else:
-            clusters.append([val])
-    worst = 0.0
-    for cl in clusters:
-        centre = np.mean(cl)
-        matched = []
-        for _ in cl:
-            j = int(np.argmin([abs(c - centre) for c in computed]))
-            matched.append(computed.pop(j))
-        worst = max(worst, abs(np.mean(matched) - centre))
-    return worst
+    p = 1e-6 * max(1.0, float(np.max(np.abs(expected))))
+    tol = cluster_tol if cluster_tol is not None else p
+    matched = np.array([computed.pop(int(np.argmin(np.abs(np.array(computed) - e)))) for e in expected])
+    r = np.abs(matched - expected)
+    group = np.arange(len(expected))
+    for i, j in itertools.combinations(range(len(expected)), 2):
+        d = abs(expected[i] - expected[j])
+        if d <= tol or (r[i] + r[j]) ** 2 > p * p * d:
+            group[group == group[j]] = group[i]
+    return max(abs(np.mean(matched[group == g]) - np.mean(expected[group == g])) for g in set(group))

@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import analysis, control, plant, rotor, sim, verify
+from . import plant, rotor, sim, verify
 from .control import ControllerConfig, DesignSpec, Mode
 from .errors import (
     CubliError,
@@ -63,10 +63,6 @@ def _nonnegative(key, raw):
     return value
 
 
-def _plain_float(key, raw):
-    return _parse_float(key, raw)
-
-
 def _zeta(key, raw):
     value = _parse_float(key, raw)
     if not 0.0 < value <= 1.0:
@@ -105,52 +101,56 @@ def _string(key, raw):
     return raw.strip()
 
 
-def _fields(section, cls, parser):
-    """Schema entries for a parameter dataclass: one key per field, defaulting to the field's."""
-    return {f"{section}.{f.name}": (parser, repr(f.default)) for f in dataclasses.fields(cls)}
+def _key(key, parser, default):
+    """A Config field set by one config key, parsed from its text by parser(key, raw)."""
+    return dataclasses.field(default=default, metadata={"key": key, "parser": parser})
 
 
-# key -> (parser, default as written in a config file)
-CONFIG_SCHEMA = {
-    **_fields("physics", CubliParams, _positive),
-    **_fields("friction", FrictionParams, _nonnegative),
-    "model.plant_gravity": (_enum(GravityModel), "consistent"),
-    "model.controller_gravity": (_enum(GravityModel), "consistent"),
-    "model.fidelity": (_enum(Fidelity), "exact"),
-    "control.zeta": (_zeta, "0.7071067811865476"),
-    "control.omega_n_factor": (_positive, "1.5"),
-    "control.alpha": (_nonnegative, "0.1"),
-    "control.mode": (_enum(Mode), "attitude-and-wheel"),
-    "control.tau_max": (_positive, "0.5"),
-    "scenario.initial_angle_deg": (_plain_float, "40.0"),
-    "scenario.reference_angle_deg": (_plain_float, "45.0"),
-    "scenario.dt": (_positive, "1e-3"),
-    "scenario.t_end": (_positive, "20.0"),
-    "scenario.sensor_bias_deg": (_plain_float, "0.0"),
-    "scenario.disturbances": (_disturbances, "9.0:0.1:0.05,16.0:0.1:0.05"),
-    "output.path": (_string, "cubli_run.csv"),
-}
+def _section(section, cls, parser):
+    """A Config field holding a parameter dataclass: one `section.<field>` key per field."""
+    return dataclasses.field(default_factory=cls, metadata={"key": section, "parser": parser})
 
 
 @dataclasses.dataclass
 class Config:
-    params: CubliParams
-    friction: FrictionParams
-    plant_gravity: GravityModel
-    controller_gravity: GravityModel
-    fidelity: Fidelity
-    zeta: float
-    omega_n_factor: float
-    alpha: float
-    mode: Mode
-    tau_max: float
-    initial_angle_deg: float
-    reference_angle_deg: float
-    dt: float
-    t_end: float
-    sensor_bias_deg: float
-    disturbances: tuple
-    output_path: str
+    """One experiment, and the one declaration of each config key: every field
+    names its key, parser and default.  Config() is the reference experiment."""
+
+    params: CubliParams = _section("physics", CubliParams, _positive)
+    friction: FrictionParams = _section("friction", FrictionParams, _nonnegative)
+    plant_gravity: GravityModel = _key("model.plant_gravity", _enum(GravityModel), GravityModel.CONSISTENT)
+    controller_gravity: GravityModel = _key("model.controller_gravity", _enum(GravityModel), GravityModel.CONSISTENT)
+    fidelity: Fidelity = _key("model.fidelity", _enum(Fidelity), Fidelity.EXACT)
+    zeta: float = _key("control.zeta", _zeta, 0.7071067811865476)
+    omega_n_factor: float = _key("control.omega_n_factor", _positive, 1.5)
+    alpha: float = _key("control.alpha", _nonnegative, 0.1)
+    mode: Mode = _key("control.mode", _enum(Mode), Mode.ATTITUDE_AND_WHEEL)
+    tau_max: float = _key("control.tau_max", _positive, 0.5)
+    initial_angle_deg: float = _key("scenario.initial_angle_deg", _parse_float, 40.0)
+    reference_angle_deg: float = _key("scenario.reference_angle_deg", _parse_float, 45.0)
+    dt: float = _key("scenario.dt", _positive, 1e-3)
+    t_end: float = _key("scenario.t_end", _positive, 20.0)
+    sensor_bias_deg: float = _key("scenario.sensor_bias_deg", _parse_float, 0.0)
+    disturbances: tuple = _key(
+        "scenario.disturbances", _disturbances, (sim.Disturbance(9.0, 0.1, 0.05), sim.Disturbance(16.0, 0.1, 0.05))
+    )
+    output_path: str = _key("output.path", _string, "cubli_run.csv")
+
+
+def _schema() -> dict:
+    """key -> (parser, Config field, parameter field or None), in field order."""
+    schema = {}
+    for f in dataclasses.fields(Config):
+        key, parser = f.metadata["key"], f.metadata["parser"]
+        if f.default_factory is dataclasses.MISSING:
+            schema[key] = (parser, f.name, None)
+        else:
+            for p in dataclasses.fields(f.default_factory):
+                schema[f"{key}.{p.name}"] = (parser, f.name, p.name)
+    return schema
+
+
+CONFIG_SCHEMA = _schema()
 
 
 def read_config_file(path: str) -> dict:
@@ -168,38 +168,19 @@ def read_config_file(path: str) -> dict:
     return raw
 
 
-def _section(values, section, cls):
-    """The parameter dataclass built from its section's parsed keys."""
-    return cls(**{f.name: values[f"{section}.{f.name}"] for f in dataclasses.fields(cls)})
-
-
 def build_config(raw: dict) -> Config:
-    """Validate raw key/value strings against the schema and assemble a Config."""
+    """Validate raw key/value strings against the schema; unset keys keep Config()'s values."""
     for key in raw:
         if key not in CONFIG_SCHEMA:
             raise ValidationError(f"unknown config key: {key}")
-    values = {}
-    for key, (parser, default) in CONFIG_SCHEMA.items():
-        values[key] = parser(key, raw.get(key, default))
-    return Config(
-        params=_section(values, "physics", CubliParams),
-        friction=_section(values, "friction", FrictionParams),
-        plant_gravity=values["model.plant_gravity"],
-        controller_gravity=values["model.controller_gravity"],
-        fidelity=values["model.fidelity"],
-        zeta=values["control.zeta"],
-        omega_n_factor=values["control.omega_n_factor"],
-        alpha=values["control.alpha"],
-        mode=values["control.mode"],
-        tau_max=values["control.tau_max"],
-        initial_angle_deg=values["scenario.initial_angle_deg"],
-        reference_angle_deg=values["scenario.reference_angle_deg"],
-        dt=values["scenario.dt"],
-        t_end=values["scenario.t_end"],
-        sensor_bias_deg=values["scenario.sensor_bias_deg"],
-        disturbances=values["scenario.disturbances"],
-        output_path=values["output.path"],
-    )
+    cfg = Config()
+    for key, (parser, name, param) in CONFIG_SCHEMA.items():
+        if key in raw:
+            value = parser(key, raw[key])
+            if param is not None:
+                value = dataclasses.replace(getattr(cfg, name), **{param: value})
+            setattr(cfg, name, value)
+    return cfg
 
 
 def load_config(args) -> Config:
@@ -296,11 +277,7 @@ def cmd_params(cfg: Config, json_out: bool = False) -> int:
 
 def cmd_gains(cfg: Config) -> int:
     dp = plant.derive(cfg.params, cfg.friction, cfg.controller_gravity)
-    spec = design_spec(cfg)
-    gains = control.gains_for_mode(cfg.mode, spec, dp)
-    poles = analysis.designed_poles(spec)
-    eigs = np.linalg.eigvals(analysis.closed_loop_matrix(gains, dp))
-    mismatch = analysis.spectrum_mismatch(eigs, poles)
+    spec, gains, poles, eigs, mismatch = verify.pole_placement(cfg, dp)
     _print_kv(
         [
             ("mode", cfg.mode.value),
@@ -316,8 +293,9 @@ def cmd_gains(cfg: Config) -> int:
             ("eigenvalue mismatch", f"{mismatch:.3e}"),
         ]
     )
-    if mismatch >= 1e-6:
-        print("eigenvalue mismatch exceeds 1e-6: FAIL")
+    ok, metric = verify.pole_gate(mismatch)
+    if not ok:
+        print(f"closed_loop_poles: {metric} FAIL")
         return EXIT_VERIFICATION
     return EXIT_OK
 

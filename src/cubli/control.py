@@ -11,14 +11,14 @@ frequency omega_n, and wheel-pole scaling alpha.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
 from . import rotor
 from .errors import ValidationError
-from .plant import DerivedParams, FrictionParams, GravityModel, State, friction_torque, gravity_torque
+from .plant import DerivedParams, FrictionParams, GravityModel, State, _gravity, friction_torque
 
 
 class Mode(Enum):
@@ -55,18 +55,15 @@ class Gains:
 
 @dataclass(frozen=True)
 class ControllerConfig:
-    """What the controller believes about the plant, plus actuator limits.
-
-    The gravity model and friction parameters may deliberately mismatch the
-    plant's, to study robustness; friction=None means use the plant's values.
+    """The regulator, its reference and actuator limit, and the gravity model
+    the controller believes in (it may deliberately mismatch the plant's, to
+    study robustness).  The controller uses the plant's friction values.
     """
 
     mode: Mode = Mode.ATTITUDE_AND_WHEEL
     tau_max: float = 0.5
     gravity_model: GravityModel = GravityModel.CONSISTENT
     q_r: np.ndarray = None
-    friction: FrictionParams | None = None
-    guard: float = rotor.DEFAULT_GUARD
 
     def __post_init__(self):
         if not self.tau_max > 0.0:
@@ -75,8 +72,6 @@ class ControllerConfig:
         if q_r.shape != (2,) or not np.isfinite(q_r).all() or abs(rotor.norm(q_r) - 1.0) > 1e-9:
             raise ValidationError(f"q_r must be a finite unit complex number of shape (2,), got {self.q_r!r}")
         object.__setattr__(self, "q_r", q_r)
-        if not 0.0 <= self.guard < 1.0:
-            raise ValidationError(f"guard must be in [0, 1), got {self.guard!r}")
 
 
 def attitude_gains(zeta: float, omega_n: float):
@@ -101,23 +96,26 @@ def full_gains(spec: DesignSpec, dp: DerivedParams) -> Gains:
     return Gains(k_p=k_p, k_d=k_d, k_pw=k_pw, k_dw=k_dw)
 
 
+def spec_for_mode(mode: Mode, spec: DesignSpec) -> DesignSpec:
+    """The design a mode's gains place: attitude-only feeds back no wheel
+    state, so its design is the spec at alpha = 0."""
+    return replace(spec, alpha=0.0) if mode is Mode.ATTITUDE_ONLY else spec
+
+
 def gains_for_mode(mode: Mode, spec: DesignSpec, dp: DerivedParams) -> Gains:
-    if mode is Mode.ATTITUDE_ONLY:
-        k_p, k_d = attitude_gains(spec.zeta, spec.omega_n)
-        return Gains(k_p=k_p, k_d=k_d)
-    return full_gains(spec, dp)
+    return full_gains(spec_for_mode(mode, spec), dp)
 
 
-def regulator_attitude(q, omega_c, q_r, gains: Gains, guard: float = rotor.DEFAULT_GUARD):
+def regulator_attitude(q, omega_c, q_r, gains: Gains):
     """Attitude regulator u = (k_p - omega_c^2) sigma_e - k_d omega_c."""
-    sigma_e = rotor.error_tangent(rotor.orientation_error(q, q_r), guard)
+    sigma_e = rotor.error_tangent(rotor.orientation_error(q, q_r))
     return (gains.k_p - omega_c * omega_c) * sigma_e - gains.k_d * omega_c
 
 
-def regulator_full(state: State, q_r, gains: Gains, guard: float = rotor.DEFAULT_GUARD):
+def regulator_full(state: State, q_r, gains: Gains):
     """Attitude regulator plus wheel angle/velocity feedback, so the wheel is
     actively unwound instead of left marginally stable."""
-    u = regulator_attitude(state.q, state.omega_c, q_r, gains, guard)
+    u = regulator_attitude(state.q, state.omega_c, q_r, gains)
     return u - gains.k_pw * state.theta_w - gains.k_dw * state.omega_w
 
 
@@ -150,7 +148,7 @@ def feedback_linearize(
     friction in the body equation (where the motor enters negatively), leaving
     omega_c_dot = u exactly under the reduced wheel dynamics.
     """
-    return -gravity_torque(q, dp, model) + friction_torque(omega_w, fp) - dp.I_cO_bar * u
+    return -_gravity(q[0], q[1], dp, model) + friction_torque(omega_w, fp) - dp.I_cO_bar * u
 
 
 def saturate(tau, tau_max: float):

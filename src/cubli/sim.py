@@ -9,7 +9,7 @@ independent runs can execute in parallel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -41,9 +41,9 @@ class Disturbance:
 class Scenario:
     """Everything one closed-loop experiment needs.
 
-    The plant and the controller each get their own gravity model (and
-    optionally friction values, via controller.friction) so sensor-model
-    mismatch studies need no code changes.
+    The plant and the controller each get their own gravity model
+    (controller.gravity_model) so model-mismatch studies need no code
+    changes; the controller uses the plant's friction values.
     """
 
     params: CubliParams = field(default_factory=CubliParams)
@@ -74,7 +74,8 @@ class Scenario:
 
 @dataclass
 class TimeSeries:
-    """Per-step log of a scenario run (fixed stride dt, strictly increasing t)."""
+    """Per-step log of a scenario run (fixed stride dt, strictly increasing t);
+    COLUMNS names its fields in order."""
 
     t: np.ndarray
     q0: np.ndarray
@@ -89,10 +90,8 @@ class TimeSeries:
     tau_f: np.ndarray
     energy: np.ndarray
 
-    COLUMNS = (
-        "t", "q0", "q1", "theta_c_deg", "theta_w", "omega_c", "omega_w",
-        "u", "tau_cmd", "tau_applied", "tau_f", "energy",
-    )
+
+TimeSeries.COLUMNS = tuple(f.name for f in fields(TimeSeries))
 
 
 def rk4(f, x, dt: float):
@@ -138,12 +137,12 @@ def run(scenario: Scenario) -> TimeSeries:
     cc = sc.controller
     dp = plant.derive(sc.params, sc.friction, sc.plant_gravity)
     gains = control.gains_for_mode(cc.mode, sc.design, dp)
-    fp_ctrl = cc.friction if cc.friction is not None else sc.friction
     q_bias = rotor.from_angle(sc.sensor_bias)
     n_steps = int(round(sc.t_end / sc.dt))
 
     t = np.arange(n_steps + 1) * sc.dt
-    log = {name: np.empty(n_steps + 1) for name in TimeSeries.COLUMNS[1:]}
+    states = np.empty((5, n_steps + 1))
+    u, tau_cmd, tau_applied = np.empty((3, n_steps + 1))
     x = sc.initial.as_array()
 
     # a diverging trajectory is reported via DivergenceError, not warnings
@@ -154,32 +153,31 @@ def run(scenario: Scenario) -> TimeSeries:
             measured = State(q=q_meas, theta_w=x[2], omega_c=x[3], omega_w=x[4])
             try:
                 if cc.mode is Mode.ATTITUDE_ONLY:
-                    u = control.regulator_attitude(q_meas, measured.omega_c, cc.q_r, gains, cc.guard)
+                    u_k = control.regulator_attitude(q_meas, measured.omega_c, cc.q_r, gains)
                 elif cc.mode is Mode.SMALL_ANGLE:
-                    u = control.regulator_small_angle(measured, cc.q_r, gains)
+                    u_k = control.regulator_small_angle(measured, cc.q_r, gains)
                 else:
-                    u = control.regulator_full(measured, cc.q_r, gains, cc.guard)
+                    u_k = control.regulator_full(measured, cc.q_r, gains)
             except SingularityError as err:
                 raise SingularityError(f"{err} at t = {t_k:.4f} s") from None
-            tau_cmd = control.feedback_linearize(u, q_meas, measured.omega_w, dp, fp_ctrl, cc.gravity_model)
-            tau_applied = float(control.saturate(tau_cmd, cc.tau_max))
+            cmd_k = control.feedback_linearize(u_k, q_meas, measured.omega_w, dp, sc.friction, cc.gravity_model)
+            applied_k = float(control.saturate(cmd_k, cc.tau_max))
             tau_ext = sum(d.torque for d in sc.disturbances if d.active(t_k))
-
-            log["q0"][k], log["q1"][k] = x[0], x[1]
-            log["theta_c_deg"][k] = math.degrees(math.atan2(x[1], x[0]))
-            log["theta_w"][k], log["omega_c"][k], log["omega_w"][k] = x[2], x[3], x[4]
-            log["u"][k], log["tau_cmd"][k], log["tau_applied"][k] = u, tau_cmd, tau_applied
-            log["tau_f"][k] = plant.friction_torque(x[4], sc.friction)
+            states[:, k] = x
+            u[k], tau_cmd[k], tau_applied[k] = u_k, cmd_k, applied_k
 
             if k < n_steps:
                 try:
-                    x = rk4_step(x, tau_applied, sc.dt, dp, sc.friction, sc.plant_gravity, sc.fidelity, tau_ext)
+                    x = rk4_step(x, applied_k, sc.dt, dp, sc.friction, sc.plant_gravity, sc.fidelity, tau_ext)
                 except DivergenceError as err:
                     raise DivergenceError(f"{err} at t = {t_k + sc.dt:.4f} s") from None
 
-    states = np.stack([log["q0"], log["q1"], log["theta_w"], log["omega_c"], log["omega_w"]])
-    log["energy"] = plant.energies(states, dp)[2]
-    return TimeSeries(t=t, **log)
+    # math.atan2, not np.arctan2: the vectorized one differs in the last bit on some hosts
+    angles = (math.degrees(math.atan2(q1, q0)) for q0, q1 in zip(states[0], states[1]))
+    theta_c_deg = np.fromiter(angles, float, len(t))
+    tau_f = plant.friction_torque(states[4], sc.friction)
+    energy = plant.energies(states, dp)[2]
+    return TimeSeries(t, *states[:2], theta_c_deg, *states[2:], u, tau_cmd, tau_applied, tau_f, energy)
 
 
 def settling_time(t, y, band: float) -> float:

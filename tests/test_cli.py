@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,6 +73,26 @@ def test_gains_alpha_zero(capsys):
     out = capsys.readouterr().out
     assert float(out.split("k_pw")[1].split()[0]) == 0.0
     assert float(out.split("k_dw")[1].split()[0]) == 0.0
+
+
+def test_gains_attitude_only_places_the_alpha_zero_design(capsys):
+    # attitude-only feeds back no wheel state: its gains are the design at alpha = 0
+    assert run_cli("gains", "--set", "control.mode=attitude-only") == 0
+    out = capsys.readouterr().out
+    assert float(out.split("alpha")[1].split()[0]) == 0.0
+    assert float(out.split("k_pw")[1].split()[0]) == 0.0
+    assert float(out.split("eigenvalue mismatch")[1].split()[0]) < 1e-6
+
+
+def test_gains_close_double_poles_pass(capsys):
+    code = run_cli(
+        "gains",
+        "--set", "control.zeta=1",
+        "--set", "control.omega_n_factor=0.490748",
+        "--set", "control.alpha=0.999",
+    )
+    assert code == 0
+    assert float(capsys.readouterr().out.split("eigenvalue mismatch")[1].split()[0]) < 1e-6
 
 
 def test_simulate_writes_csv_and_summary(tmp_path, capsys):
@@ -261,6 +282,12 @@ def test_build_config_defaults_match_reference_experiment():
     assert len(cfg.disturbances) == 2
     assert cfg.disturbances[0].start == 9.0
     assert cfg.disturbances[1].start == 16.0
+
+
+def test_sample_config_and_defaults_are_the_config_declaration():
+    sample = Path(__file__).resolve().parent.parent / "demos" / "experiment.cfg"
+    assert cli.build_config(cli.read_config_file(str(sample))) == cli.Config()
+    assert cli.build_config({}) == cli.Config()
 
 
 def test_disturbance_parse_errors():

@@ -53,10 +53,6 @@ def test_design_spec_validation():
         {"q_r": [np.inf, 0.0]},
         {"q_r": [1.0, 0.0, 0.0]},
         {"q_r": [[1.0], [0.0]]},
-        {"guard": -1e-3},
-        {"guard": 1.0},
-        {"guard": np.nan},
-        {"guard": np.inf},
     ],
 )
 def test_controller_config_rejects_bad_reference_or_guard(bad):
@@ -136,7 +132,7 @@ def test_closed_loop_eigenvalues_are_designed_poles(zeta, omega_n, alpha, model)
 
 
 def test_design_poly_roots_are_designed_poles(paper_spec):
-    roots = analysis.poly_roots(analysis.design_poly(paper_spec))
+    roots = np.roots(analysis.design_poly(paper_spec))
     mismatch = analysis.spectrum_mismatch(roots, analysis.designed_poles(paper_spec))
     assert mismatch < 1e-6
 
@@ -291,6 +287,8 @@ def test_error_dynamics_vanish_along_ideal_closed_loop(dp):
 def test_gains_for_mode(dp, paper_spec):
     att = control.gains_for_mode(Mode.ATTITUDE_ONLY, paper_spec, dp)
     assert (att.k_pw, att.k_dw) == (0.0, 0.0)
+    # the alpha = 0 design is the paper's attitude-only law, bit for bit
+    assert att == Gains(*control.attitude_gains(paper_spec.zeta, paper_spec.omega_n))
     full = control.gains_for_mode(Mode.ATTITUDE_AND_WHEEL, paper_spec, dp)
     assert full.k_pw > 0.0
     assert control.gains_for_mode(Mode.SMALL_ANGLE, paper_spec, dp) == full

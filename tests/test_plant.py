@@ -112,11 +112,11 @@ def test_friction_torque_values():
 
 def test_gravity_torque(dp):
     q_u = rotor.UPRIGHT
-    assert plant.gravity_torque(q_u, dp, GravityModel.CONSISTENT) == pytest.approx(0.0, abs=1e-15)
-    assert plant.gravity_torque(q_u, dp, GravityModel.PAPER_LITERAL) == pytest.approx(
+    assert plant._gravity(*q_u, dp, GravityModel.CONSISTENT) == pytest.approx(0.0, abs=1e-15)
+    assert plant._gravity(*q_u, dp, GravityModel.PAPER_LITERAL) == pytest.approx(
         MGD * SQ2, rel=1e-12
     )
-    assert plant.gravity_torque(rotor.IDENTITY, dp, GravityModel.CONSISTENT) == pytest.approx(
+    assert plant._gravity(*rotor.IDENTITY, dp, GravityModel.CONSISTENT) == pytest.approx(
         MGD * SQ2, rel=1e-12
     )
     assert MGD * SQ2 == pytest.approx(0.6254, rel=1e-3)
