@@ -118,28 +118,38 @@ def designed_poles(spec: DesignSpec) -> np.ndarray:
 
 
 def spectrum_mismatch(computed, expected, cluster_tol: float | None = None) -> float:
-    """Worst distance between the means of matched eigenvalue groups.
+    """Worst error of matched eigenvalue groups, in eigenvalue units.
 
     Each expected eigenvalue takes the nearest computed one still unmatched,
     r away.  Expected values within cluster_tol of each other (default
-    p = 1e-6 times the largest magnitude) form one group, and so do two a
-    distance d apart with (r_i + r_j)^2 / d > p^2.  A defective multiple
-    eigenvalue splits by O(sqrt(eps)) under rounding, and such splits r_i, r_j
-    shift the means of two clusters d apart by about r_i r_j / d, but the
-    mean of the whole group stays O(eps) accurate, so this measures the
-    meaningful error.
+    p = 1e-6 times the largest magnitude s) form one group, and so do two a
+    distance d apart when rounding that splits them by r_i and r_j could
+    move each one's own mean by (r_i + r_j)^2 / d > p.
+    A group of k is compared by the means of the j-th powers of its offsets
+    from the expected mean, j = 1..k, each divided by s^(j-1).  These fix
+    every member, so a merged group still shows a shift that keeps its sum,
+    while a multiple eigenvalue split by rounding (O(sqrt(eps)) for a double
+    one) moves them only by O(eps).
     """
     computed = list(np.asarray(computed, dtype=complex))
     expected = np.asarray(expected, dtype=complex)
     if len(computed) != len(expected):
         raise ValidationError("spectra must have equal length")
-    p = 1e-6 * max(1.0, float(np.max(np.abs(expected))))
+    s = max(1.0, float(np.max(np.abs(expected))))
+    p = 1e-6 * s
     tol = cluster_tol if cluster_tol is not None else p
     matched = np.array([computed.pop(int(np.argmin(np.abs(np.array(computed) - e)))) for e in expected])
     r = np.abs(matched - expected)
     group = np.arange(len(expected))
     for i, j in itertools.combinations(range(len(expected)), 2):
         d = abs(expected[i] - expected[j])
-        if d <= tol or (r[i] + r[j]) ** 2 > p * p * d:
+        if d <= tol or (r[i] + r[j]) ** 2 > p * d:
             group[group == group[j]] = group[i]
-    return max(abs(np.mean(matched[group == g]) - np.mean(expected[group == g])) for g in set(group))
+    worst = 0.0
+    for g in set(group):
+        got, want = matched[group == g], expected[group == g]
+        centre = np.mean(want)
+        for j in range(1, len(want) + 1):
+            moment = np.mean((got - centre) ** j) - np.mean((want - centre) ** j)
+            worst = max(worst, abs(moment) / s ** (j - 1))
+    return worst

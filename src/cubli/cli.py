@@ -18,13 +18,7 @@ import numpy as np
 
 from . import plant, rotor, sim, verify
 from .control import ControllerConfig, DesignSpec, Mode
-from .errors import (
-    CubliError,
-    DivergenceError,
-    IdentificationError,
-    SingularityError,
-    ValidationError,
-)
+from .errors import CubliError, DivergenceError, SingularityError, ValidationError
 from .plant import CubliParams, Fidelity, FrictionParams, GravityModel
 
 EXIT_OK = 0
@@ -444,13 +438,10 @@ def main(argv=None) -> int:
         if args.command == "fit-friction":
             return cmd_fit_friction(cfg, input_path=args.input, synthetic=args.synthetic)
         raise ValidationError(f"unknown command {args.command!r}")
-    except (ValidationError, IdentificationError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
     except (SingularityError, DivergenceError) as err:
         print(f"simulation error: {err}", file=sys.stderr)
         return EXIT_SIMULATION
-    except CubliError as err:
+    except (CubliError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -146,7 +146,6 @@ def energy_drift(cfg, dp_by_model):
         norm_drift = max(norm_drift, abs(math.hypot(x[0], x[1]) - 1.0))
         if (k + 1) % 2000 == 0:
             drift = max(drift, abs(plant.energies(x, dp)[2] - e0))
-    drift = max(drift, abs(plant.energies(x, dp)[2] - e0))
     rel = drift / abs(e0)
     ok = rel < 1e-6 and norm_drift <= 1e-9
     return ok, f"relative drift = {rel:.3e} (tol 1e-6), unit-norm drift = {norm_drift:.3e} (tol 1e-9)"

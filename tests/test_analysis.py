@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -163,6 +165,21 @@ def test_spectrum_mismatch():
         analysis.spectrum_mismatch(computed[:3], expected)
 
 
+@pytest.mark.parametrize(
+    ("computed", "expected"),
+    [
+        # the damped frequency 1% off
+        ([-1, -1, -2 + 1.01j, -2 - 1.01j], [-1, -1, -2 + 1j, -2 - 1j]),
+        # the double root split wide
+        ([-0.5, -1.5, -3 + 1j, -3 - 1j], [-1, -1, -3 + 1j, -3 - 1j]),
+        # two roots moved oppositely
+        ([-1 + 1e-5, -1, -2 - 1e-5 + 1j, -2 - 1j], [-1, -1, -2 + 1j, -2 - 1j]),
+    ],
+)
+def test_spectrum_mismatch_sees_errors_that_keep_the_sum(computed, expected):
+    assert analysis.spectrum_mismatch(np.array(computed), np.array(expected)) > 1e-6
+
+
 def close_double_poles_spec(dp):
     # zeta = 1 makes the attitude pair a double pole at -omega_n and alpha near
     # 1 puts the wheel's double pole 0.004 away: rounding splits the four
@@ -185,6 +202,46 @@ def test_spectrum_mismatch_passes_placed_poles_and_fails_a_moved_one(make_spec, 
             moved = poles.copy()
             moved[k] += step
             assert analysis.spectrum_mismatch(eigs, moved) > 1e-6, (k, step)
+
+
+@pytest.mark.parametrize("make_spec", [reference_spec, close_double_poles_spec])
+def test_spectrum_mismatch_fails_a_wrong_frequency_and_a_wrong_gain(make_spec, dp):
+    spec = make_spec(dp)
+    gains = control.full_gains(spec, dp)
+    poles = analysis.designed_poles(spec)
+    eigs = np.linalg.eigvals(analysis.closed_loop_matrix(gains, dp))
+    for step in (0.01j, -0.01j):
+        moved = poles.copy()
+        moved[0] += step
+        moved[1] -= step
+        assert analysis.spectrum_mismatch(eigs, moved) > 1e-6, step
+    for k_p in (gains.k_p + 1e-3, gains.k_p - 1e-3):
+        wrong = np.linalg.eigvals(analysis.closed_loop_matrix(dataclasses.replace(gains, k_p=k_p), dp))
+        assert analysis.spectrum_mismatch(wrong, poles) > 1e-6, k_p
+
+
+def test_spectrum_mismatch_fails_two_distinct_poles_moved_oppositely(dp):
+    spec = reference_spec(dp)
+    eigs = np.linalg.eigvals(analysis.closed_loop_matrix(control.full_gains(spec, dp), dp))
+    poles = analysis.designed_poles(spec)
+    for i, j in itertools.combinations(range(len(poles)), 2):
+        if poles[i] == poles[j]:
+            continue
+        for step in (1e-5, -1e-5, 1e-5j, -1e-5j, 1e-3, 1e-3j):
+            moved = poles.copy()
+            moved[i] += step
+            moved[j] -= step
+            assert analysis.spectrum_mismatch(eigs, moved) > 1e-6, (i, j, step)
+
+
+def test_spectrum_mismatch_fails_a_wrong_open_loop_frequency(dp):
+    a, _ = plant.linearize(dp, FrictionParams(), GravityModel.CONSISTENT)
+    roots = np.roots(analysis.char_poly(a))
+    expected = np.array([0.0, 0.0, -dp.omega_1, dp.omega_0, -dp.omega_0], dtype=complex)
+    assert analysis.spectrum_mismatch(roots, expected, cluster_tol=1e-7) < 1e-8
+    for w0 in (dp.omega_0 * (1.0 + 1e-6), dp.omega_0 * 1.01):
+        wrong = np.array([0.0, 0.0, -dp.omega_1, w0, -w0], dtype=complex)
+        assert analysis.spectrum_mismatch(roots, wrong, cluster_tol=1e-7) > 1e-8, w0
 
 
 def test_design_poly_expansion():
