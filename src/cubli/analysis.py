@@ -1,5 +1,5 @@
-"""Verification mathematics: characteristic polynomials, rank tests,
-closed-loop matrices, spectrum matching, and a finite-difference Jacobian oracle.
+"""Verification mathematics: characteristic polynomials and their coefficient
+error, rank tests, closed-loop matrices, and a finite-difference Jacobian oracle.
 
 Everything here is dense, small (n <= 8), and deliberately simple; the module
 exists so the model and controller claims can be checked by independent
@@ -7,8 +7,6 @@ machinery rather than by the code that produced them.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -117,39 +115,15 @@ def designed_poles(spec: DesignSpec) -> np.ndarray:
     return np.array([-z * wn + 1j * wd, -z * wn - 1j * wd, -a * z * wn, -a * z * wn])
 
 
-def spectrum_mismatch(computed, expected, cluster_tol: float | None = None) -> float:
-    """Worst error of matched eigenvalue groups, in eigenvalue units.
+def coefficient_error(coeffs, target) -> float:
+    """max|coeffs - target| / max|target|, with the modulus of a complex
+    difference, so an imaginary residue counts.
 
-    Each expected eigenvalue takes the nearest computed one still unmatched,
-    r away.  Expected values within cluster_tol of each other (default
-    p = 1e-6 times the largest magnitude s) form one group, and so do two a
-    distance d apart when rounding that splits them by r_i and r_j could
-    move each one's own mean by (r_i + r_j)^2 / d > p.
-    A group of k is compared by the means of the j-th powers of its offsets
-    from the expected mean, j = 1..k, each divided by s^(j-1).  These fix
-    every member, so a merged group still shows a shift that keeps its sum,
-    while a multiple eigenvalue split by rounding (O(sqrt(eps)) for a double
-    one) moves them only by O(eps).
+    Every pole claim is checked by this metric: a polynomial identity holds
+    coefficient by coefficient, where eigenvalues of (nearly) repeated poles
+    are ill-conditioned.
     """
-    computed = list(np.asarray(computed, dtype=complex))
-    expected = np.asarray(expected, dtype=complex)
-    if len(computed) != len(expected):
-        raise ValidationError("spectra must have equal length")
-    s = max(1.0, float(np.max(np.abs(expected))))
-    p = 1e-6 * s
-    tol = cluster_tol if cluster_tol is not None else p
-    matched = np.array([computed.pop(int(np.argmin(np.abs(np.array(computed) - e)))) for e in expected])
-    r = np.abs(matched - expected)
-    group = np.arange(len(expected))
-    for i, j in itertools.combinations(range(len(expected)), 2):
-        d = abs(expected[i] - expected[j])
-        if d <= tol or (r[i] + r[j]) ** 2 > p * d:
-            group[group == group[j]] = group[i]
-    worst = 0.0
-    for g in set(group):
-        got, want = matched[group == g], expected[group == g]
-        centre = np.mean(want)
-        for j in range(1, len(want) + 1):
-            moment = np.mean((got - centre) ** j) - np.mean((want - centre) ** j)
-            worst = max(worst, abs(moment) / s ** (j - 1))
-    return worst
+    coeffs, target = np.asarray(coeffs), np.asarray(target)
+    if coeffs.shape != target.shape:
+        raise ValidationError(f"coefficient shapes differ: {coeffs.shape} vs {target.shape}")
+    return float(np.max(np.abs(coeffs - target)) / np.max(np.abs(target)))

@@ -152,7 +152,6 @@ def feedback_linearize(
 
 
 def saturate(tau, tau_max: float):
-    """Clamp the commanded torque to the actuator range [-tau_max, tau_max]."""
-    if not tau_max > 0.0:
-        raise ValidationError("tau_max must be positive")
-    return np.clip(tau, -tau_max, tau_max)
+    """Clamp the commanded torque to the actuator range [-tau_max, tau_max];
+    ControllerConfig has already checked that tau_max is positive."""
+    return min(max(tau, -tau_max), tau_max)

@@ -41,9 +41,9 @@ def norm(q):
 def normalize(q) -> np.ndarray:
     """Rescale q onto the unit circle.
 
-    Raises DegenerateInputError when the norm is below 1e-12; used once per
-    integration step to repair drift, so it must never silently fabricate a
-    direction from numerical noise.
+    Raises DegenerateInputError when the norm is below 1e-12, so it never
+    silently fabricates a direction from numerical noise.  (sim.rk4_step
+    renormalizes its states inline instead.)
     """
     n = norm(q)
     if np.any(n <= 1e-12):

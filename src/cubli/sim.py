@@ -161,7 +161,7 @@ def run(scenario: Scenario) -> TimeSeries:
             except SingularityError as err:
                 raise SingularityError(f"{err} at t = {t_k:.4f} s") from None
             cmd_k = control.feedback_linearize(u_k, q_meas, measured.omega_w, dp, sc.friction, cc.gravity_model)
-            applied_k = float(control.saturate(cmd_k, cc.tau_max))
+            applied_k = control.saturate(cmd_k, cc.tau_max)
             tau_ext = sum(d.torque for d in sc.disturbances if d.active(t_k))
             states[:, k] = x
             u[k], tau_cmd[k], tau_applied[k] = u_k, cmd_k, applied_k

@@ -6,12 +6,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cubli import analysis, control, plant, rotor
+from cubli import analysis, control, plant, rotor, verify
 from cubli.control import DesignSpec
 from cubli.errors import DivergenceError, ValidationError
 from cubli.plant import CubliParams, Fidelity, FrictionParams, GravityModel
 
 SQ2 = math.sqrt(2.0) / 2.0
+
+
+def passes(error):
+    """The one gate of every pole claim, as cubli verify applies it."""
+    return verify.coefficient_gate(error)[0]
 
 
 @pytest.fixture(scope="module")
@@ -112,17 +117,16 @@ def test_gain_synthesis_identity_random_specs(dp):
             zeta=rng.uniform(0.3, 1.0), omega_n=rng.uniform(2, 20), alpha=rng.uniform(0.0, 0.5)
         )
         coeffs = analysis.char_poly(analysis.closed_loop_matrix(control.full_gains(spec, dp), dp))
-        target = analysis.design_poly(spec)
-        worst = max(worst, np.max(np.abs(coeffs - target)) / np.max(np.abs(target)))
-    assert worst < 1e-9
+        worst = max(worst, analysis.coefficient_error(coeffs, analysis.design_poly(spec)))
+    assert passes(worst)
 
 
 def test_closed_loop_eigenvalues_reference_case(dp):
     dp_lit = plant.derive(CubliParams(), FrictionParams(), GravityModel.PAPER_LITERAL)
     spec = DesignSpec(zeta=SQ2, omega_n=1.5 * dp_lit.omega_0, alpha=0.1)
     eigs = np.linalg.eigvals(analysis.closed_loop_matrix(control.full_gains(spec, dp_lit), dp_lit))
+    assert passes(analysis.coefficient_error(np.poly(eigs), analysis.design_poly(spec)))
     expected = analysis.designed_poles(spec)
-    assert analysis.spectrum_mismatch(eigs, expected) < 1e-6
     # the textbook numbers: -7.27 +/- 7.27j and a double pole at -0.727
     assert sorted(expected.real)[0] == pytest.approx(-7.27, rel=1e-2)
     assert max(expected.real) == pytest.approx(-0.727, rel=1e-2)
@@ -154,15 +158,18 @@ def test_closed_loop_matrix_matches_end_to_end_finite_differences(dp):
     assert np.max(np.abs(jac - analysis.closed_loop_matrix(gains, dp))) < 1e-5
 
 
-def test_spectrum_mismatch():
-    expected = np.array([-1.0, -1.0, -2.0 + 1j, -2.0 - 1j])
-    computed = np.array([-1.0 + 1e-8, -1.0 - 1e-8, -2.0 + 1j, -2.0 - 1j])
-    # the split double root matches through its cluster mean
-    assert analysis.spectrum_mismatch(computed, expected) < 1e-12
-    shifted = computed + 0.01
-    assert analysis.spectrum_mismatch(shifted, expected) > 1e-3
+def test_coefficient_error():
+    expected = np.poly([-1.0, -1.0, -2.0 + 1j, -2.0 - 1j])
+    # a double root split by 1e-8 moves the coefficients by 1e-16
+    split = np.poly([-1.0 + 1e-8, -1.0 - 1e-8, -2.0 + 1j, -2.0 - 1j])
+    assert analysis.coefficient_error(split, expected) < 1e-15
+    shifted = np.poly(np.array([-1.0, -1.0, -2.0 + 1j, -2.0 - 1j]) + 0.01)
+    assert analysis.coefficient_error(shifted, expected) > 1e-3
+    # the modulus of a complex difference: an imaginary residue counts
+    scale = np.max(np.abs(expected))
+    assert analysis.coefficient_error(expected + [0, 0, 3e-6j, 0, 0], expected) == pytest.approx(3e-6 / scale)
     with pytest.raises(ValidationError):
-        analysis.spectrum_mismatch(computed[:3], expected)
+        analysis.coefficient_error(expected[:4], expected)
 
 
 @pytest.mark.parametrize(
@@ -176,14 +183,14 @@ def test_spectrum_mismatch():
         ([-1 + 1e-5, -1, -2 - 1e-5 + 1j, -2 - 1j], [-1, -1, -2 + 1j, -2 - 1j]),
     ],
 )
-def test_spectrum_mismatch_sees_errors_that_keep_the_sum(computed, expected):
-    assert analysis.spectrum_mismatch(np.array(computed), np.array(expected)) > 1e-6
+def test_coefficient_error_sees_errors_that_keep_the_sum(computed, expected):
+    assert not passes(analysis.coefficient_error(np.poly(computed), np.poly(expected)))
 
 
 def close_double_poles_spec(dp):
     # zeta = 1 makes the attitude pair a double pole at -omega_n and alpha near
     # 1 puts the wheel's double pole 0.004 away: rounding splits the four
-    # eigenvalues by ~1.8e-4, which moves each double's own mean by ~8e-6
+    # eigenvalues by ~1.8e-4, yet their polynomial stays within ~3e-15 of the design
     return DesignSpec(zeta=1.0, omega_n=0.490748 * dp.omega_0, alpha=0.999)
 
 
@@ -191,38 +198,45 @@ def reference_spec(dp):
     return DesignSpec(zeta=SQ2, omega_n=1.5 * dp.omega_0, alpha=0.1)
 
 
+def placed(spec, dp, gains=None):
+    """Coefficients of the closed loop's eigenvalue polynomial: the
+    eigensolver path that cubli verify's closed_loop_poles gates."""
+    gains = gains or control.full_gains(spec, dp)
+    return np.poly(np.linalg.eigvals(analysis.closed_loop_matrix(gains, dp)))
+
+
 @pytest.mark.parametrize("make_spec", [reference_spec, close_double_poles_spec])
-def test_spectrum_mismatch_passes_placed_poles_and_fails_a_moved_one(make_spec, dp):
+def test_coefficient_error_passes_placed_fails_moved_poles(make_spec, dp):
     spec = make_spec(dp)
-    eigs = np.linalg.eigvals(analysis.closed_loop_matrix(control.full_gains(spec, dp), dp))
+    coeffs = placed(spec, dp)
+    assert passes(analysis.coefficient_error(coeffs, analysis.design_poly(spec)))
     poles = analysis.designed_poles(spec)
-    assert analysis.spectrum_mismatch(eigs, poles) < 1e-6
     for k in range(len(poles)):
         for step in (1e-5, -1e-5, 1e-5j, -1e-5j):
             moved = poles.copy()
             moved[k] += step
-            assert analysis.spectrum_mismatch(eigs, moved) > 1e-6, (k, step)
+            assert not passes(analysis.coefficient_error(coeffs, np.poly(moved))), (k, step)
 
 
 @pytest.mark.parametrize("make_spec", [reference_spec, close_double_poles_spec])
-def test_spectrum_mismatch_fails_a_wrong_frequency_and_a_wrong_gain(make_spec, dp):
+def test_coefficient_error_fails_wrong_frequency_or_gain(make_spec, dp):
     spec = make_spec(dp)
     gains = control.full_gains(spec, dp)
     poles = analysis.designed_poles(spec)
-    eigs = np.linalg.eigvals(analysis.closed_loop_matrix(gains, dp))
+    coeffs = placed(spec, dp, gains)
     for step in (0.01j, -0.01j):
         moved = poles.copy()
         moved[0] += step
         moved[1] -= step
-        assert analysis.spectrum_mismatch(eigs, moved) > 1e-6, step
+        assert not passes(analysis.coefficient_error(coeffs, np.poly(moved))), step
     for k_p in (gains.k_p + 1e-3, gains.k_p - 1e-3):
-        wrong = np.linalg.eigvals(analysis.closed_loop_matrix(dataclasses.replace(gains, k_p=k_p), dp))
-        assert analysis.spectrum_mismatch(wrong, poles) > 1e-6, k_p
+        wrong = placed(spec, dp, dataclasses.replace(gains, k_p=k_p))
+        assert not passes(analysis.coefficient_error(wrong, analysis.design_poly(spec))), k_p
 
 
-def test_spectrum_mismatch_fails_two_distinct_poles_moved_oppositely(dp):
+def test_coefficient_error_fails_two_distinct_poles_moved_oppositely(dp):
     spec = reference_spec(dp)
-    eigs = np.linalg.eigvals(analysis.closed_loop_matrix(control.full_gains(spec, dp), dp))
+    coeffs = placed(spec, dp)
     poles = analysis.designed_poles(spec)
     for i, j in itertools.combinations(range(len(poles)), 2):
         if poles[i] == poles[j]:
@@ -231,17 +245,15 @@ def test_spectrum_mismatch_fails_two_distinct_poles_moved_oppositely(dp):
             moved = poles.copy()
             moved[i] += step
             moved[j] -= step
-            assert analysis.spectrum_mismatch(eigs, moved) > 1e-6, (i, j, step)
+            assert not passes(analysis.coefficient_error(coeffs, np.poly(moved))), (i, j, step)
 
 
-def test_spectrum_mismatch_fails_a_wrong_open_loop_frequency(dp):
+def test_coefficient_error_fails_a_wrong_open_loop_frequency(dp):
     a, _ = plant.linearize(dp, FrictionParams(), GravityModel.CONSISTENT)
-    roots = np.roots(analysis.char_poly(a))
-    expected = np.array([0.0, 0.0, -dp.omega_1, dp.omega_0, -dp.omega_0], dtype=complex)
-    assert analysis.spectrum_mismatch(roots, expected, cluster_tol=1e-7) < 1e-8
-    for w0 in (dp.omega_0 * (1.0 + 1e-6), dp.omega_0 * 1.01):
-        wrong = np.array([0.0, 0.0, -dp.omega_1, w0, -w0], dtype=complex)
-        assert analysis.spectrum_mismatch(roots, wrong, cluster_tol=1e-7) > 1e-8, w0
+    coeffs = analysis.char_poly(a)
+    for w0 in (dp.omega_0, dp.omega_0 * (1.0 + 1e-6), dp.omega_0 * (1.0 - 1e-6), dp.omega_0 * 1.01):
+        target = np.poly([0.0, 0.0, -dp.omega_1, w0, -w0])
+        assert passes(analysis.coefficient_error(coeffs, target)) == (w0 == dp.omega_0), w0
 
 
 def test_design_poly_expansion():

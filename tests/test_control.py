@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from cubli import analysis, control, plant, rotor
+from cubli import analysis, control, plant, rotor, verify
 from cubli.control import ControllerConfig, DesignSpec, Gains, Mode
 from cubli.errors import SingularityError, ValidationError
 from cubli.plant import CubliParams, Fidelity, FrictionParams, GravityModel, State
@@ -53,6 +53,9 @@ def test_design_spec_validation():
         {"q_r": [np.inf, 0.0]},
         {"q_r": [1.0, 0.0, 0.0]},
         {"q_r": [[1.0], [0.0]]},
+        {"tau_max": 0.0},
+        {"tau_max": -1.0},
+        {"tau_max": np.nan},
     ],
 )
 def test_controller_config_rejects_bad_reference_or_guard(bad):
@@ -112,29 +115,31 @@ def test_full_gains_match_design_polynomial(zeta, omega_n, alpha, model):
     dp = DP_BY_MODEL[model]
     spec = DesignSpec(zeta=zeta, omega_n=omega_n, alpha=alpha)
     coeffs = analysis.char_poly(analysis.closed_loop_matrix(control.full_gains(spec, dp), dp))
-    target = analysis.design_poly(spec)
-    # coefficient-wise, relative to the polynomial's coefficient scale
-    assert np.max(np.abs(coeffs - target)) / np.max(np.abs(target)) < 1e-9
+    assert verify.coefficient_gate(analysis.coefficient_error(coeffs, analysis.design_poly(spec)))[0]
 
 
 @prop
 @given(
-    zeta=st.floats(0.3, 1.0),
-    omega_n=st.floats(2.0, 20.0),
-    alpha=st.floats(0.0, 0.5),
+    zeta=st.floats(0.05, 1.0),
+    omega_n_factor=st.floats(0.1, 7.0),
+    alpha=st.floats(0.0, 1.1),
     model=st.sampled_from(list(GravityModel)),
 )
-def test_closed_loop_eigenvalues_are_designed_poles(zeta, omega_n, alpha, model):
+# near-coalescent: the attitude pair 0.0057 from the double wheel pole, 0.004 apart
+@example(zeta=0.999999, omega_n_factor=0.490748, alpha=0.999, model=GravityModel.CONSISTENT)
+@example(zeta=0.999999, omega_n_factor=0.490748, alpha=0.999, model=GravityModel.PAPER_LITERAL)
+def test_closed_loop_eigenvalues_are_designed_poles(zeta, omega_n_factor, alpha, model):
+    # the eigensolver path of closed_loop_poles and cubli gains, over omega_n
+    # from 0.1 to 7 omega_0, where the poles may nearly coalesce
     dp = DP_BY_MODEL[model]
-    spec = DesignSpec(zeta=zeta, omega_n=omega_n, alpha=alpha)
+    spec = DesignSpec(zeta=zeta, omega_n=omega_n_factor * dp.omega_0, alpha=alpha)
     eigs = np.linalg.eigvals(analysis.closed_loop_matrix(control.full_gains(spec, dp), dp))
-    assert analysis.spectrum_mismatch(eigs, analysis.designed_poles(spec)) < 1e-6
+    assert verify.coefficient_gate(analysis.coefficient_error(np.poly(eigs), analysis.design_poly(spec)))[0]
 
 
 def test_design_poly_roots_are_designed_poles(paper_spec):
-    roots = np.roots(analysis.design_poly(paper_spec))
-    mismatch = analysis.spectrum_mismatch(roots, analysis.designed_poles(paper_spec))
-    assert mismatch < 1e-6
+    error = analysis.coefficient_error(np.poly(analysis.designed_poles(paper_spec)), analysis.design_poly(paper_spec))
+    assert verify.coefficient_gate(error)[0]
 
 
 def test_regulator_attitude(dp_literal, paper_spec):
@@ -241,8 +246,8 @@ def test_saturate():
     rng = np.random.default_rng(3)
     for tau in rng.uniform(-2, 2, 50):
         assert control.saturate(-tau, 0.5) == -control.saturate(tau, 0.5)
-    with pytest.raises(ValidationError):
-        control.saturate(0.1, 0.0)
+    # a non-finite command passes through, for the integrator to report
+    assert math.isnan(control.saturate(math.nan, 0.5))
 
 
 def test_closed_loop_is_hurwitz_for_valid_specs(dp):
