@@ -8,6 +8,7 @@ from .errors import (
     DegenerateInputError,
     DivergenceError,
     IdentificationError,
+    SimulationError,
     SingularityError,
     ValidationError,
 )
@@ -38,6 +39,7 @@ __all__ = [
     "DegenerateInputError",
     "DivergenceError",
     "IdentificationError",
+    "SimulationError",
     "SingularityError",
     "ValidationError",
     "CubliParams",

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import plant, rotor, sim, verify
 from .control import ControllerConfig, Mode
-from .errors import CubliError, DivergenceError, SingularityError, ValidationError
+from .errors import CubliError, SimulationError, ValidationError
 from .plant import CubliParams, Fidelity, FrictionParams, GravityModel
 from .verify import design_spec
 
@@ -432,7 +432,7 @@ def main(argv=None) -> int:
         if args.command == "fit-friction":
             return cmd_fit_friction(cfg, input_path=args.input, synthetic=args.synthetic)
         raise ValidationError(f"unknown command {args.command!r}")
-    except (SingularityError, DivergenceError) as err:
+    except SimulationError as err:
         print(f"simulation error: {err}", file=sys.stderr)
         return EXIT_SIMULATION
     except (CubliError, OSError) as err:

@@ -89,8 +89,11 @@ def full_gains(spec: DesignSpec, dp: DerivedParams) -> Gains:
     With alpha = 0 this reduces exactly to attitude_gains.
     """
     z, wn, a = spec.zeta, spec.omega_n, spec.alpha
-    k_pw = a**2 * z**2 * wn**4 / dp.delta
-    k_dw = 2.0 * a * z * wn**3 * (1.0 + a * z**2) / dp.delta
+    try:  # a float power raises where a float64 one went to inf
+        k_pw = a**2 * z**2 * wn**4 / dp.delta
+        k_dw = 2.0 * a * z * wn**3 * (1.0 + a * z**2) / dp.delta
+    except OverflowError:
+        raise ValidationError(f"omega_n = {wn:.3g} rad/s is too large: the gains overflow") from None
     k_p = wn**2 * (1.0 + a * z**2 * (4.0 + a)) + dp.gamma * k_pw
     k_d = 2.0 * z * wn * (1.0 + a) + dp.gamma * k_dw
     return Gains(k_p=k_p, k_d=k_d, k_pw=k_pw, k_dw=k_dw)

@@ -10,8 +10,11 @@ the wheel angle/velocity relative to the structure, and omega_c the body
 angular velocity.  The motor torque tau acts on the wheel; its reaction shows
 up with a minus sign in the body equation.
 
-All rate functions broadcast: a stacked state of shape (5, N) (or (4, N) for
-the angle form) integrates N trajectories at once.
+Each rate expression is written once and serves one trajectory and many: a
+stacked state of shape (5, N) (or (4, N) for the angle form) integrates N
+trajectories at once, and sim.rk4_step carries a (5,) state as five Python
+floats through the same expression (_rates).  Python floats and float64
+arrays round alike, so the two representations agree bit for bit.
 """
 
 from __future__ import annotations
@@ -110,7 +113,7 @@ def derive(
     equation offered by Fidelity.PAPER_APPROX is only meaningful when the
     wheel's own inertia is a small perturbation of the total.
     """
-    d = params.l * np.sqrt(2.0) / 2.0
+    d = params.l * math.sqrt(2.0) / 2.0
     m_c = params.m_s + params.m_w
     I_sO = params.I_sG + params.m_s * d * d
     I_wO = params.I_wG + params.m_w * d * d
@@ -124,9 +127,9 @@ def derive(
         )
     mgd = m_c * params.g * d
     if model is GravityModel.PAPER_LITERAL:
-        omega_0 = np.sqrt(mgd * (np.sqrt(2.0) / 2.0) / I_cO_bar)
+        omega_0 = math.sqrt(mgd * (math.sqrt(2.0) / 2.0) / I_cO_bar)
     else:
-        omega_0 = np.sqrt(mgd / I_cO_bar)
+        omega_0 = math.sqrt(mgd / I_cO_bar)
     return DerivedParams(
         d=d,
         m_c=m_c,
@@ -164,13 +167,27 @@ class State:
 def friction_torque(omega_w, fp: FrictionParams):
     """Coulomb + viscous + quadratic drag torque opposing the wheel velocity.
 
-    sign(0) = 0 by convention so that rest is a fixed point.
+    sign(0) = 0 by convention so that rest is a fixed point.  One float
+    (np.float64 included) takes the float sign below, anything else np.sign;
+    the two agree bit for bit, so the expression is written once.
     """
-    a = np.abs(omega_w)
-    return np.sign(omega_w) * (fp.tau_c + fp.b_w * a + fp.c_d * a * a)
+    if isinstance(omega_w, float):
+        sign, a = _sign(omega_w), abs(omega_w)
+    else:
+        sign, a = np.sign(omega_w), np.abs(omega_w)
+    return sign * (fp.tau_c + fp.b_w * a + fp.c_d * a * a)
 
 
-_HALF_SQRT2 = np.sqrt(2.0) / 2.0  # cos 45 deg
+def _sign(w: float) -> float:
+    """np.sign of one float: +0.0 for either zero, and NaN stays NaN."""
+    if w > 0.0:
+        return 1.0
+    if w < 0.0:
+        return -1.0
+    return 0.0 if w == 0.0 else w
+
+
+_HALF_SQRT2 = math.sqrt(2.0) / 2.0  # cos 45 deg
 
 
 def _gravity(q0, q1, dp: DerivedParams, model: GravityModel):
@@ -200,13 +217,20 @@ def dynamics_rate(
     acceleration; PAPER_APPROX drops the -omega_c_dot coupling term, which is
     the structure the controller design assumes.
     """
+    return np.array(_rates(x.tolist() if x.ndim == 1 else x, tau, dp, fp, model, fidelity, tau_ext))
+
+
+def _rates(x, tau, dp: DerivedParams, fp: FrictionParams, model: GravityModel, fidelity: Fidelity, tau_ext):
+    """dynamics_rate's five components in the representation of x: five
+    Python floats for one trajectory, or the five (N,) rows of a stacked
+    (5, N) state.  sim.rk4_step steps one trajectory on the floats."""
     q0, q1, _theta_w, omega_c, omega_w = x
     tau_f = friction_torque(omega_w, fp)
     omega_c_dot = (tau_f - _gravity(q0, q1, dp, model) - tau + tau_ext) / dp.I_cO_bar
     omega_w_dot = (tau - tau_f) / dp.I_wG
     if fidelity is Fidelity.EXACT:
         omega_w_dot = omega_w_dot - omega_c_dot
-    return np.array([-q1 * omega_c, q0 * omega_c, omega_w, omega_c_dot, omega_w_dot])
+    return (-q1 * omega_c, q0 * omega_c, omega_w, omega_c_dot, omega_w_dot)
 
 
 def angle_dynamics_rate(

@@ -4,12 +4,17 @@ friction-identification experiment.
 The controller runs at every integration step (control rate = 1/dt) with the
 torque held constant over the step.  Scenarios own their state exclusively, so
 independent runs can execute in parallel.
+
+sim.rk4 is the one RK4 formula.  rk4_step picks the representation from the
+state's shape: a (5,) state is stepped as five Python floats, which skips
+numpy's per-call cost at N = 1, and a stacked (5, N) state as its array.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from itertools import repeat
 
 import numpy as np
 
@@ -32,9 +37,6 @@ class Disturbance:
             raise ValidationError("disturbance start and torque must be finite")
         if not 0.0 < self.duration < math.inf:
             raise ValidationError("disturbance duration must be positive and finite")
-
-    def active(self, t: float) -> bool:
-        return self.start <= t < self.start + self.duration
 
 
 @dataclass
@@ -64,7 +66,7 @@ class Scenario:
         if not self.dt <= self.t_end < math.inf:
             raise ValidationError("t_end must be finite and at least one step long")
         # the run ends exactly at t_end: a partial last step is not rounded away
-        if abs(round(self.t_end / self.dt) * self.dt - self.t_end) > 1e-9 * self.t_end:
+        if not _steps(self.t_end, self.dt).is_integer():
             raise ValidationError(f"t_end = {self.t_end!r} s is not a whole number of dt = {self.dt!r} s steps")
         if not math.isfinite(self.sensor_bias):
             raise ValidationError("sensor_bias must be finite")
@@ -95,12 +97,37 @@ TimeSeries.COLUMNS = tuple(f.name for f in fields(TimeSeries))
 
 
 def rk4(f, x, dt: float):
-    """One classical Runge-Kutta step of x' = f(x); broadcasts like f does."""
+    """One classical Runge-Kutta step of x' = f(x).
+
+    x is an array, which each stage combines whole (broadcasting like f), or
+    one trajectory as a list or tuple of Python floats, which each stage
+    combines component by component; f returns the representation it is
+    given (a tuple for floats).
+    """
+    stage, combine = (_stage, _combine) if isinstance(x, np.ndarray) else (_stage_each, _combine_each)
+    half = 0.5 * dt
     k1 = f(x)
-    k2 = f(x + (0.5 * dt) * k1)
-    k3 = f(x + (0.5 * dt) * k2)
-    k4 = f(x + dt * k3)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = f(stage(x, k1, half))
+    k3 = f(stage(x, k2, half))
+    k4 = f(stage(x, k3, dt))
+    return combine(x, k1, k2, k3, k4, dt / 6.0)
+
+
+def _stage(x, k, h):
+    return x + h * k
+
+
+def _combine(x, k1, k2, k3, k4, h):
+    # k + k is 2.0 * k bit for bit, and an array sum is cheaper than a scalar product
+    return x + h * (k1 + (k2 + k2) + (k3 + k3) + k4)
+
+
+def _stage_each(x, k, h):
+    return tuple(map(_stage, x, k, repeat(h)))
+
+
+def _combine_each(x, k1, k2, k3, k4, h):
+    return tuple(map(_combine, x, k1, k2, k3, k4, repeat(h)))
 
 
 def rk4_step(
@@ -115,13 +142,26 @@ def rk4_step(
 ) -> np.ndarray:
     """One RK4 step of the plant with tau held constant (zero-order hold).
 
-    The orientation is renormalized onto the unit circle afterwards; the
-    renormalization changes neither the decoded angle nor the energy.
+    A (5,) state is stepped as five Python floats and a stacked (5, N) one as
+    its array; Python floats and float64 arrays round alike, so a column
+    stepped alone equals its stacked twin bit for bit.  The orientation is
+    renormalized onto the unit circle afterwards; the renormalization changes
+    neither the decoded angle nor the energy.
     """
+    if x.ndim == 1:
+        tau, tau_ext = float(tau), float(tau_ext)
+        q0, q1, *rest = rk4(lambda s: plant._rates(s, tau, dp, fp, model, fidelity, tau_ext), x.tolist(), dt)
+        n = math.sqrt(q0 * q0 + q1 * q1)
+        if n > 0.0:  # q = 0 (or NaN) has no direction; the array path divides it into NaN
+            q0, q1 = q0 / n, q1 / n
+        out = (q0, q1, *rest)
+        if not (n > 0.0 and all(map(math.isfinite, out))):
+            raise DivergenceError("integration produced a non-finite state", state=np.array(out))
+        return np.array(out)
     out = rk4(lambda s: plant.dynamics_rate(s, tau, dp, fp, model, fidelity, tau_ext), x, dt)
     out[:2] /= np.sqrt(out[0] * out[0] + out[1] * out[1])
     if not np.isfinite(out).all():
-        raise DivergenceError("integration produced a non-finite state")
+        raise DivergenceError("integration produced a non-finite state", state=out)
     return out
 
 
@@ -131,14 +171,17 @@ def run(scenario: Scenario) -> TimeSeries:
     Per step: rotate the true attitude by the sensor bias to get the
     measurement, evaluate the selected regulator and the feedback
     linearization on measured quantities, saturate, then integrate the true
-    plant under the applied torque plus any active disturbance.
+    plant under the applied torque plus the step's disturbance torque.
+    A SingularityError or DivergenceError carries the time, step and state
+    at which the run failed.
     """
     sc = scenario
     cc = sc.controller
     dp = plant.derive(sc.params, sc.friction, sc.plant_gravity)
     gains = control.gains_for_mode(cc.mode, sc.design, dp)
     q_bias = rotor.from_angle(sc.sensor_bias)
-    n_steps = int(round(sc.t_end / sc.dt))
+    n_steps = int(_steps(sc.t_end, sc.dt))
+    tau_ext = disturbance_torque(sc.disturbances, sc.dt, n_steps).tolist()
 
     t = np.arange(n_steps + 1) * sc.dt
     states = np.empty((5, n_steps + 1))
@@ -159,18 +202,18 @@ def run(scenario: Scenario) -> TimeSeries:
                 else:
                     u_k = control.regulator_full(measured, cc.q_r, gains)
             except SingularityError as err:
-                raise SingularityError(f"{err} at t = {t_k:.4f} s") from None
+                raise SingularityError(f"{err} at t = {t_k:.4f} s", t=float(t_k), step=k, state=x) from None
             cmd_k = control.feedback_linearize(u_k, q_meas, measured.omega_w, dp, sc.friction, cc.gravity_model)
             applied_k = control.saturate(cmd_k, cc.tau_max)
-            tau_ext = sum(d.torque for d in sc.disturbances if d.active(t_k))
             states[:, k] = x
             u[k], tau_cmd[k], tau_applied[k] = u_k, cmd_k, applied_k
 
             if k < n_steps:
                 try:
-                    x = rk4_step(x, applied_k, sc.dt, dp, sc.friction, sc.plant_gravity, sc.fidelity, tau_ext)
+                    x = rk4_step(x, applied_k, sc.dt, dp, sc.friction, sc.plant_gravity, sc.fidelity, tau_ext[k])
                 except DivergenceError as err:
-                    raise DivergenceError(f"{err} at t = {t_k + sc.dt:.4f} s") from None
+                    t_fail = float(t_k + sc.dt)
+                    raise DivergenceError(f"{err} at t = {t_fail:.4f} s", t=t_fail, step=k + 1, state=err.state) from None
 
     # math.atan2, not np.arctan2: the vectorized one differs in the last bit on some hosts
     angles = (math.degrees(math.atan2(q1, q0)) for q0, q1 in zip(states[0], states[1]))
@@ -178,6 +221,31 @@ def run(scenario: Scenario) -> TimeSeries:
     tau_f = plant.friction_torque(states[4], sc.friction)
     energy = plant.energies(states, dp)[2]
     return TimeSeries(t, *states[:2], theta_c_deg, *states[2:], u, tau_cmd, tau_applied, tau_f, energy)
+
+
+def _steps(t: float, dt: float) -> float:
+    """t as a number of dt steps, snapped to the nearest whole step when
+    within 1e-9 of it (relative), so that t = 9.1 s at dt = 1 ms is 9100."""
+    steps = t / dt
+    whole = round(steps)
+    return float(whole) if abs(whole - steps) <= 1e-9 * abs(steps) else steps
+
+
+def disturbance_torque(disturbances, dt: float, n_steps: int) -> np.ndarray:
+    """The external body torque held over each of n_steps steps of dt.
+
+    A pulse adds torque * overlap / dt to each step it overlaps, so it
+    delivers its impulse torque * duration (to rounding) however it falls on
+    the grid: a pulse shorter than dt is not dropped, and one split across
+    two steps delivers the same total.  Pulse edges are snapped like t_end
+    (_steps), so a step that an on-grid pulse covers weighs exactly 1.
+    """
+    k = np.arange(n_steps, dtype=float)
+    tau = np.zeros(n_steps)
+    for d in disturbances:
+        start, end = _steps(d.start, dt), _steps(d.start + d.duration, dt)
+        tau += d.torque * np.clip(np.minimum(k + 1.0, end) - np.maximum(k, start), 0.0, None)
+    return tau
 
 
 def settling_time(t, y, band: float) -> float:

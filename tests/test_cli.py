@@ -170,6 +170,16 @@ def test_simulate_divergence_exit_code(tmp_path, capsys):
     assert "t =" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["gains", "simulate"])
+def test_overflowing_gains_rejected(command, tmp_path, capsys):
+    # Python-float gains raise OverflowError where float64 ones went to inf
+    args = ["--set", "control.omega_n_factor=1e100"]
+    if command == "simulate":
+        args += ["--set", "scenario.t_end=0.01", "--out", str(tmp_path / "x.csv")]
+    assert run_cli(command, *args) == cli.EXIT_VALIDATION
+    assert "the gains overflow" in capsys.readouterr().err
+
+
 def test_simulate_zero_t_end_rejected(capsys):
     assert run_cli("simulate", "--set", "scenario.t_end=0") == cli.EXIT_VALIDATION
     assert "scenario.t_end" in capsys.readouterr().err

@@ -1,16 +1,22 @@
 """Property tests of the one-path contract.
 
 Every rate, rotor and integrator function takes one trajectory as a (k,)
-vector or N trajectories stacked as (k, N), through the same code.  Column j
-of a stacked call must then equal, bit for bit, the call on column j alone.
+vector or N trajectories stacked as (k, N), with each formula written once.
+sim.rk4_step steps a (k,) state on Python floats and a stacked one as its
+array, chosen by the state's shape.  Column j of a stacked call must then
+equal, bit for bit, the call on column j alone.
 """
 
+import math
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from cubli import plant, rotor, sim
+from cubli.errors import DivergenceError
 from cubli.plant import CubliParams, Fidelity, FrictionParams, GravityModel
 
 # no deadline: the host's speed varies too much for per-example timing
@@ -119,3 +125,41 @@ def test_rk4_step_never_mutates_its_input(x, tau, single):
     out = sim.rk4_step(x, tau, 1e-3, DP[GravityModel.CONSISTENT], FrictionParams())
     assert out is not x
     assert x.tobytes() == before.tobytes()
+
+
+# Explicit cases where the float path of one trajectory could part from the
+# array path: the sign of a zero wheel rate (np.sign(-0.0) is +0.0),
+# friction-free negative rates (the friction torque is -1 * 0.0 = -0.0), and
+# NaN, which must stay NaN.
+EDGE_FRICTION = pytest.mark.parametrize("fp", [FrictionParams(), plant.FRICTION_FREE], ids=["friction", "friction-free"])
+
+
+@EDGE_FRICTION
+@pytest.mark.parametrize("omega_w", [0.0, -0.0, -3.0, 3.0], ids=["+0", "-0", "negative", "positive"])
+def test_float_path_matches_array_path_at_edge_wheel_rates(omega_w, fp):
+    x = np.array([0.6, 0.8, 0.1, 0.2, omega_w])
+    stacked = np.stack([np.array([0.8, -0.6, 1.0, -2.0, 40.0]), x, x], axis=1)
+    assert_bitwise(np.array([plant.friction_torque(omega_w, fp)]), plant.friction_torque(stacked[4, 1:2], fp))
+    xa = np.array([0.3, 0.1, 0.2, omega_w])
+    for model in GravityModel:
+        for fidelity in Fidelity:
+            args = (DP[model], fp, model, fidelity)
+            assert_bitwise(plant.dynamics_rate(x, 0.5, *args), plant.dynamics_rate(stacked, 0.5, *args)[:, 1])
+            assert_bitwise(plant.angle_dynamics_rate(xa, 0.5, *args), plant.angle_dynamics_rate(xa[:, None], 0.5, *args)[:, 0])
+            alone = sim.rk4_step(x, 0.5, 1e-3, *args)
+            assert_bitwise(alone, sim.rk4_step(x[:, None].copy(), 0.5, 1e-3, *args)[:, 0])
+            assert_bitwise(alone, sim.rk4_step(stacked, 0.5, 1e-3, *args)[:, 1])
+
+
+@EDGE_FRICTION
+def test_float_path_keeps_a_nan_wheel_rate_and_diverges(fp):
+    assert math.isnan(plant.friction_torque(math.nan, fp))
+    x = np.array([0.6, 0.8, 0.1, 0.2, math.nan])
+    args = (DP[GravityModel.CONSISTENT], fp, GravityModel.CONSISTENT, Fidelity.EXACT)
+    rate = plant.dynamics_rate(x, 0.5, *args)
+    assert np.isnan(rate[3:]).all()
+    assert_bitwise(rate, plant.dynamics_rate(x[:, None], 0.5, *args)[:, 0])
+    for state in (x, x[:, None].copy()):
+        with pytest.raises(DivergenceError) as info:
+            sim.rk4_step(state, 0.5, 1e-3, *args)
+        assert info.value.state.shape == state.shape and not np.isfinite(info.value.state).all()

@@ -142,6 +142,63 @@ def test_run_raises_divergence_on_unstable_step():
         sim.run(default_scenario(dt=0.9, t_end=900.0))
 
 
+def test_run_errors_carry_time_step_and_state():
+    singular = default_scenario(controller=ControllerConfig(q_r=rotor.from_angle(math.radians(130.0))), t_end=1.0)
+    with pytest.raises(SingularityError) as info:
+        sim.run(singular)
+    err = info.value
+    assert (err.t, err.step) == (0.0, 0)
+    assert np.array_equal(err.state, singular.initial.as_array())
+
+    with pytest.raises(DivergenceError) as info:
+        sim.run(default_scenario(dt=0.9, t_end=900.0))
+    err = info.value
+    assert err.step >= 1
+    assert err.t == pytest.approx(err.step * 0.9)
+    assert str(err).endswith(f"at t = {err.t:.4f} s")
+    assert err.state.shape == (5,) and not np.isfinite(err.state).all()
+
+
+def test_rk4_step_divergence_carries_the_state_alone():
+    x = State.from_angle(0.3, omega_w=math.inf).as_array()
+    with pytest.raises(DivergenceError) as info:
+        sim.rk4_step(x, 0.0, 1e-3, plant.derive(CubliParams(), FrictionParams()), FrictionParams())
+    err = info.value
+    assert (err.t, err.step) == (None, None)
+    assert err.state.shape == (5,) and not np.isfinite(err.state).all()
+
+
+def test_on_grid_pulses_weigh_exactly_one_on_the_steps_they_cover():
+    # the reference experiment's pulses, against the per-step scan that
+    # sim.run used before: t_k = k dt is inside [start, start + duration)
+    pulses = (sim.Disturbance(9.0, 0.1, 0.05), sim.Disturbance(16.0, 0.1, 0.05), sim.Disturbance(16.05, 0.2, -0.03))
+    dt, n = 1e-3, 20_000
+    t = np.arange(n) * dt
+    scanned = [sum(d.torque for d in pulses if d.start <= t_k < d.start + d.duration) for t_k in t]
+    tau = sim.disturbance_torque(pulses, dt, n)
+    assert tau.tobytes() == np.array(scanned, dtype=float).tobytes()
+
+
+def test_sub_step_pulse_delivers_its_impulse():
+    dt = 1e-2
+    inside = sim.Disturbance(start=0.1005, duration=0.0005, torque=5.0)  # between grid points
+    split = sim.Disturbance(start=0.0998, duration=0.0005, torque=5.0)  # across t = 0.1 s
+    for pulse, steps in ((inside, [10]), (split, [9, 10])):
+        tau = sim.disturbance_torque((pulse,), dt, 20)
+        assert np.nonzero(tau)[0].tolist() == steps
+        assert tau.sum() * dt == pytest.approx(pulse.torque * pulse.duration, rel=1e-12)
+
+
+def test_sub_step_pulse_acts_like_the_same_impulse_over_the_step():
+    # the pulse used to be dropped: the run was bit-identical to a quiet one
+    dt = 1e-2
+    quiet = sim.run(default_scenario(dt=dt, t_end=0.5))
+    pulsed = sim.run(default_scenario(dt=dt, t_end=0.5, disturbances=(sim.Disturbance(0.1005, 0.0005, 5.0),)))
+    spread = sim.run(default_scenario(dt=dt, t_end=0.5, disturbances=(sim.Disturbance(0.1, dt, 0.25),)))
+    assert not np.array_equal(quiet.omega_c, pulsed.omega_c)
+    assert_allclose(pulsed.omega_c, spread.omega_c, rtol=0, atol=1e-12)
+
+
 def test_disturbance_pulse_is_rejected():
     scenario = default_scenario(
         t_end=8.0, disturbances=(sim.Disturbance(start=4.0, duration=0.1, torque=0.05),)
