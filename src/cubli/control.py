@@ -6,6 +6,9 @@ gravity and wheel friction, so the attitude channel behaves as a double
 integrator.  Gains are synthesized by matching the closed-loop characteristic
 polynomial against a target factorization with damping ratio zeta, natural
 frequency omega_n, and wheel-pole scaling alpha.
+
+Each law is one expression that takes q and q_r as arrays or, as sim.run
+passes them, as tuples of Python floats, and computes in their arithmetic.
 """
 
 from __future__ import annotations

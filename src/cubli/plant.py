@@ -14,7 +14,8 @@ Each rate expression is written once and serves one trajectory and many: a
 stacked state of shape (5, N) (or (4, N) for the angle form) integrates N
 trajectories at once, and sim.rk4_step carries a (5,) state as five Python
 floats through the same expression (_rates).  Python floats and float64
-arrays round alike, so the two representations agree bit for bit.
+arrays round alike, so the two representations agree bit for bit; the one
+exception is a -NaN wheel rate, whose NaN rates may differ in sign bit.
 """
 
 from __future__ import annotations

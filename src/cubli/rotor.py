@@ -3,7 +3,8 @@
 An orientation is stored as a length-2 vector q = (q0, q1) = (cos th, sin th),
 i.e. a point on the unit circle instead of a wrapped angle.  All operations
 broadcast over trailing axes, so stacked inputs of shape (2, N) work
-elementwise.
+elementwise.  product, conjugate and orientation_error return the
+representation they are given: a tuple of two Python floats gives a tuple.
 """
 
 from __future__ import annotations
@@ -20,17 +21,19 @@ IDENTITY = np.array([1.0, 0.0])
 UPRIGHT = np.array([np.sqrt(2.0) / 2.0, np.sqrt(2.0) / 2.0])  # 45 deg balance pose
 
 
-def product(q, r) -> np.ndarray:
+def product(q, r):
     """Complex product q o r, i.e. composition of planar rotations."""
     q0, q1 = q
     r0, r1 = r
-    return np.array([q0 * r0 - q1 * r1, q0 * r1 + q1 * r0])
+    out = (q0 * r0 - q1 * r1, q0 * r1 + q1 * r0)
+    return out if isinstance(q, tuple) else np.array(out)
 
 
-def conjugate(q) -> np.ndarray:
+def conjugate(q):
     """Inverse rotation: flips the sign of the imaginary part."""
     q0, q1 = q
-    return np.array([+q0, -q1])
+    out = (+q0, -q1)
+    return out if isinstance(q, tuple) else np.array(out)
 
 
 def norm(q):
@@ -90,7 +93,7 @@ def angular_rate(q, q_dot):
     return -q1 * q_dot[0] + q0 * q_dot[1]
 
 
-def orientation_error(q, q_r) -> np.ndarray:
+def orientation_error(q, q_r):
     """Rotation taking the current orientation q onto the reference q_r.
 
     Returns conj(q) o q_r; equals (1, 0) when the orientation matches the

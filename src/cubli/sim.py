@@ -6,8 +6,10 @@ torque held constant over the step.  Scenarios own their state exclusively, so
 independent runs can execute in parallel.
 
 sim.rk4 is the one RK4 formula.  rk4_step picks the representation from the
-state's shape: a (5,) state is stepped as five Python floats, which skips
-numpy's per-call cost at N = 1, and a stacked (5, N) state as its array.
+state's type and shape: one trajectory (a tuple of five Python floats, or a
+(5,) array) is stepped on Python floats, which skips numpy's per-call cost at
+N = 1, and a stacked (5, N) state as its array.  run carries its trajectory as
+the tuple, so the per-step controller runs on Python floats too.
 """
 
 from __future__ import annotations
@@ -72,6 +74,8 @@ class Scenario:
             raise ValidationError("sensor_bias must be finite")
         if not np.isfinite(self.initial.as_array()).all():
             raise ValidationError("initial state must be finite")
+        if abs(rotor.norm(self.initial.q) - 1.0) > 1e-9:
+            raise ValidationError(f"initial orientation must be a unit complex number, got q = {self.initial.q!r}")
 
 
 @dataclass
@@ -139,25 +143,27 @@ def rk4_step(
     model: GravityModel = GravityModel.CONSISTENT,
     fidelity: Fidelity = Fidelity.EXACT,
     tau_ext=0.0,
-) -> np.ndarray:
+):
     """One RK4 step of the plant with tau held constant (zero-order hold).
 
-    A (5,) state is stepped as five Python floats and a stacked (5, N) one as
-    its array; Python floats and float64 arrays round alike, so a column
-    stepped alone equals its stacked twin bit for bit.  The orientation is
-    renormalized onto the unit circle afterwards; the renormalization changes
-    neither the decoded angle nor the energy.
+    One trajectory, a tuple of five Python floats or a (5,) array, is stepped
+    on Python floats and returned in the representation it came in; a stacked
+    (5, N) state is stepped as its array.  Python floats and float64 arrays
+    round alike, so a column stepped alone equals its stacked twin bit for
+    bit.  The orientation is renormalized onto the unit circle afterwards; the
+    renormalization changes neither the decoded angle nor the energy.
     """
-    if x.ndim == 1:
+    if isinstance(x, tuple) or x.ndim == 1:
         tau, tau_ext = float(tau), float(tau_ext)
-        q0, q1, *rest = rk4(lambda s: plant._rates(s, tau, dp, fp, model, fidelity, tau_ext), x.tolist(), dt)
+        one = x if isinstance(x, tuple) else x.tolist()
+        q0, q1, *rest = rk4(lambda s: plant._rates(s, tau, dp, fp, model, fidelity, tau_ext), one, dt)
         n = math.sqrt(q0 * q0 + q1 * q1)
         if n > 0.0:  # q = 0 (or NaN) has no direction; the array path divides it into NaN
             q0, q1 = q0 / n, q1 / n
         out = (q0, q1, *rest)
         if not (n > 0.0 and all(map(math.isfinite, out))):
             raise DivergenceError("integration produced a non-finite state", state=np.array(out))
-        return np.array(out)
+        return out if isinstance(x, tuple) else np.array(out)
     out = rk4(lambda s: plant.dynamics_rate(s, tau, dp, fp, model, fidelity, tau_ext), x, dt)
     out[:2] /= np.sqrt(out[0] * out[0] + out[1] * out[1])
     if not np.isfinite(out).all():
@@ -172,6 +178,8 @@ def run(scenario: Scenario) -> TimeSeries:
     measurement, evaluate the selected regulator and the feedback
     linearization on measured quantities, saturate, then integrate the true
     plant under the applied torque plus the step's disturbance torque.
+    The trajectory is carried as a tuple of five Python floats, so the
+    controller and rk4_step run on floats; each row is logged into an array.
     A SingularityError or DivergenceError carries the time, step and state
     at which the run failed.
     """
@@ -179,42 +187,40 @@ def run(scenario: Scenario) -> TimeSeries:
     cc = sc.controller
     dp = plant.derive(sc.params, sc.friction, sc.plant_gravity)
     gains = control.gains_for_mode(cc.mode, sc.design, dp)
-    q_bias = rotor.from_angle(sc.sensor_bias)
+    q_bias, q_r = tuple(rotor.from_angle(sc.sensor_bias).tolist()), tuple(cc.q_r.tolist())
     n_steps = int(_steps(sc.t_end, sc.dt))
     tau_ext = disturbance_torque(sc.disturbances, sc.dt, n_steps).tolist()
 
     t = np.arange(n_steps + 1) * sc.dt
-    states = np.empty((5, n_steps + 1))
+    states = np.empty((n_steps + 1, 5))
     u, tau_cmd, tau_applied = np.empty((3, n_steps + 1))
-    x = sc.initial.as_array()
+    x = tuple(sc.initial.as_array().tolist())
 
-    # a diverging trajectory is reported via DivergenceError, not warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_steps + 1):
-            t_k = t[k]
-            q_meas = rotor.product(x[:2], q_bias)
-            measured = State(q=q_meas, theta_w=x[2], omega_c=x[3], omega_w=x[4])
+    for k in range(n_steps + 1):
+        q_meas = rotor.product(x[:2], q_bias)
+        measured = State(q=q_meas, theta_w=x[2], omega_c=x[3], omega_w=x[4])
+        try:
+            if cc.mode is Mode.ATTITUDE_ONLY:
+                u_k = control.regulator_attitude(q_meas, measured.omega_c, q_r, gains)
+            elif cc.mode is Mode.SMALL_ANGLE:
+                u_k = control.regulator_small_angle(measured, q_r, gains)
+            else:
+                u_k = control.regulator_full(measured, q_r, gains)
+        except SingularityError as err:
+            raise SingularityError(f"{err} at t = {t[k]:.4f} s", t=float(t[k]), step=k, state=np.array(x)) from None
+        cmd_k = control.feedback_linearize(u_k, q_meas, measured.omega_w, dp, sc.friction, cc.gravity_model)
+        applied_k = control.saturate(cmd_k, cc.tau_max)
+        states[k] = x
+        u[k], tau_cmd[k], tau_applied[k] = u_k, cmd_k, applied_k
+
+        if k < n_steps:
             try:
-                if cc.mode is Mode.ATTITUDE_ONLY:
-                    u_k = control.regulator_attitude(q_meas, measured.omega_c, cc.q_r, gains)
-                elif cc.mode is Mode.SMALL_ANGLE:
-                    u_k = control.regulator_small_angle(measured, cc.q_r, gains)
-                else:
-                    u_k = control.regulator_full(measured, cc.q_r, gains)
-            except SingularityError as err:
-                raise SingularityError(f"{err} at t = {t_k:.4f} s", t=float(t_k), step=k, state=x) from None
-            cmd_k = control.feedback_linearize(u_k, q_meas, measured.omega_w, dp, sc.friction, cc.gravity_model)
-            applied_k = control.saturate(cmd_k, cc.tau_max)
-            states[:, k] = x
-            u[k], tau_cmd[k], tau_applied[k] = u_k, cmd_k, applied_k
+                x = rk4_step(x, applied_k, sc.dt, dp, sc.friction, sc.plant_gravity, sc.fidelity, tau_ext[k])
+            except DivergenceError as err:
+                t_fail = float(t[k] + sc.dt)
+                raise DivergenceError(f"{err} at t = {t_fail:.4f} s", t=t_fail, step=k + 1, state=err.state) from None
 
-            if k < n_steps:
-                try:
-                    x = rk4_step(x, applied_k, sc.dt, dp, sc.friction, sc.plant_gravity, sc.fidelity, tau_ext[k])
-                except DivergenceError as err:
-                    t_fail = float(t_k + sc.dt)
-                    raise DivergenceError(f"{err} at t = {t_fail:.4f} s", t=t_fail, step=k + 1, state=err.state) from None
-
+    states = np.ascontiguousarray(states.T)
     # math.atan2, not np.arctan2: the vectorized one differs in the last bit on some hosts
     angles = (math.degrees(math.atan2(q1, q0)) for q0, q1 in zip(states[0], states[1]))
     theta_c_deg = np.fromiter(angles, float, len(t))

@@ -153,13 +153,14 @@ def energy_drift(cfg, dp_by_model):
     dp = dp_by_model[cfg.plant_gravity]
     x = plant.State.from_angle(0.0, omega_c=2.0, omega_w=50.0).as_array()
     e0 = plant.energies(x, dp)[2]
+    x = tuple(x.tolist())  # stepped as Python floats (sim.rk4_step)
     drift = 0.0
     norm_drift = 0.0
     for k in range(100000):
         x = sim.rk4_step(x, 0.0, 1e-4, dp, plant.FRICTION_FREE, cfg.plant_gravity, Fidelity.EXACT)
         norm_drift = max(norm_drift, abs(math.hypot(x[0], x[1]) - 1.0))
         if (k + 1) % 2000 == 0:
-            drift = max(drift, abs(plant.energies(x, dp)[2] - e0))
+            drift = max(drift, abs(plant.energies(np.array(x), dp)[2] - e0))
     rel = drift / abs(e0)
     ok = rel < 1e-6 and norm_drift <= 1e-9
     return ok, f"relative drift = {rel:.3e} (tol 1e-6), unit-norm drift = {norm_drift:.3e} (tol 1e-9)"

@@ -8,6 +8,7 @@ equal, bit for bit, the call on column j alone.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,9 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cubli import plant, rotor, sim
-from cubli.errors import DivergenceError
-from cubli.plant import CubliParams, Fidelity, FrictionParams, GravityModel
+from cubli import control, plant, rotor, sim
+from cubli.control import ControllerConfig, Mode
+from cubli.errors import DegenerateInputError, DivergenceError, SimulationError, SingularityError
+from cubli.plant import CubliParams, Fidelity, FrictionParams, GravityModel, State
 
 # no deadline: the host's speed varies too much for per-example timing
 one_path = settings(deadline=None, max_examples=150)
@@ -153,13 +155,146 @@ def test_float_path_matches_array_path_at_edge_wheel_rates(omega_w, fp):
 
 @EDGE_FRICTION
 def test_float_path_keeps_a_nan_wheel_rate_and_diverges(fp):
-    assert math.isnan(plant.friction_torque(math.nan, fp))
-    x = np.array([0.6, 0.8, 0.1, 0.2, math.nan])
+    # A -NaN wheel rate stays NaN on every path, but numpy scalars and arrays
+    # may give its NaN rates different sign bits, so only +NaN is compared bit
+    # for bit (plant's docstring states the exception).
     args = (DP[GravityModel.CONSISTENT], fp, GravityModel.CONSISTENT, Fidelity.EXACT)
-    rate = plant.dynamics_rate(x, 0.5, *args)
-    assert np.isnan(rate[3:]).all()
-    assert_bitwise(rate, plant.dynamics_rate(x[:, None], 0.5, *args)[:, 0])
-    for state in (x, x[:, None].copy()):
-        with pytest.raises(DivergenceError) as info:
-            sim.rk4_step(state, 0.5, 1e-3, *args)
-        assert info.value.state.shape == state.shape and not np.isfinite(info.value.state).all()
+    for nan in (math.nan, -math.nan):
+        assert math.isnan(plant.friction_torque(nan, fp))
+        x = np.array([0.6, 0.8, 0.1, 0.2, nan])
+        rate = plant.dynamics_rate(x, 0.5, *args)
+        stacked_rate = plant.dynamics_rate(x[:, None], 0.5, *args)[:, 0]
+        assert np.isnan(rate[3:]).all() and np.isnan(stacked_rate[3:]).all()
+        if math.copysign(1.0, nan) > 0.0:
+            assert_bitwise(rate, stacked_rate)
+        for state in (x, x[:, None].copy(), tuple(x.tolist())):
+            with pytest.raises(DivergenceError) as info:
+                sim.rk4_step(state, 0.5, 1e-3, *args)
+            assert info.value.state.shape == np.shape(state) and not np.isfinite(info.value.state).all()
+
+
+@one_path
+@given(hnp.arrays(np.float64, 5, elements=finite))
+def test_rotor_functions_on_a_tuple_equal_them_on_an_array(v):
+    q, r, omega = v[:2], v[2:4], v[4]
+    qt, rt = tuple(q.tolist()), tuple(r.tolist())
+    for tuple_out, array_out in (
+        (rotor.product(qt, rt), rotor.product(q, r)),
+        (rotor.conjugate(qt), rotor.conjugate(q)),
+        (rotor.orientation_error(qt, rt), rotor.orientation_error(q, r)),
+    ):
+        assert type(tuple_out) is tuple and all(type(c) is float for c in tuple_out)
+        assert_bitwise(np.array(tuple_out), array_out)
+    for f in (rotor.norm, rotor.rotation_matrix, rotor.tangent_row, rotor.to_angle):
+        assert_bitwise(f(qt), f(q))
+    assert_bitwise(rotor.kinematics_rate(qt, float(omega)), rotor.kinematics_rate(q, omega))
+    assert_bitwise(rotor.angular_rate(qt, rt), rotor.angular_rate(q, r))
+    for f in (rotor.normalize, rotor.error_tangent):
+        try:
+            expected = f(q)
+        except (DegenerateInputError, SingularityError) as err:
+            with pytest.raises(type(err), match=re.escape(str(err))):
+                f(qt)
+        else:
+            assert_bitwise(f(qt), expected)
+
+
+# sim.run carries one trajectory as a tuple of Python floats.  Its oracle is
+# the same loop on numpy arrays, built from the public array functions: the
+# two must log the same bits and fail with the same error.
+def array_loop(sc):
+    """sim.run's loop on numpy arrays: the logged (x, u, tau_cmd, tau_applied)
+    rows as a (8, steps + 1) array."""
+    cc = sc.controller
+    dp = plant.derive(sc.params, sc.friction, sc.plant_gravity)
+    gains = control.gains_for_mode(cc.mode, sc.design, dp)
+    q_bias = rotor.from_angle(sc.sensor_bias)
+    n_steps = round(sc.t_end / sc.dt)
+    tau_ext = sim.disturbance_torque(sc.disturbances, sc.dt, n_steps)
+    t = np.arange(n_steps + 1) * sc.dt
+    x = sc.initial.as_array()
+    rows = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps + 1):
+            q_meas = rotor.product(x[:2], q_bias)
+            measured = State(q=q_meas, theta_w=x[2], omega_c=x[3], omega_w=x[4])
+            try:
+                if cc.mode is Mode.ATTITUDE_ONLY:
+                    u = control.regulator_attitude(q_meas, measured.omega_c, cc.q_r, gains)
+                elif cc.mode is Mode.SMALL_ANGLE:
+                    u = control.regulator_small_angle(measured, cc.q_r, gains)
+                else:
+                    u = control.regulator_full(measured, cc.q_r, gains)
+            except SingularityError as err:
+                raise SingularityError(f"{err} at t = {t[k]:.4f} s", t=float(t[k]), step=k, state=x) from None
+            cmd = control.feedback_linearize(u, q_meas, measured.omega_w, dp, sc.friction, cc.gravity_model)
+            applied = control.saturate(cmd, cc.tau_max)
+            rows.append((*x, u, cmd, applied))
+            if k < n_steps:
+                try:
+                    x = sim.rk4_step(x, applied, sc.dt, dp, sc.friction, sc.plant_gravity, sc.fidelity, tau_ext[k])
+                except DivergenceError as err:
+                    t_fail = float(t[k] + sc.dt)
+                    raise DivergenceError(f"{err} at t = {t_fail:.4f} s", t=t_fail, step=k + 1, state=err.state) from None
+    return np.array(rows).T
+
+
+LOGGED = ("q0", "q1", "theta_w", "omega_c", "omega_w", "u", "tau_cmd", "tau_applied")
+
+
+def assert_run_matches_array_loop(sc):
+    try:
+        expected = array_loop(sc)
+    except SimulationError as err:
+        with pytest.raises(type(err)) as info:
+            sim.run(sc)
+        got = info.value
+        assert (str(got), got.t, got.step) == (str(err), err.t, err.step)
+        assert type(got.state) is np.ndarray and got.state.tobytes() == err.state.tobytes()
+        return
+    ts = sim.run(sc)
+    for name, row in zip(LOGGED, expected):
+        assert getattr(ts, name).tobytes() == row.tobytes(), name
+
+
+@st.composite
+def scenarios(draw):
+    """Short closed-loop runs over every mode, gravity model (plant and
+    controller apart), fidelity and friction, with sensor bias, a small
+    actuator limit and a pulse that may fall off the grid."""
+    dt = draw(st.sampled_from([1e-3, 1e-2]))
+    t_end = draw(st.integers(1, 300)) * dt
+    pulse = st.builds(sim.Disturbance, st.floats(0.0, t_end), st.floats(1e-4, 0.2), st.floats(-1.0, 1.0))
+    controller = ControllerConfig(
+        mode=draw(st.sampled_from(list(Mode))), tau_max=draw(st.floats(0.01, 0.5)), gravity_model=draw(models)
+    )
+    return sim.Scenario(
+        friction=draw(st.sampled_from([FrictionParams(), plant.FRICTION_FREE])),
+        controller=controller,
+        initial=State.from_angle(draw(st.floats(-math.pi, math.pi))),
+        plant_gravity=draw(models),
+        fidelity=draw(fidelities),
+        dt=dt,
+        t_end=t_end,
+        sensor_bias=draw(st.floats(-0.3, 0.3)),
+        disturbances=tuple(draw(st.lists(pulse, max_size=1))),
+    )
+
+
+@one_path
+@given(scenarios())
+def test_run_on_floats_equals_the_array_loop_bit_for_bit(sc):
+    assert_run_matches_array_loop(sc)
+
+
+def test_run_fails_like_the_array_loop():
+    # a singularity four steps in, and a divergence at dt = 0.9 s
+    singular = sim.Scenario(initial=State.from_angle(math.radians(45.0 - 89.9), omega_c=-0.2), t_end=1.0)
+    with pytest.raises(SingularityError) as info:
+        array_loop(singular)
+    assert info.value.step == 4
+    assert_run_matches_array_loop(singular)
+    diverging = sim.Scenario(initial=State.from_angle(math.radians(40.0)), dt=0.9, t_end=900.0)
+    with pytest.raises(DivergenceError):
+        array_loop(diverging)
+    assert_run_matches_array_loop(diverging)

@@ -93,6 +93,15 @@ def test_scenario_rejects_off_grid_end_time():
     assert len(sim.run(sim.Scenario(t_end=0.03, dt=0.01)).t) == 4
 
 
+@pytest.mark.parametrize("q", [(2.0, 0.0), (0.0, 0.0), (0.6, 0.8 + 2e-9)], ids=["norm-2", "zero", "off-by-2e-9"])
+def test_scenario_rejects_a_non_unit_initial_orientation(q):
+    # the first step would silently renormalize it; the bound is the one
+    # ControllerConfig applies to q_r
+    with pytest.raises(ValidationError, match="initial orientation"):
+        sim.Scenario(initial=State(q=np.array(q)))
+    sim.Scenario(initial=State(q=np.array([0.6, 0.8 + 5e-10])))
+
+
 def test_derive_rejects_small_inertia_ratio():
     # a wheel as heavy as the whole structure breaks the reduced dynamics
     with pytest.raises(ValidationError, match="gamma"):
