@@ -9,7 +9,7 @@ radial direction of the unit circle is not a physical degree of freedom.
 
 import numpy as np
 
-from cubli import analysis, plant
+from cubli import analysis, plant, rotor
 from cubli.plant import CubliParams, Fidelity, FrictionParams, GravityModel
 
 params = CubliParams()
@@ -32,7 +32,7 @@ for model in GravityModel:
 
     # cross-check the analytic A against a finite-difference Jacobian
     smooth = FrictionParams(0.0, friction.b_w, 0.0)
-    x0 = plant.State.from_angle(np.pi / 4).as_array()
+    x0 = plant.state(rotor.from_angle(np.pi / 4))
     a_fd = analysis.fd_jacobian(
         lambda x: plant.dynamics_rate(x, 0.0, dp, smooth, model, Fidelity.PAPER_APPROX), x0
     )
@@ -40,6 +40,6 @@ for model in GravityModel:
     print()
 
 dp = plant.derive(params, friction)
-x = plant.State.from_angle(0.2, omega_c=1.0, omega_w=100.0).as_array()
+x = plant.state(rotor.from_angle(0.2), omega_c=1.0, omega_w=100.0)
 kinetic, potential, total = plant.energies(x, dp)
 print(f"energies at a sample state: T = {kinetic:.4f} J, V = {potential:.4f} J, E = {total:.4f} J")

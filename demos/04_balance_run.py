@@ -12,15 +12,14 @@ import pathlib
 
 import numpy as np
 
-from cubli import cli, plant, sim
+from cubli import cli, plant, rotor, sim
 from cubli.control import ControllerConfig, DesignSpec, Mode
-from cubli.plant import State
 
 dp = plant.derive(plant.CubliParams(), plant.FrictionParams())
 scenario = sim.Scenario(
     design=DesignSpec(zeta=math.sqrt(2) / 2, omega_n=1.5 * dp.omega_0, alpha=0.1),
     controller=ControllerConfig(mode=Mode.ATTITUDE_AND_WHEEL, tau_max=0.5),
-    initial=State.from_angle(math.radians(40.0)),
+    initial=plant.state(rotor.from_angle(math.radians(40.0))),
     dt=1e-3,
     t_end=20.0,
     disturbances=(

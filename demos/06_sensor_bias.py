@@ -14,7 +14,6 @@ import numpy as np
 
 from cubli import plant, rotor, sim
 from cubli.control import ControllerConfig, DesignSpec, Mode
-from cubli.plant import State
 
 dp = plant.derive(plant.CubliParams(), plant.FrictionParams())
 design = DesignSpec(zeta=math.sqrt(2) / 2, omega_n=1.5 * dp.omega_0, alpha=0.1)
@@ -25,7 +24,7 @@ def biased_run(mode, t_end):
     scenario = sim.Scenario(
         design=design,
         controller=ControllerConfig(mode=mode, tau_max=0.5),
-        initial=State(rotor.UPRIGHT.copy()),
+        initial=plant.state(rotor.UPRIGHT),
         sensor_bias=bias,
         dt=1e-3,
         t_end=t_end,

@@ -18,7 +18,6 @@ from .plant import (
     Fidelity,
     FrictionParams,
     GravityModel,
-    State,
     derive,
 )
 from .sim import Disturbance, Scenario, TimeSeries
@@ -47,7 +46,6 @@ __all__ = [
     "Fidelity",
     "FrictionParams",
     "GravityModel",
-    "State",
     "derive",
     "Disturbance",
     "Scenario",

@@ -7,8 +7,10 @@ integrator.  Gains are synthesized by matching the closed-loop characteristic
 polynomial against a target factorization with damping ratio zeta, natural
 frequency omega_n, and wheel-pole scaling alpha.
 
-Each law is one expression that takes q and q_r as arrays or, as sim.run
-passes them, as tuples of Python floats, and computes in their arithmetic.
+The three laws share one signature, (x, q_r, gains), and each is one
+expression in the components of the state vector x = (q0, q1, theta_w,
+omega_c, omega_w).  Given x and q_r as tuples of Python floats, as sim.run
+passes them, a law computes on floats; given arrays, on numpy values.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import rotor
 from .errors import ValidationError
-from .plant import DerivedParams, FrictionParams, GravityModel, State, _gravity, friction_torque
+from .plant import DerivedParams, FrictionParams, GravityModel, _gravity, friction_torque
 
 
 class Mode(Enum):
@@ -72,7 +74,7 @@ class ControllerConfig:
         if not self.tau_max > 0.0:
             raise ValidationError("tau_max must be positive")
         q_r = rotor.UPRIGHT.copy() if self.q_r is None else np.asarray(self.q_r, dtype=float)
-        if q_r.shape != (2,) or not np.isfinite(q_r).all() or abs(rotor.norm(q_r) - 1.0) > 1e-9:
+        if q_r.shape != (2,) or not rotor.is_unit(q_r):
             raise ValidationError(f"q_r must be a finite unit complex number of shape (2,), got {self.q_r!r}")
         object.__setattr__(self, "q_r", q_r)
 
@@ -112,32 +114,35 @@ def gains_for_mode(mode: Mode, spec: DesignSpec, dp: DerivedParams) -> Gains:
     return full_gains(spec_for_mode(mode, spec), dp)
 
 
-def regulator_attitude(q, omega_c, q_r, gains: Gains):
+def regulator_attitude(x, q_r, gains: Gains):
     """Attitude regulator u = (k_p - omega_c^2) sigma_e - k_d omega_c."""
-    sigma_e = rotor.error_tangent(rotor.orientation_error(q, q_r))
+    omega_c = x[3]
+    sigma_e = rotor.error_tangent(rotor.orientation_error(x[:2], q_r))
     return (gains.k_p - omega_c * omega_c) * sigma_e - gains.k_d * omega_c
 
 
-def regulator_full(state: State, q_r, gains: Gains):
+def regulator_full(x, q_r, gains: Gains):
     """Attitude regulator plus wheel angle/velocity feedback, so the wheel is
     actively unwound instead of left marginally stable."""
-    u = regulator_attitude(state.q, state.omega_c, q_r, gains)
-    return u - gains.k_pw * state.theta_w - gains.k_dw * state.omega_w
+    return regulator_attitude(x, q_r, gains) - gains.k_pw * x[2] - gains.k_dw * x[4]
 
 
-def regulator_small_angle(state: State, q_r, gains: Gains):
+def regulator_small_angle(x, q_r, gains: Gains):
     """Small-rotation simplification: k_p acts on the error's imaginary part.
 
     No tangent division, hence no singularity guard; valid near the reference
     where omega_c^2 is negligible and q_e0 is close to one.
     """
-    q_e = rotor.orientation_error(state.q, q_r)
-    return (
-        gains.k_p * q_e[1]
-        - gains.k_d * state.omega_c
-        - gains.k_pw * state.theta_w
-        - gains.k_dw * state.omega_w
-    )
+    q_e = rotor.orientation_error(x[:2], q_r)
+    return gains.k_p * q_e[1] - gains.k_d * x[3] - gains.k_pw * x[2] - gains.k_dw * x[4]
+
+
+# each mode's law by name, for sim.run to look up on this module (see there)
+REGULATORS = {
+    Mode.ATTITUDE_ONLY: "regulator_attitude",
+    Mode.ATTITUDE_AND_WHEEL: "regulator_full",
+    Mode.SMALL_ANGLE: "regulator_small_angle",
+}
 
 
 def feedback_linearize(

@@ -7,8 +7,10 @@ about the structure's centre.  The state vector used throughout is
 
 with (q0, q1) the structure orientation on the unit circle, theta_w/omega_w
 the wheel angle/velocity relative to the structure, and omega_c the body
-angular velocity.  The motor torque tau acts on the wheel; its reaction shows
-up with a minus sign in the body equation.
+angular velocity.  It is the only form of the state: state() builds it from
+an orientation, and every function reads its components.  The motor torque
+tau acts on the wheel; its reaction shows up with a minus sign in the body
+equation.
 
 Each rate expression is written once and serves one trajectory and many: a
 stacked state of shape (5, N) (or (4, N) for the angle form) integrates N
@@ -148,21 +150,9 @@ def derive(
     )
 
 
-@dataclass
-class State:
-    """Full plant state: orientation plus wheel angle and the two velocities."""
-
-    q: np.ndarray
-    theta_w: float = 0.0
-    omega_c: float = 0.0
-    omega_w: float = 0.0
-
-    @classmethod
-    def from_angle(cls, theta_c, theta_w=0.0, omega_c=0.0, omega_w=0.0) -> "State":
-        return cls(rotor.from_angle(theta_c), theta_w, omega_c, omega_w)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.q[0], self.q[1], self.theta_w, self.omega_c, self.omega_w])
+def state(q, theta_w=0.0, omega_c=0.0, omega_w=0.0) -> np.ndarray:
+    """The state vector x = (q0, q1, theta_w, omega_c, omega_w) of orientation q."""
+    return np.array([q[0], q[1], theta_w, omega_c, omega_w])
 
 
 def friction_torque(omega_w, fp: FrictionParams):

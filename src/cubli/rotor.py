@@ -9,6 +9,8 @@ representation they are given: a tuple of two Python floats gives a tuple.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DegenerateInputError, SingularityError
@@ -39,6 +41,12 @@ def conjugate(q):
 def norm(q):
     q0, q1 = q
     return np.sqrt(q0 * q0 + q1 * q1)
+
+
+def is_unit(q) -> bool:
+    """Whether q is finite and within 1e-9 of the unit circle (math.hypot does
+    not overflow): the rule for every orientation given from outside."""
+    return abs(math.hypot(q[0], q[1]) - 1.0) <= 1e-9
 
 
 def normalize(q) -> np.ndarray:

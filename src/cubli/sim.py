@@ -8,8 +8,9 @@ independent runs can execute in parallel.
 sim.rk4 is the one RK4 formula.  rk4_step picks the representation from the
 state's type and shape: one trajectory (a tuple of five Python floats, or a
 (5,) array) is stepped on Python floats, which skips numpy's per-call cost at
-N = 1, and a stacked (5, N) state as its array.  run carries its trajectory as
-the tuple, so the per-step controller runs on Python floats too.
+N = 1, and a stacked (5, N) state as its array.  A scenario's initial state is
+the (5,) vector of plant.state; run carries its trajectory as the tuple, so
+the per-step controller runs on Python floats too.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from itertools import repeat
 import numpy as np
 
 from . import control, plant, rotor
-from .control import ControllerConfig, DesignSpec, Mode
+from .control import ControllerConfig, DesignSpec
 from .errors import DivergenceError, IdentificationError, SingularityError, ValidationError
-from .plant import CubliParams, Fidelity, FrictionParams, GravityModel, State
+from .plant import CubliParams, Fidelity, FrictionParams, GravityModel
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,7 @@ class Scenario:
     friction: FrictionParams = field(default_factory=FrictionParams)
     design: DesignSpec = field(default_factory=lambda: DesignSpec(zeta=math.sqrt(2) / 2, omega_n=12.0, alpha=0.1))
     controller: ControllerConfig = field(default_factory=ControllerConfig)
-    initial: State = field(default_factory=lambda: State(rotor.UPRIGHT.copy()))
+    initial: np.ndarray = field(default_factory=lambda: plant.state(rotor.UPRIGHT))
     plant_gravity: GravityModel = GravityModel.CONSISTENT
     fidelity: Fidelity = Fidelity.EXACT
     dt: float = 1e-3
@@ -72,10 +73,11 @@ class Scenario:
             raise ValidationError(f"t_end = {self.t_end!r} s is not a whole number of dt = {self.dt!r} s steps")
         if not math.isfinite(self.sensor_bias):
             raise ValidationError("sensor_bias must be finite")
-        if not np.isfinite(self.initial.as_array()).all():
-            raise ValidationError("initial state must be finite")
-        if abs(rotor.norm(self.initial.q) - 1.0) > 1e-9:
-            raise ValidationError(f"initial orientation must be a unit complex number, got q = {self.initial.q!r}")
+        # a copy the scenario owns; the first step would silently renormalize a non-unit q
+        initial = np.array(self.initial, dtype=float)
+        if initial.shape != (5,) or not (np.isfinite(initial).all() and rotor.is_unit(initial[:2])):
+            raise ValidationError(f"initial must be a finite (5,) state with a unit complex q, got {self.initial!r}")
+        self.initial = initial
 
 
 @dataclass
@@ -174,12 +176,13 @@ def rk4_step(
 def run(scenario: Scenario) -> TimeSeries:
     """Execute a closed-loop scenario and log every step.
 
-    Per step: rotate the true attitude by the sensor bias to get the
-    measurement, evaluate the selected regulator and the feedback
-    linearization on measured quantities, saturate, then integrate the true
-    plant under the applied torque plus the step's disturbance torque.
-    The trajectory is carried as a tuple of five Python floats, so the
-    controller and rk4_step run on floats; each row is logged into an array.
+    The mode's regulator is picked once, before the loop.  Per step: rotate
+    the true attitude by the sensor bias to get the measured state, evaluate
+    the regulator and the feedback linearization on it, saturate, then
+    integrate the true plant under the applied torque plus the step's
+    disturbance torque.  The trajectory is carried as a tuple of five Python
+    floats, so the controller and rk4_step run on floats; each row is logged
+    into an array.
     A SingularityError or DivergenceError carries the time, step and state
     at which the run failed.
     """
@@ -187,6 +190,8 @@ def run(scenario: Scenario) -> TimeSeries:
     cc = sc.controller
     dp = plant.derive(sc.params, sc.friction, sc.plant_gravity)
     gains = control.gains_for_mode(cc.mode, sc.design, dp)
+    # looked up on the module when the run starts, so a wrapper installed there is the one called
+    regulator = getattr(control, control.REGULATORS[cc.mode])
     q_bias, q_r = tuple(rotor.from_angle(sc.sensor_bias).tolist()), tuple(cc.q_r.tolist())
     n_steps = int(_steps(sc.t_end, sc.dt))
     tau_ext = disturbance_torque(sc.disturbances, sc.dt, n_steps).tolist()
@@ -194,21 +199,15 @@ def run(scenario: Scenario) -> TimeSeries:
     t = np.arange(n_steps + 1) * sc.dt
     states = np.empty((n_steps + 1, 5))
     u, tau_cmd, tau_applied = np.empty((3, n_steps + 1))
-    x = tuple(sc.initial.as_array().tolist())
+    x = tuple(sc.initial.tolist())
 
     for k in range(n_steps + 1):
         q_meas = rotor.product(x[:2], q_bias)
-        measured = State(q=q_meas, theta_w=x[2], omega_c=x[3], omega_w=x[4])
         try:
-            if cc.mode is Mode.ATTITUDE_ONLY:
-                u_k = control.regulator_attitude(q_meas, measured.omega_c, q_r, gains)
-            elif cc.mode is Mode.SMALL_ANGLE:
-                u_k = control.regulator_small_angle(measured, q_r, gains)
-            else:
-                u_k = control.regulator_full(measured, q_r, gains)
+            u_k = regulator(q_meas + x[2:], q_r, gains)
         except SingularityError as err:
             raise SingularityError(f"{err} at t = {t[k]:.4f} s", t=float(t[k]), step=k, state=np.array(x)) from None
-        cmd_k = control.feedback_linearize(u_k, q_meas, measured.omega_w, dp, sc.friction, cc.gravity_model)
+        cmd_k = control.feedback_linearize(u_k, q_meas, x[4], dp, sc.friction, cc.gravity_model)
         applied_k = control.saturate(cmd_k, cc.tau_max)
         states[k] = x
         u[k], tau_cmd[k], tau_applied[k] = u_k, cmd_k, applied_k
@@ -255,14 +254,11 @@ def disturbance_torque(disturbances, dt: float, n_steps: int) -> np.ndarray:
 
 
 def settling_time(t, y, band: float) -> float:
-    """Earliest logged time after which |y| stays within the band; inf if never."""
-    outside = np.abs(np.asarray(y)) > band
-    if not outside.any():
-        return float(t[0])
-    last = int(np.nonzero(outside)[0][-1])
-    if last + 1 >= len(t):
-        return float("inf")
-    return float(t[last + 1])
+    """Earliest logged time after which |y| stays within the band; inf if
+    never, or if nothing was logged."""
+    outside = np.nonzero(np.abs(np.asarray(y)) > band)[0]
+    after = outside[-1] + 1 if outside.size else 0
+    return float(t[after]) if after < len(t) else math.inf
 
 
 @dataclass(frozen=True)

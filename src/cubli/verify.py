@@ -42,12 +42,10 @@ def linearization_fd(cfg, dp_by_model):
     worst = 0.0
     for model, dp in dp_by_model.items():
         a, b = plant.linearize(dp, cfg.friction, model)
-        x0 = plant.State(rotor.UPRIGHT.copy()).as_array()
-
-        def rate(x):
-            return plant.dynamics_rate(x, 0.0, dp, fp_smooth, model, Fidelity.PAPER_APPROX)
-
-        a_fd = analysis.fd_jacobian(rate, x0)
+        x0 = plant.state(rotor.UPRIGHT)
+        a_fd = analysis.fd_jacobian(
+            lambda x: plant.dynamics_rate(x, 0.0, dp, fp_smooth, model, Fidelity.PAPER_APPROX), x0
+        )
         b_fd = analysis.fd_jacobian(
             lambda tau: plant.dynamics_rate(x0, tau[0], dp, fp_smooth, model, Fidelity.PAPER_APPROX),
             np.zeros(1),
@@ -151,7 +149,7 @@ def oracle_equivalence(cfg, dp_by_model, tamper: bool = False):
 
 def energy_drift(cfg, dp_by_model):
     dp = dp_by_model[cfg.plant_gravity]
-    x = plant.State.from_angle(0.0, omega_c=2.0, omega_w=50.0).as_array()
+    x = plant.state(rotor.from_angle(0.0), omega_c=2.0, omega_w=50.0)
     e0 = plant.energies(x, dp)[2]
     x = tuple(x.tolist())  # stepped as Python floats (sim.rk4_step)
     drift = 0.0

@@ -13,7 +13,7 @@ import pytest
 
 from cubli import cli, control, plant, rotor, sim, verify
 from cubli.control import ControllerConfig, DesignSpec, Gains, Mode
-from cubli.plant import CubliParams, Fidelity, FrictionParams, GravityModel, State
+from cubli.plant import CubliParams, Fidelity, FrictionParams, GravityModel, state
 
 SQ2 = math.sqrt(2.0) / 2.0
 
@@ -34,7 +34,7 @@ def reference_scenario(**overrides):
         friction=FRICTION,
         design=DesignSpec(zeta=SQ2, omega_n=1.5 * DP_CON.omega_0, alpha=0.1),
         controller=ControllerConfig(mode=Mode.ATTITUDE_AND_WHEEL, tau_max=0.5),
-        initial=State.from_angle(math.radians(40.0)),
+        initial=state(rotor.from_angle(math.radians(40.0))),
         plant_gravity=GravityModel.CONSISTENT,
         fidelity=Fidelity.EXACT,
         dt=1e-3,
@@ -123,7 +123,7 @@ def test_09_sensor_bias_equilibrium_shift():
     # full regulator: wheel feedback finds the true balance pose, so the
     # sensor-frame attitude converges to reference + bias = 50 deg
     ts = sim.run(
-        reference_scenario(initial=State(rotor.UPRIGHT.copy()), sensor_bias=bias, t_end=25.0)
+        reference_scenario(initial=state(rotor.UPRIGHT), sensor_bias=bias, t_end=25.0)
     )
     sensor_final = ts.theta_c_deg[-1] + 5.0
     assert sensor_final == pytest.approx(50.0, abs=0.5)
@@ -136,7 +136,7 @@ def test_09_sensor_bias_equilibrium_shift():
     # falls, which is the failure the wheel feedback exists to prevent.)
     ts_att = sim.run(
         reference_scenario(
-            initial=State(rotor.UPRIGHT.copy()),
+            initial=state(rotor.UPRIGHT),
             sensor_bias=bias,
             t_end=5.5,
             controller=ControllerConfig(mode=Mode.ATTITUDE_ONLY, tau_max=0.5),
@@ -200,9 +200,9 @@ def test_11_small_angle_equivalence():
     for _ in range(2000):
         theta_e = math.radians(rng.uniform(-2.0, 2.0))
         omega_c = rng.uniform(-0.1, 0.1)
-        state = State(rotor.from_angle(math.pi / 4 - theta_e), omega_c=omega_c)
-        u_nl = control.regulator_attitude(state.q, omega_c, q_r, gains)
-        u_sa = control.regulator_small_angle(state, q_r, gains)
+        x = state(rotor.from_angle(math.pi / 4 - theta_e), omega_c=omega_c)
+        u_nl = control.regulator_attitude(x, q_r, gains)
+        u_sa = control.regulator_small_angle(x, q_r, gains)
         worst = max(worst, abs(u_nl - u_sa))
         peak = max(peak, abs(u_nl))
         devs.append((abs(u_nl - u_sa), abs(u_nl)))

@@ -145,12 +145,10 @@ def test_closed_loop_matrix_matches_end_to_end_finite_differences(dp):
         sigma_e, theta_w, omega_c, omega_w = z
         theta = theta_r - math.atan(sigma_e)
         q = rotor.from_angle(theta)
-        state = plant.State(q, theta_w, omega_c, omega_w)
-        u = control.regulator_full(state, q_r, gains)
+        x = plant.state(q, theta_w, omega_c, omega_w)
+        u = control.regulator_full(x, q_r, gains)
         tau = control.feedback_linearize(u, q, omega_w, dp, fp, GravityModel.CONSISTENT)
-        rate = plant.dynamics_rate(
-            state.as_array(), tau, dp, fp, GravityModel.CONSISTENT, Fidelity.PAPER_APPROX
-        )
+        rate = plant.dynamics_rate(x, tau, dp, fp, GravityModel.CONSISTENT, Fidelity.PAPER_APPROX)
         sigma_dot = -(1.0 + sigma_e**2) * omega_c
         return np.array([sigma_dot, rate[2], rate[3], rate[4]])
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -233,6 +234,43 @@ def test_simulate_attitude_only_bias_flags_wheel(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "NOT converged" in out
     assert "final attitude (sensor)" in out
+
+
+@pytest.mark.parametrize(
+    "flag, key",
+    [(("--sensor-bias-deg", "nan"), "scenario.sensor_bias_deg"), (("--mode", "upside-down"), "control.mode")],
+    ids=["sensor-bias-nan", "unknown-mode"],
+)
+def test_simulate_flags_are_checked_as_their_config_keys(flag, key, tmp_path, capsys):
+    assert run_cli("simulate", *flag, "--out", str(tmp_path / "x.csv")) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith(f"error: {key}: ")
+    assert not (tmp_path / "x.csv").exists()
+
+
+def summary_of(*sets, tmp_path, capsys):
+    args = [arg for item in sets for arg in ("--set", item)]
+    assert run_cli("simulate", *args, "--out", str(tmp_path / "x.csv")) == 0
+    # _print_kv pads each key with at least two spaces
+    return dict(re.split(" {2,}", line, maxsplit=1) for line in capsys.readouterr().out.splitlines())
+
+
+def test_simulate_summary_measures_settling_before_the_first_disturbance(tmp_path, capsys):
+    # the default run: the pulses at 9 and 16 s do not count against settling
+    summary = summary_of(tmp_path=tmp_path, capsys=capsys)
+    assert summary["settling window"] == "t < 9 s (before the first disturbance)"
+    assert summary["attitude settling"].startswith("0.651 s")
+    assert summary["wheel velocity"] == "converged"
+    # a run the first pulse does not reach is measured whole
+    summary = summary_of("scenario.t_end=8", tmp_path=tmp_path, capsys=capsys)
+    assert summary["settling window"] == "whole run"
+    assert summary["attitude settling"].startswith("0.651 s")
+
+
+@pytest.mark.parametrize("start", ["0", "-1"])
+def test_simulate_summary_with_a_pulse_at_the_start_reads_not_applicable(start, tmp_path, capsys):
+    summary = summary_of(f"scenario.disturbances={start}:0.1:0.05", "scenario.t_end=1", tmp_path=tmp_path, capsys=capsys)
+    for key in ("attitude settling", "wheel settling", "wheel velocity"):
+        assert summary[key] == "n/a"
 
 
 def test_verify_passes_and_negative_control_fails(capsys):

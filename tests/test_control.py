@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from cubli import analysis, control, plant, rotor, verify
 from cubli.control import ControllerConfig, DesignSpec, Gains, Mode
 from cubli.errors import SingularityError, ValidationError
-from cubli.plant import CubliParams, Fidelity, FrictionParams, GravityModel, State
+from cubli.plant import CubliParams, Fidelity, FrictionParams, GravityModel, state
 
 SQ2 = math.sqrt(2.0) / 2.0
 
@@ -145,35 +145,34 @@ def test_design_poly_roots_are_designed_poles(paper_spec):
 def test_regulator_attitude(dp_literal, paper_spec):
     gains = control.Gains(*control.attitude_gains(paper_spec.zeta, paper_spec.omega_n))
     q_r = rotor.UPRIGHT
-    assert control.regulator_attitude(q_r, 0.0, q_r, gains) == 0.0
+    assert control.regulator_attitude(state(q_r), q_r, gains) == 0.0
     # one degree of error at rest commands k_p * tan(1 deg)
-    q = rotor.from_angle(math.radians(44.0))
-    u = control.regulator_attitude(q, 0.0, q_r, gains)
+    u = control.regulator_attitude(state(rotor.from_angle(math.radians(44.0))), q_r, gains)
     assert u == pytest.approx(gains.k_p * math.tan(math.radians(1.0)), rel=1e-12)
     assert u == pytest.approx(1.845, rel=1e-3)
 
 
 def test_regulator_singularity_propagates(dp):
     gains = Gains(k_p=100.0, k_d=10.0)
-    q = rotor.from_angle(0.0)
+    x = state(rotor.from_angle(0.0))
     q_r = rotor.from_angle(math.radians(90.0))
-    with pytest.raises(SingularityError):
-        control.regulator_attitude(q, 0.0, q_r, gains)
+    for regulator in (control.regulator_attitude, control.regulator_full):
+        with pytest.raises(SingularityError):
+            regulator(x, q_r, gains)
 
 
 def test_regulator_full(dp):
     gains = Gains(k_p=100.0, k_d=10.0, k_pw=0.01, k_dw=0.02)
     q_r = rotor.UPRIGHT
-    at_rest = State(q_r.copy())
-    assert control.regulator_full(at_rest, q_r, gains) == 0.0
+    assert control.regulator_full(state(q_r), q_r, gains) == 0.0
     # with zero wheel gains the full law is the attitude law
-    s = State(rotor.from_angle(0.6), theta_w=3.0, omega_c=0.4, omega_w=50.0)
+    s = state(rotor.from_angle(0.6), theta_w=3.0, omega_c=0.4, omega_w=50.0)
     reduced = Gains(k_p=gains.k_p, k_d=gains.k_d)
     assert control.regulator_full(s, q_r, reduced) == pytest.approx(
-        control.regulator_attitude(s.q, s.omega_c, q_r, reduced), rel=1e-15
+        control.regulator_attitude(s, q_r, reduced), rel=1e-15
     )
     # wheel angle alone produces the unwind drive -k_pw * theta_w
-    wound = State(q_r.copy(), theta_w=25.0)
+    wound = state(q_r, theta_w=25.0)
     assert control.regulator_full(wound, q_r, gains) == pytest.approx(-gains.k_pw * 25.0)
 
 
@@ -185,9 +184,8 @@ def test_regulator_odd_symmetry(dp):
     for _ in range(100):
         theta_e = rng.uniform(-1.0, 1.0)
         omega_c, theta_w, omega_w = rng.uniform(-3, 3), rng.uniform(-20, 20), rng.uniform(-200, 200)
-        pos = State(rotor.from_angle(theta_r - theta_e), 0.0, omega_c, omega_w)
-        neg = State(rotor.from_angle(theta_r + theta_e), 0.0, -omega_c, -omega_w)
-        pos.theta_w, neg.theta_w = theta_w, -theta_w
+        pos = state(rotor.from_angle(theta_r - theta_e), theta_w, omega_c, omega_w)
+        neg = state(rotor.from_angle(theta_r + theta_e), -theta_w, -omega_c, -omega_w)
         u_pos = control.regulator_full(pos, q_r, gains)
         u_neg = control.regulator_full(neg, q_r, gains)
         assert u_neg == pytest.approx(-u_pos, rel=1e-10, abs=1e-12)
@@ -202,8 +200,8 @@ def test_small_angle_law_matches_nonlinear_law_near_reference(dp):
     for _ in range(500):
         theta_e = math.radians(rng.uniform(-2.0, 2.0))
         omega_c = rng.uniform(-0.1, 0.1)
-        s = State(rotor.from_angle(math.pi / 4 - theta_e), omega_c=omega_c)
-        u_nl = control.regulator_attitude(s.q, omega_c, q_r, gains)
+        s = state(rotor.from_angle(math.pi / 4 - theta_e), omega_c=omega_c)
+        u_nl = control.regulator_attitude(s, q_r, gains)
         u_sa = control.regulator_small_angle(s, q_r, gains)
         worst = max(worst, abs(u_nl - u_sa))
         peak = max(peak, abs(u_nl))
@@ -233,7 +231,7 @@ def test_feedback_linearization_cancels_exactly(model, theta, theta_w, omega_c, 
     fp = FrictionParams()
     dp = DP_BY_MODEL[model]
     q = rotor.from_angle(theta)
-    x = np.array([q[0], q[1], theta_w, omega_c, omega_w])
+    x = state(q, theta_w, omega_c, omega_w)
     tau = control.feedback_linearize(u, q, omega_w, dp, fp, model)
     rate = plant.dynamics_rate(x, tau, dp, fp, model, Fidelity.PAPER_APPROX)
     assert abs(rate[3] - u) < 1e-12
@@ -269,7 +267,7 @@ def test_error_dynamics_vanish_along_ideal_closed_loop(dp):
     dt = 1e-3
 
     def ideal_rate(s):
-        u = control.regulator_attitude(s[:2], s[2], q_r, gains)
+        u = control.regulator_attitude(plant.state(s[:2], omega_c=s[2]), q_r, gains)
         return np.array([-s[1] * s[2], s[0] * s[2], u]), u
 
     for step in range(4000):

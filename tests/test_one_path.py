@@ -19,7 +19,7 @@ from hypothesis.extra import numpy as hnp
 from cubli import control, plant, rotor, sim
 from cubli.control import ControllerConfig, Mode
 from cubli.errors import DegenerateInputError, DivergenceError, SimulationError, SingularityError
-from cubli.plant import CubliParams, Fidelity, FrictionParams, GravityModel, State
+from cubli.plant import CubliParams, Fidelity, FrictionParams, GravityModel, state
 
 # no deadline: the host's speed varies too much for per-example timing
 one_path = settings(deadline=None, max_examples=150)
@@ -173,8 +173,11 @@ def test_float_path_keeps_a_nan_wheel_rate_and_diverges(fp):
             assert info.value.state.shape == np.shape(state) and not np.isfinite(info.value.state).all()
 
 
+REGULATORS = (control.regulator_attitude, control.regulator_full, control.regulator_small_angle)
+
+
 @one_path
-@given(hnp.arrays(np.float64, 5, elements=finite))
+@given(hnp.arrays(np.float64, 11, elements=finite))
 def test_rotor_functions_on_a_tuple_equal_them_on_an_array(v):
     q, r, omega = v[:2], v[2:4], v[4]
     qt, rt = tuple(q.tolist()), tuple(r.tolist())
@@ -189,14 +192,22 @@ def test_rotor_functions_on_a_tuple_equal_them_on_an_array(v):
         assert_bitwise(f(qt), f(q))
     assert_bitwise(rotor.kinematics_rate(qt, float(omega)), rotor.kinematics_rate(q, omega))
     assert_bitwise(rotor.angular_rate(qt, rt), rotor.angular_rate(q, r))
-    for f in (rotor.normalize, rotor.error_tangent):
+    # the regulators on a state tuple and a (5,) state array, against q_r = r
+    x, gains = v[:5], control.Gains(*v[7:].tolist())
+    xt = tuple(x.tolist())
+    calls = [(f, (q,), (qt,)) for f in (rotor.normalize, rotor.error_tangent)]
+    calls += [(f, (x, r, gains), (xt, rt, gains)) for f in REGULATORS]
+    for f, array_args, tuple_args in calls:
         try:
-            expected = f(q)
+            expected = f(*array_args)
         except (DegenerateInputError, SingularityError) as err:
             with pytest.raises(type(err), match=re.escape(str(err))):
-                f(qt)
+                f(*tuple_args)
         else:
-            assert_bitwise(f(qt), expected)
+            got = f(*tuple_args)
+            if f in REGULATORS:
+                assert type(got) is float
+            assert_bitwise(got, expected)
 
 
 # sim.run carries one trajectory as a tuple of Python floats.  Its oracle is
@@ -212,22 +223,22 @@ def array_loop(sc):
     n_steps = round(sc.t_end / sc.dt)
     tau_ext = sim.disturbance_torque(sc.disturbances, sc.dt, n_steps)
     t = np.arange(n_steps + 1) * sc.dt
-    x = sc.initial.as_array()
+    x = sc.initial
     rows = []
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps + 1):
             q_meas = rotor.product(x[:2], q_bias)
-            measured = State(q=q_meas, theta_w=x[2], omega_c=x[3], omega_w=x[4])
+            measured = state(q_meas, *x[2:])
             try:
                 if cc.mode is Mode.ATTITUDE_ONLY:
-                    u = control.regulator_attitude(q_meas, measured.omega_c, cc.q_r, gains)
+                    u = control.regulator_attitude(measured, cc.q_r, gains)
                 elif cc.mode is Mode.SMALL_ANGLE:
                     u = control.regulator_small_angle(measured, cc.q_r, gains)
                 else:
                     u = control.regulator_full(measured, cc.q_r, gains)
             except SingularityError as err:
                 raise SingularityError(f"{err} at t = {t[k]:.4f} s", t=float(t[k]), step=k, state=x) from None
-            cmd = control.feedback_linearize(u, q_meas, measured.omega_w, dp, sc.friction, cc.gravity_model)
+            cmd = control.feedback_linearize(u, q_meas, measured[4], dp, sc.friction, cc.gravity_model)
             applied = control.saturate(cmd, cc.tau_max)
             rows.append((*x, u, cmd, applied))
             if k < n_steps:
@@ -271,7 +282,7 @@ def scenarios(draw):
     return sim.Scenario(
         friction=draw(st.sampled_from([FrictionParams(), plant.FRICTION_FREE])),
         controller=controller,
-        initial=State.from_angle(draw(st.floats(-math.pi, math.pi))),
+        initial=state(rotor.from_angle(draw(st.floats(-math.pi, math.pi)))),
         plant_gravity=draw(models),
         fidelity=draw(fidelities),
         dt=dt,
@@ -289,12 +300,12 @@ def test_run_on_floats_equals_the_array_loop_bit_for_bit(sc):
 
 def test_run_fails_like_the_array_loop():
     # a singularity four steps in, and a divergence at dt = 0.9 s
-    singular = sim.Scenario(initial=State.from_angle(math.radians(45.0 - 89.9), omega_c=-0.2), t_end=1.0)
+    singular = sim.Scenario(initial=state(rotor.from_angle(math.radians(45.0 - 89.9)), omega_c=-0.2), t_end=1.0)
     with pytest.raises(SingularityError) as info:
         array_loop(singular)
     assert info.value.step == 4
     assert_run_matches_array_loop(singular)
-    diverging = sim.Scenario(initial=State.from_angle(math.radians(40.0)), dt=0.9, t_end=900.0)
+    diverging = sim.Scenario(initial=state(rotor.from_angle(math.radians(40.0))), dt=0.9, t_end=900.0)
     with pytest.raises(DivergenceError):
         array_loop(diverging)
     assert_run_matches_array_loop(diverging)

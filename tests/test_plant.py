@@ -5,9 +5,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from cubli import analysis, plant, rotor, sim
-from cubli.control import DesignSpec
+from cubli.control import ControllerConfig, DesignSpec
 from cubli.errors import ValidationError
-from cubli.plant import CubliParams, Fidelity, FrictionParams, GravityModel, State
+from cubli.plant import CubliParams, Fidelity, FrictionParams, GravityModel, state
 
 # Hand-derived reference values, computed directly from the rig constants
 # (l = 0.15, m_s = 0.70, m_w = 0.15, I_sG = 3.75e-3, I_wG = 1.25e-4, g = 9.81).
@@ -72,7 +72,7 @@ def test_params_validation():
         lambda: sim.Scenario(t_end=math.inf),
         lambda: sim.Scenario(dt=math.nan),
         lambda: sim.Scenario(sensor_bias=math.nan),
-        lambda: sim.Scenario(initial=State.from_angle(math.nan)),
+        lambda: sim.Scenario(initial=state(rotor.from_angle(math.nan))),
     ],
     ids=[
         "friction-tau_c-nan", "friction-b_w-inf", "params-g-inf", "design-alpha-nan",
@@ -93,13 +93,29 @@ def test_scenario_rejects_off_grid_end_time():
     assert len(sim.run(sim.Scenario(t_end=0.03, dt=0.01)).t) == 4
 
 
-@pytest.mark.parametrize("q", [(2.0, 0.0), (0.0, 0.0), (0.6, 0.8 + 2e-9)], ids=["norm-2", "zero", "off-by-2e-9"])
+@pytest.mark.parametrize(
+    "q", [(2.0, 0.0), (0.0, 0.0), (0.6, 0.8 + 2e-9), (1e200, 0.0)], ids=["norm-2", "zero", "off-by-2e-9", "huge"]
+)
 def test_scenario_rejects_a_non_unit_initial_orientation(q):
     # the first step would silently renormalize it; the bound is the one
-    # ControllerConfig applies to q_r
-    with pytest.raises(ValidationError, match="initial orientation"):
-        sim.Scenario(initial=State(q=np.array(q)))
-    sim.Scenario(initial=State(q=np.array([0.6, 0.8 + 5e-10])))
+    # ControllerConfig applies to q_r (rotor.is_unit)
+    with pytest.raises(ValidationError, match="^initial .* unit complex q"):
+        sim.Scenario(initial=state(q))
+    with pytest.raises(ValidationError, match="^q_r "):
+        ControllerConfig(q_r=q)
+    sim.Scenario(initial=state((0.6, 0.8 + 5e-10)))
+    ControllerConfig(q_r=(0.6, 0.8 + 5e-10))
+
+
+@pytest.mark.parametrize(
+    "initial",
+    [state(rotor.UPRIGHT)[:4], state(rotor.UPRIGHT)[:, None], rotor.UPRIGHT, state((math.nan, 1.0)),
+     state((1.0, 0.0), math.nan), state((0.6, 0.6))],
+    ids=["shape-4", "shape-5x1", "shape-2", "nan-q", "nan-theta_w", "non-unit-q"],
+)
+def test_scenario_rejects_a_malformed_initial_state(initial):
+    with pytest.raises(ValidationError, match="^initial must be a finite \\(5,\\) state"):
+        sim.Scenario(initial=initial)
 
 
 def test_derive_rejects_small_inertia_ratio():
@@ -132,7 +148,7 @@ def test_gravity_torque(dp):
 
 
 def test_equilibrium_is_fixed_point(dp):
-    x = State(rotor.UPRIGHT.copy()).as_array()
+    x = state(rotor.UPRIGHT)
     rate = plant.dynamics_rate(x, 0.0, dp, FrictionParams(), GravityModel.CONSISTENT)
     assert_allclose(rate, np.zeros(5), atol=1e-15)
 
@@ -199,14 +215,14 @@ def test_angle_oracle_rest_at_upright_and_wheel_steady_state(dp):
 
 
 def test_energies(dp):
-    rest_up = State(rotor.UPRIGHT.copy()).as_array()
+    rest_up = state(rotor.UPRIGHT)
     kinetic, potential, total = plant.energies(rest_up, dp)
     assert kinetic == 0.0
     assert potential == pytest.approx(MGD, rel=1e-12)
     assert MGD == pytest.approx(0.8844, rel=1e-3)
     assert total == pytest.approx(MGD, rel=1e-12)
     # wheel locked to the body: the full inertia about the pivot appears
-    locked = State(rotor.UPRIGHT.copy(), omega_c=1.0).as_array()
+    locked = state(rotor.UPRIGHT, omega_c=1.0)
     assert plant.energies(locked, dp)[0] == pytest.approx(0.5 * (I_CO_BAR + 1.25e-4), rel=1e-12)
 
 
@@ -215,7 +231,7 @@ def test_power_balance_along_forced_trajectory(dp):
     fp = FrictionParams()
     tau = 8e-3
     dt = 1e-4
-    x = State.from_angle(0.3, omega_c=0.5, omega_w=40.0).as_array()
+    x = state(rotor.from_angle(0.3), omega_c=0.5, omega_w=40.0)
     for step in range(2000):
         x_prev = x
         x = sim.rk4_step(x, tau, dt, dp, fp, GravityModel.CONSISTENT, Fidelity.EXACT)
@@ -238,7 +254,7 @@ def test_linearize_matches_finite_differences(model):
     dp = plant.derive(CubliParams(), fp, model)
     a, _ = plant.linearize(dp, fp, model)
     smooth = FrictionParams(0.0, fp.b_w, 0.0)  # Coulomb/drag off at omega_w = 0
-    x0 = State(rotor.UPRIGHT.copy()).as_array()
+    x0 = state(rotor.UPRIGHT)
     a_fd = analysis.fd_jacobian(
         lambda x: plant.dynamics_rate(x, 0.0, dp, smooth, model, Fidelity.PAPER_APPROX), x0
     )

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from cubli import plant, rotor, sim
 from cubli.control import ControllerConfig, DesignSpec, Mode
 from cubli.errors import DivergenceError, IdentificationError, SingularityError, ValidationError
-from cubli.plant import CubliParams, FrictionParams, State
+from cubli.plant import CubliParams, FrictionParams, state
 
 SQ2 = math.sqrt(2.0) / 2.0
 
@@ -21,7 +21,7 @@ def default_scenario(**overrides):
     base = dict(
         design=DesignSpec(zeta=SQ2, omega_n=12.226257711082006, alpha=0.1),
         controller=ControllerConfig(),
-        initial=State.from_angle(math.radians(40.0)),
+        initial=state(rotor.from_angle(math.radians(40.0))),
         dt=1e-3,
         t_end=8.0,
     )
@@ -30,7 +30,7 @@ def default_scenario(**overrides):
 
 
 def test_rk4_step_fixed_point(dp):
-    x = State(rotor.UPRIGHT.copy()).as_array()
+    x = state(rotor.UPRIGHT)
     stepped = sim.rk4_step(x, 0.0, 1e-3, dp, FrictionParams())
     assert_allclose(stepped, x, atol=1e-15)
 
@@ -38,7 +38,7 @@ def test_rk4_step_fixed_point(dp):
 def test_small_oscillation_period_near_hanging_pose(dp):
     # 2 degrees off the stable bottom pose; frictionless, unforced.  The wheel
     # decouples, so the swing frequency is the pendulum natural frequency.
-    x = State.from_angle(math.radians(-135.0 + 2.0)).as_array()
+    x = state(rotor.from_angle(math.radians(-135.0 + 2.0)))
     dt = 1e-4
     crossings = []
     prev = rotor.to_angle(x[:2]) - math.radians(-135.0)
@@ -59,7 +59,7 @@ def test_rk4_fourth_order_convergence(dp):
     fp = FrictionParams()
 
     def integrate(dt):
-        x = State.from_angle(math.radians(30.0), omega_w=20.0).as_array()
+        x = state(rotor.from_angle(math.radians(30.0)), omega_w=20.0)
         for _ in range(int(round(0.5 / dt))):
             x = sim.rk4_step(x, 0.0, dt, dp, fp)
         return x
@@ -94,7 +94,7 @@ def test_rk4_step_column_alone_matches_stacked_bitwise():
 
 
 def test_run_at_equilibrium_is_quiescent():
-    ts = sim.run(default_scenario(initial=State(rotor.UPRIGHT.copy()), t_end=1.0))
+    ts = sim.run(default_scenario(initial=state(rotor.UPRIGHT), t_end=1.0))
     assert_allclose(ts.u, np.zeros_like(ts.u), atol=1e-12)
     assert_allclose(ts.theta_c_deg, np.full_like(ts.theta_c_deg, 45.0), atol=1e-10)
     assert_allclose(ts.omega_w, np.zeros_like(ts.omega_w), atol=1e-12)
@@ -148,7 +148,7 @@ def test_run_errors_carry_time_step_and_state():
         sim.run(singular)
     err = info.value
     assert (err.t, err.step) == (0.0, 0)
-    assert np.array_equal(err.state, singular.initial.as_array())
+    assert np.array_equal(err.state, singular.initial)
 
     with pytest.raises(DivergenceError) as info:
         sim.run(default_scenario(dt=0.9, t_end=900.0))
@@ -160,7 +160,7 @@ def test_run_errors_carry_time_step_and_state():
 
 
 def test_rk4_step_divergence_carries_the_state_alone():
-    x = State.from_angle(0.3, omega_w=math.inf).as_array()
+    x = state(rotor.from_angle(0.3), omega_w=math.inf)
     with pytest.raises(DivergenceError) as info:
         sim.rk4_step(x, 0.0, 1e-3, plant.derive(CubliParams(), FrictionParams()), FrictionParams())
     err = info.value
@@ -285,7 +285,7 @@ def test_fit_friction_under_noise_smoke():
 def test_sensor_bias_shifts_wheel_equilibrium_not_attitude():
     # wheel feedback hunts the true balance pose; the sensor frame reads the bias
     scenario = default_scenario(
-        initial=State(rotor.UPRIGHT.copy()),
+        initial=state(rotor.UPRIGHT),
         sensor_bias=math.radians(5.0),
         t_end=25.0,
     )
