@@ -39,7 +39,6 @@ print("poly(eigvals) error:     ", f"{analysis.coefficient_error(np.poly(eigs), 
 
 print("\nwith alpha = 0 the wheel terms vanish and the attitude gains reduce:")
 reduced = control.full_gains(DesignSpec(spec.zeta, spec.omega_n, 0.0), dp)
-k_p, k_d = control.attitude_gains(spec.zeta, spec.omega_n)
 print(f"  full_gains(alpha=0): k_p = {reduced.k_p:.3f}, k_d = {reduced.k_d:.3f}, "
       f"k_pw = {reduced.k_pw}, k_dw = {reduced.k_dw}")
-print(f"  attitude_gains:      k_p = {k_p:.3f}, k_d = {k_d:.3f}")
+print(f"  (wn^2, 2 zeta wn):   k_p = {spec.omega_n**2:.3f}, k_d = {2.0 * spec.zeta * spec.omega_n:.3f}")

@@ -48,16 +48,16 @@ def controllability_matrix(a, b) -> np.ndarray:
     return np.hstack(blocks)
 
 
-def controllability_rank(a, b, tol: float = 1e-9) -> int:
-    """Rank of [B AB ... A^(n-1)B], singular values below tol * s_max dropped."""
+def controllability_rank(a, b) -> int:
+    """Rank of [B AB ... A^(n-1)B], singular values below 1e-9 * s_max dropped."""
     s = np.linalg.svd(controllability_matrix(a, b), compute_uv=False)
     if len(s) == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > tol * s[0]))
+    return int(np.sum(s > 1e-9 * s[0]))
 
 
-def fd_jacobian(f, x0, step: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian of f at x0, step scaled per component.
+def fd_jacobian(f, x0) -> np.ndarray:
+    """Central-difference Jacobian of f at x0, with step 1e-6 scaled per component.
 
     Oracle for the analytic linearizations; only valid where f is smooth
     (disable Coulomb/drag friction before differentiating across zero wheel
@@ -69,7 +69,7 @@ def fd_jacobian(f, x0, step: float = 1e-6) -> np.ndarray:
         raise DivergenceError("non-finite function value at the expansion point")
     jac = np.empty((len(f0), len(x0)))
     for i in range(len(x0)):
-        h = step * max(1.0, abs(x0[i]))
+        h = 1e-6 * max(1.0, abs(x0[i]))
         xp = x0.copy()
         xm = x0.copy()
         xp[i] += h

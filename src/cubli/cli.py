@@ -331,22 +331,23 @@ def cmd_verify(cfg: Config, negative_control: bool = False) -> int:
 
 
 def read_steady_state_csv(path: str) -> list:
-    """Parse (tau, omega_ss) rows; tolerant of a header line and comments."""
+    """Parse (tau, omega_ss) rows; tolerant of comments and of a header line:
+    line 1 when it does not parse as numbers (3e-3 and inf do)."""
     points = []
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
-            if lineno == 1 and any(c.isalpha() for c in stripped):
-                continue  # header
-            parts = stripped.split(",")
-            if len(parts) != 2:
-                raise ValidationError(f"{path}:{lineno}: expected 'tau,omega_ss', got {stripped!r}")
             try:
-                tau, omega = float(parts[0]), float(parts[1])
+                values = [float(part) for part in stripped.split(",")]
             except ValueError:
+                if lineno == 1:
+                    continue  # header
                 raise ValidationError(f"{path}:{lineno}: non-numeric row {stripped!r}") from None
+            if len(values) != 2:
+                raise ValidationError(f"{path}:{lineno}: expected 'tau,omega_ss', got {stripped!r}")
+            tau, omega = values
             if not (math.isfinite(tau) and math.isfinite(omega)):
                 raise ValidationError(f"{path}:{lineno}: non-finite row {stripped!r}")
             points.append(sim.SteadyStatePoint(tau=tau, omega_ss=omega))

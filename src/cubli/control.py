@@ -79,11 +79,6 @@ class ControllerConfig:
         object.__setattr__(self, "q_r", q_r)
 
 
-def attitude_gains(zeta: float, omega_n: float):
-    """Attitude-only gains placing the error poles at zeta, omega_n."""
-    return omega_n**2, 2.0 * zeta * omega_n
-
-
 def full_gains(spec: DesignSpec, dp: DerivedParams) -> Gains:
     """Gains for the attitude-and-wheel regulator from the design targets.
 
@@ -91,7 +86,8 @@ def full_gains(spec: DesignSpec, dp: DerivedParams) -> Gains:
     coefficient by coefficient against
     (s^2 + 2 zeta wn s + wn^2)(s + alpha zeta wn)^2 gives the wheel gains
     directly and folds gamma-scaled copies of them into the attitude gains.
-    With alpha = 0 this reduces exactly to attitude_gains.
+    With alpha = 0 the wheel gains vanish and (k_p, k_d) = (wn^2, 2 zeta wn)
+    exactly: the attitude-only law.
     """
     z, wn, a = spec.zeta, spec.omega_n, spec.alpha
     try:  # a float power raises where a float64 one went to inf

@@ -9,10 +9,6 @@ class ValidationError(CubliError, ValueError):
     """A parameter, configuration value, or matrix shape is invalid."""
 
 
-class DegenerateInputError(CubliError, ValueError):
-    """An input is too close to a degenerate case to be usable."""
-
-
 class SimulationError(CubliError):
     """A trajectory failed.  t [s], step (the index into the time grid) and
     state (the state array at t) say where; each is None where the raiser

@@ -260,7 +260,7 @@ def energies(x, dp: DerivedParams):
     """
     q0, q1, _theta_w, omega_c, omega_w = x
     kinetic = 0.5 * dp.I_cO_bar * omega_c**2 + 0.5 * dp.I_wG * (omega_c + omega_w) ** 2
-    potential = dp.mgd * np.sin(np.arctan2(q1, q0) + np.pi / 4.0)
+    potential = dp.mgd * np.sin(rotor.to_angle((q0, q1)) + np.pi / 4.0)
     return kinetic, potential, kinetic + potential
 
 

@@ -1,10 +1,14 @@
 """Planar rotation algebra on unit complex numbers.
 
 An orientation is stored as a length-2 vector q = (q0, q1) = (cos th, sin th),
-i.e. a point on the unit circle instead of a wrapped angle.  All operations
-broadcast over trailing axes, so stacked inputs of shape (2, N) work
-elementwise.  product, conjugate and orientation_error return the
+i.e. a point on the unit circle instead of a wrapped angle.  The controller
+needs only the product, the conjugate, the orientation error conj(q) o q_r
+and its tangent q_e1 / q_e0; from_angle and to_angle are the angle codec.
+All operations broadcast over trailing axes, so stacked inputs of shape
+(2, N) work elementwise.  product, conjugate and orientation_error return the
 representation they are given: a tuple of two Python floats gives a tuple.
+The kinematics q_dot = G(q)^T omega_c are rows 0-1 of plant.dynamics_rate,
+and sim.rk4_step renormalizes q inline.
 """
 
 from __future__ import annotations
@@ -13,13 +17,12 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateInputError, SingularityError
+from .errors import SingularityError
 
 # Guard band on the real part of the orientation error: references closer
 # than ~0.06 deg to a +/-90 deg rotation are rejected as singular.
 DEFAULT_GUARD = 1e-3
 
-IDENTITY = np.array([1.0, 0.0])
 UPRIGHT = np.array([np.sqrt(2.0) / 2.0, np.sqrt(2.0) / 2.0])  # 45 deg balance pose
 
 
@@ -38,40 +41,10 @@ def conjugate(q):
     return out if isinstance(q, tuple) else np.array(out)
 
 
-def norm(q):
-    q0, q1 = q
-    return np.sqrt(q0 * q0 + q1 * q1)
-
-
 def is_unit(q) -> bool:
     """Whether q is finite and within 1e-9 of the unit circle (math.hypot does
     not overflow): the rule for every orientation given from outside."""
     return abs(math.hypot(q[0], q[1]) - 1.0) <= 1e-9
-
-
-def normalize(q) -> np.ndarray:
-    """Rescale q onto the unit circle.
-
-    Raises DegenerateInputError when the norm is below 1e-12, so it never
-    silently fabricates a direction from numerical noise.  (sim.rk4_step
-    renormalizes its states inline instead.)
-    """
-    n = norm(q)
-    if np.any(n <= 1e-12):
-        raise DegenerateInputError("cannot normalize a near-zero complex number")
-    return np.array([q[0] / n, q[1] / n])
-
-
-def rotation_matrix(q) -> np.ndarray:
-    """2x2 matrix R(q) such that q o r = R(q) @ r."""
-    q0, q1 = q
-    return np.array([[q0, -q1], [q1, q0]])
-
-
-def tangent_row(q) -> np.ndarray:
-    """Row G(q) = (-q1, q0) mapping rates on the circle to angular velocity."""
-    q0, q1 = q
-    return np.array([-q1, q0])
 
 
 def from_angle(theta) -> np.ndarray:
@@ -85,22 +58,6 @@ def to_angle(q):
     return np.arctan2(q1, q0)
 
 
-def kinematics_rate(q, omega) -> np.ndarray:
-    """Rate of the orientation under angular velocity omega: G(q)^T * omega.
-
-    The result is tangent to the unit circle, q . qdot = 0, so the unit
-    constraint is preserved by the continuous flow.
-    """
-    q0, q1 = q
-    return np.array([-q1 * omega, q0 * omega])
-
-
-def angular_rate(q, q_dot):
-    """Recover omega from an on-circle rate: G(q) @ q_dot."""
-    q0, q1 = q
-    return -q1 * q_dot[0] + q0 * q_dot[1]
-
-
 def orientation_error(q, q_r):
     """Rotation taking the current orientation q onto the reference q_r.
 
@@ -110,16 +67,16 @@ def orientation_error(q, q_r):
     return product(conjugate(q), q_r)
 
 
-def error_tangent(q_e, guard: float = DEFAULT_GUARD) -> float:
+def error_tangent(q_e) -> float:
     """Scalar error sigma_e = q_e1 / q_e0 = tan(theta_e).
 
-    Raises SingularityError when |q_e0| <= guard, signalling that the
+    Raises SingularityError when |q_e0| <= DEFAULT_GUARD, signalling that the
     reference is a rotation of roughly 90 degrees or more away.
     """
     q_e0, q_e1 = q_e
-    if abs(q_e0) <= guard:
+    if abs(q_e0) <= DEFAULT_GUARD:
         raise SingularityError(
             f"orientation error is within the guard band of a 90 deg rotation "
-            f"(|q_e0| = {abs(q_e0):.2e} <= {guard:.0e})"
+            f"(|q_e0| = {abs(q_e0):.2e} <= {DEFAULT_GUARD:.0e})"
         )
     return q_e1 / q_e0

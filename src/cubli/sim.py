@@ -68,8 +68,12 @@ class Scenario:
             raise ValidationError("dt must be positive and finite")
         if not self.dt <= self.t_end < math.inf:
             raise ValidationError("t_end must be finite and at least one step long")
+        steps = _steps(self.t_end, self.dt)
+        # past 2**53 steps every float is whole, and no such grid fits in memory
+        if not steps <= 2.0**53:
+            raise ValidationError(f"t_end = {self.t_end!r} s is more than 2**53 steps of dt = {self.dt!r} s")
         # the run ends exactly at t_end: a partial last step is not rounded away
-        if not _steps(self.t_end, self.dt).is_integer():
+        if not steps.is_integer():
             raise ValidationError(f"t_end = {self.t_end!r} s is not a whole number of dt = {self.dt!r} s steps")
         if not math.isfinite(self.sensor_bias):
             raise ValidationError("sensor_bias must be finite")
@@ -230,8 +234,11 @@ def run(scenario: Scenario) -> TimeSeries:
 
 def _steps(t: float, dt: float) -> float:
     """t as a number of dt steps, snapped to the nearest whole step when
-    within 1e-9 of it (relative), so that t = 9.1 s at dt = 1 ms is 9100."""
+    within 1e-9 of it (relative), so that t = 9.1 s at dt = 1 ms is 9100.
+    A ratio that overflows to +/-inf is passed through: it lies past every grid."""
     steps = t / dt
+    if not math.isfinite(steps):
+        return steps
     whole = round(steps)
     return float(whole) if abs(whole - steps) <= 1e-9 * abs(steps) else steps
 
@@ -274,17 +281,16 @@ def steady_state_sweep(
     tau_levels,
     params: CubliParams = CubliParams(),
     fp: FrictionParams = FrictionParams(),
-    dt: float = 1e-2,
-    budget: float = 200.0,
-    accel_tol: float = 1e-6,
 ) -> list[SteadyStatePoint]:
     """Spin the wheel alone at each torque level until it stops accelerating.
 
     The structure is held fixed, mirroring a bench identification: only
-    omega_w_dot = (tau - tau_f(omega_w)) / I_wG is integrated, and a level is
-    accepted once |omega_w_dot| < accel_tol.  Levels at or below the Coulomb
-    torque never spin up and are rejected.
+    omega_w_dot = (tau - tau_f(omega_w)) / I_wG is integrated, in steps of
+    dt = 10 ms for at most 200 s per level, and a level is accepted once
+    |omega_w_dot| < 1e-6 rad/s^2.  Levels at or below the Coulomb torque never
+    spin up and are rejected.
     """
+    dt, budget, accel_tol = 1e-2, 200.0, 1e-6
     inv_iwg = 1.0 / params.I_wG
     tc, bw, cd = fp.tau_c, fp.b_w, fp.c_d
 

@@ -67,7 +67,7 @@ def controllability_rank(cfg, dp_by_model):
     ranks = []
     for model, dp in dp_by_model.items():
         a, b = plant.linearize(dp, cfg.friction, model)
-        ranks.append(analysis.controllability_rank(a, b, tol=1e-9))
+        ranks.append(analysis.controllability_rank(a, b))
     ok = all(r == 4 for r in ranks)
     return ok, f"rank = {ranks[0]}/5"
 

@@ -191,7 +191,8 @@ def test_10_friction_identification():
 
 def test_11_small_angle_equivalence():
     started = time.perf_counter()
-    gains = Gains(*control.attitude_gains(SQ2, 1.5 * DP_CON.omega_0))
+    omega_n = 1.5 * DP_CON.omega_0
+    gains = Gains(omega_n**2, 2.0 * SQ2 * omega_n)  # the attitude-only law
     q_r = rotor.UPRIGHT
     rng = np.random.default_rng(17)
     worst = 0.0

@@ -220,6 +220,22 @@ def test_simulate_off_grid_end_time_rejected(tmp_path, capsys):
     assert "t_end" in capsys.readouterr().err
 
 
+def test_simulate_grid_beyond_2_53_steps_rejected(capsys):
+    # past 2**53 steps every float is a whole number of steps; nothing is allocated
+    assert run_cli("simulate", "--set", "scenario.t_end=1e300") == cli.EXIT_VALIDATION
+    assert "t_end" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("start", ["30", "1e308", "-1e308"])
+def test_simulate_pulse_outside_the_run_has_no_effect(start, tmp_path, capsys):
+    # start / dt overflows to +/-inf at 1e308 s; such a pulse overlaps no step
+    paths = [tmp_path / "quiet.csv", tmp_path / "pulse.csv"]
+    for pulses, path in zip(("none", f"{start}:1:1"), paths):
+        args = ("--set", "scenario.t_end=1", "--set", f"scenario.disturbances={pulses}", "--out", str(path))
+        assert run_cli("simulate", *args) == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
 def test_simulate_attitude_only_bias_flags_wheel(tmp_path, capsys):
     code = run_cli(
         "simulate",
@@ -322,6 +338,22 @@ def test_fit_friction_non_finite_row_reports_line(row, tmp_path, capsys):
     path.write_text(f"tau,omega_ss\n{row}\n5e-3,200\n7e-3,300\n9e-3,400\n")
     assert run_cli("fit-friction", "--input", str(path)) == cli.EXIT_VALIDATION
     assert ":2:" in capsys.readouterr().err
+
+
+def test_fit_friction_reads_a_headerless_first_row(tmp_path, capsys):
+    # line 1 is a header only when it does not parse as numbers: 3e-3 and inf
+    # contain letters, yet are numbers
+    rows = "3e-3,100\n5e-3,200\n7e-3,300\n9e-3,400\n"
+    path = tmp_path / "sweep.csv"
+    outs = []
+    for text in (rows, "tau,omega_ss\n" + rows):
+        path.write_text(text)
+        assert run_cli("fit-friction", "--input", str(path)) == 0
+        outs.append(capsys.readouterr().out)
+    assert "(4 rows)" in outs[0] and outs[0] == outs[1]
+    path.write_text("inf,100\n" + rows)
+    assert run_cli("fit-friction", "--input", str(path)) == cli.EXIT_VALIDATION
+    assert ":1:" in capsys.readouterr().err
 
 
 def test_fit_friction_rank_deficiency_exit(tmp_path, capsys):

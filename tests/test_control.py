@@ -64,36 +64,28 @@ def test_controller_config_rejects_bad_reference_or_guard(bad):
         ControllerConfig(**bad)
 
 
-def test_attitude_gains():
-    assert control.attitude_gains(1.0, 1.0) == (1.0, 2.0)
-    k_p, k_d = control.attitude_gains(SQ2, 10.281)
-    assert k_p == pytest.approx(105.7, rel=1e-3)
-    assert k_d == pytest.approx(14.54, rel=1e-3)
-
-
 def test_attitude_closed_loop_polynomial():
-    # the 2x2 error dynamics [[0, -1], [k_p, -k_d]] must have s^2 + k_d s + k_p
-    k_p, k_d = control.attitude_gains(0.6, 4.0)
+    # the 2x2 error dynamics [[0, -1], [k_p, -k_d]] must have s^2 + k_d s + k_p,
+    # with the attitude-only gains (omega_n^2, 2 zeta omega_n) at zeta = 0.6, omega_n = 4
+    k_p, k_d = 16.0, 4.8
     m = np.array([[0.0, -1.0], [k_p, -k_d]])
     assert_allclose(analysis.char_poly(m), [1.0, k_d, k_p], atol=1e-12)
 
 
-def test_full_gains_reduce_to_attitude_gains_at_zero_alpha(dp):
-    spec = DesignSpec(zeta=0.8, omega_n=5.0, alpha=0.0)
-    gains = control.full_gains(spec, dp)
-    k_p, k_d = control.attitude_gains(0.8, 5.0)
-    assert gains.k_p == pytest.approx(k_p)
-    assert gains.k_d == pytest.approx(k_d)
-    assert gains.k_pw == 0.0
-    assert gains.k_dw == 0.0
+def test_full_gains_reduce_to_attitude_law_at_zero_alpha(dp):
+    # alpha = 0 leaves k_p = omega_n^2 and k_d = 2 zeta omega_n, bit for bit
+    assert control.full_gains(DesignSpec(zeta=1.0, omega_n=1.0, alpha=0.0), dp) == Gains(1.0, 2.0)
+    assert control.full_gains(DesignSpec(zeta=0.8, omega_n=5.0, alpha=0.0), dp) == Gains(5.0**2, 2.0 * 0.8 * 5.0)
+    gains = control.full_gains(DesignSpec(zeta=SQ2, omega_n=10.281, alpha=0.0), dp)
+    assert gains.k_p == pytest.approx(105.7, rel=1e-3)
+    assert gains.k_d == pytest.approx(14.54, rel=1e-3)
 
 
 def test_full_gains_continuous_at_zero_alpha(dp):
     spec = DesignSpec(zeta=0.7, omega_n=8.0, alpha=1e-8)
     gains = control.full_gains(spec, dp)
-    k_p, k_d = control.attitude_gains(0.7, 8.0)
-    assert gains.k_p == pytest.approx(k_p, rel=1e-6)
-    assert gains.k_d == pytest.approx(k_d, rel=1e-6)
+    assert gains.k_p == pytest.approx(8.0**2, rel=1e-6)
+    assert gains.k_d == pytest.approx(2.0 * 0.7 * 8.0, rel=1e-6)
 
 
 def test_full_gains_reference_values(paper_spec, dp_literal):
@@ -143,7 +135,7 @@ def test_design_poly_roots_are_designed_poles(paper_spec):
 
 
 def test_regulator_attitude(dp_literal, paper_spec):
-    gains = control.Gains(*control.attitude_gains(paper_spec.zeta, paper_spec.omega_n))
+    gains = control.Gains(paper_spec.omega_n**2, 2.0 * paper_spec.zeta * paper_spec.omega_n)
     q_r = rotor.UPRIGHT
     assert control.regulator_attitude(state(q_r), q_r, gains) == 0.0
     # one degree of error at rest commands k_p * tan(1 deg)
@@ -261,7 +253,7 @@ def test_closed_loop_is_hurwitz_for_valid_specs(dp):
 def test_error_dynamics_vanish_along_ideal_closed_loop(dp):
     # integrate the feedback-linearized ideal system q_dot = G(q)^T w, w_dot = u
     # and check the regulated error component satisfies its target ODE
-    gains = Gains(*control.attitude_gains(SQ2, 10.0))
+    gains = Gains(10.0**2, 2.0 * SQ2 * 10.0)
     q_r = rotor.UPRIGHT
     state = np.array([1.0, 0.0, 0.0])  # q0, q1, omega_c: 45 deg away, at rest
     dt = 1e-3
@@ -282,7 +274,7 @@ def test_error_dynamics_vanish_along_ideal_closed_loop(dp):
         k3, _ = ideal_rate(state + 0.5 * dt * k2)
         k4, _ = ideal_rate(state + dt * k3)
         state = state + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        state[:2] = rotor.normalize(state[:2])
+        state[:2] /= np.hypot(*state[:2])
     # the ideal loop also converges
     assert rotor.to_angle(state[:2]) == pytest.approx(math.pi / 4, abs=1e-6)
 
@@ -291,7 +283,7 @@ def test_gains_for_mode(dp, paper_spec):
     att = control.gains_for_mode(Mode.ATTITUDE_ONLY, paper_spec, dp)
     assert (att.k_pw, att.k_dw) == (0.0, 0.0)
     # the alpha = 0 design is the paper's attitude-only law, bit for bit
-    assert att == Gains(*control.attitude_gains(paper_spec.zeta, paper_spec.omega_n))
+    assert att == Gains(paper_spec.omega_n**2, 2.0 * paper_spec.zeta * paper_spec.omega_n)
     full = control.gains_for_mode(Mode.ATTITUDE_AND_WHEEL, paper_spec, dp)
     assert full.k_pw > 0.0
     assert control.gains_for_mode(Mode.SMALL_ANGLE, paper_spec, dp) == full

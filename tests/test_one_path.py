@@ -18,7 +18,7 @@ from hypothesis.extra import numpy as hnp
 
 from cubli import control, plant, rotor, sim
 from cubli.control import ControllerConfig, Mode
-from cubli.errors import DegenerateInputError, DivergenceError, SimulationError, SingularityError
+from cubli.errors import DivergenceError, SimulationError, SingularityError
 from cubli.plant import CubliParams, Fidelity, FrictionParams, GravityModel, state
 
 # no deadline: the host's speed varies too much for per-example timing
@@ -179,7 +179,7 @@ REGULATORS = (control.regulator_attitude, control.regulator_full, control.regula
 @one_path
 @given(hnp.arrays(np.float64, 11, elements=finite))
 def test_rotor_functions_on_a_tuple_equal_them_on_an_array(v):
-    q, r, omega = v[:2], v[2:4], v[4]
+    q, r = v[:2], v[2:4]
     qt, rt = tuple(q.tolist()), tuple(r.tolist())
     for tuple_out, array_out in (
         (rotor.product(qt, rt), rotor.product(q, r)),
@@ -188,19 +188,16 @@ def test_rotor_functions_on_a_tuple_equal_them_on_an_array(v):
     ):
         assert type(tuple_out) is tuple and all(type(c) is float for c in tuple_out)
         assert_bitwise(np.array(tuple_out), array_out)
-    for f in (rotor.norm, rotor.rotation_matrix, rotor.tangent_row, rotor.to_angle):
-        assert_bitwise(f(qt), f(q))
-    assert_bitwise(rotor.kinematics_rate(qt, float(omega)), rotor.kinematics_rate(q, omega))
-    assert_bitwise(rotor.angular_rate(qt, rt), rotor.angular_rate(q, r))
+    assert_bitwise(rotor.to_angle(qt), rotor.to_angle(q))
     # the regulators on a state tuple and a (5,) state array, against q_r = r
     x, gains = v[:5], control.Gains(*v[7:].tolist())
     xt = tuple(x.tolist())
-    calls = [(f, (q,), (qt,)) for f in (rotor.normalize, rotor.error_tangent)]
+    calls = [(rotor.error_tangent, (q,), (qt,))]
     calls += [(f, (x, r, gains), (xt, rt, gains)) for f in REGULATORS]
     for f, array_args, tuple_args in calls:
         try:
             expected = f(*array_args)
-        except (DegenerateInputError, SingularityError) as err:
+        except SingularityError as err:
             with pytest.raises(type(err), match=re.escape(str(err))):
                 f(*tuple_args)
         else:

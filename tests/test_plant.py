@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from cubli import analysis, plant, rotor, sim
@@ -141,7 +144,7 @@ def test_gravity_torque(dp):
     assert plant._gravity(*q_u, dp, GravityModel.PAPER_LITERAL) == pytest.approx(
         MGD * SQ2, rel=1e-12
     )
-    assert plant._gravity(*rotor.IDENTITY, dp, GravityModel.CONSISTENT) == pytest.approx(
+    assert plant._gravity(1.0, 0.0, dp, GravityModel.CONSISTENT) == pytest.approx(
         MGD * SQ2, rel=1e-12
     )
     assert MGD * SQ2 == pytest.approx(0.6254, rel=1e-3)
@@ -165,13 +168,29 @@ def test_exact_and_approx_wheel_rates_differ_by_body_rate(dp):
         assert_allclose(exact[:4], approx[:4])
 
 
-def test_rate_preserves_unit_tangency(dp):
-    rng = np.random.default_rng(2)
-    for _ in range(200):
-        q = rotor.from_angle(rng.uniform(-np.pi, np.pi))
-        x = np.array([q[0], q[1], rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(-300, 300)])
-        rate = plant.dynamics_rate(x, rng.uniform(-0.5, 0.5), dp, FrictionParams())
-        assert abs(x[0] * rate[0] + x[1] * rate[1]) < 1e-12
+# (theta_c, (theta_w, omega_c, omega_w)) for N = 1 to 8 stacked states
+stacks = st.integers(1, 8).flatmap(
+    lambda n: st.tuples(
+        hnp.arrays(np.float64, n, elements=st.floats(-np.pi, np.pi)),
+        hnp.arrays(np.float64, (3, n), elements=st.floats(-300.0, 300.0)),
+    )
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(stack=stacks, tau=st.floats(-0.5, 0.5))
+def test_rate_preserves_unit_tangency(dp, stack, tau):
+    # rows 0-1 are the kinematics q_dot = G(q)^T omega_c: tangent to the unit
+    # circle (q . q_dot = 0), and G(q) = (-q1, q0) maps them back to omega_c;
+    # on a (5, N) stack and on the Python floats sim.rk4_step steps
+    theta, rest = stack
+    x = np.vstack([np.cos(theta), np.sin(theta), rest])
+    fp = FrictionParams()
+    floats = [plant._rates(c, tau, dp, fp, GravityModel.CONSISTENT, Fidelity.EXACT, 0.0) for c in x.T.tolist()]
+    ulp = np.spacing(np.abs(x[3]))  # a subnormal omega_c included
+    for rate in (plant.dynamics_rate(x, tau, dp, fp), np.array(floats).T):
+        assert np.all(np.abs(x[0] * rate[0] + x[1] * rate[1]) <= 4.0 * ulp)
+        assert np.all(np.abs(-x[1] * rate[0] + x[0] * rate[1] - x[3]) <= 8.0 * ulp)
 
 
 @pytest.mark.parametrize("model", list(GravityModel))
