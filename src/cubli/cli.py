@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import plant, rotor, sim, verify
+from . import control, plant, rotor, sim, verify
 from .control import ControllerConfig, Mode
 from .errors import CubliError, SimulationError, ValidationError
 from .plant import CubliParams, Fidelity, FrictionParams, GravityModel
@@ -34,102 +34,72 @@ CSV_HEADER = ",".join(sim.TimeSeries.COLUMNS)
 # configuration
 
 
-def _parse_float(key, raw):
+def _parse_float(raw):
     try:
         value = float(raw)
     except ValueError:
-        raise ValidationError(f"{key}: not a number: {raw!r}") from None
+        raise ValidationError(f"not a number: {raw!r}") from None
     if not math.isfinite(value):
-        raise ValidationError(f"{key}: must be finite, got {raw!r}")
-    return value
-
-
-def _positive(key, raw):
-    value = _parse_float(key, raw)
-    if not value > 0.0:
-        raise ValidationError(f"{key}: must be strictly positive, got {value!r}")
-    return value
-
-
-def _nonnegative(key, raw):
-    value = _parse_float(key, raw)
-    if value < 0.0:
-        raise ValidationError(f"{key}: must be nonnegative, got {value!r}")
-    return value
-
-
-def _zeta(key, raw):
-    value = _parse_float(key, raw)
-    if not 0.0 < value <= 1.0:
-        raise ValidationError(f"{key}: must be in (0, 1], got {value!r}")
+        raise ValidationError(f"must be finite, got {raw!r}")
     return value
 
 
 def _enum(enum_cls):
-    def parse(key, raw):
+    def parse(raw):
         try:
             return enum_cls(raw.strip())
         except ValueError:
             options = ", ".join(e.value for e in enum_cls)
-            raise ValidationError(f"{key}: unknown value {raw!r} (choose from: {options})") from None
+            raise ValidationError(f"unknown value {raw!r} (choose from: {options})") from None
 
     return parse
 
 
-def _disturbances(key, raw):
-    raw = raw.strip()
-    if raw in ("", "none"):
-        return ()
+def _disturbances(raw):
     pulses = []
-    for item in raw.split(","):
+    for item in () if raw.strip() in ("", "none") else raw.split(","):
         parts = item.strip().split(":")
         if len(parts) != 3:
-            raise ValidationError(f"{key}: expected start:duration:torque, got {item.strip()!r}")
-        start, duration, torque = (_parse_float(key, p) for p in parts)
-        if duration <= 0.0:
-            raise ValidationError(f"{key}: pulse duration must be positive, got {duration!r}")
-        pulses.append(sim.Disturbance(start=start, duration=duration, torque=torque))
+            raise ValidationError(f"expected start:duration:torque, got {item.strip()!r}")
+        pulses.append(sim.Disturbance(*map(_parse_float, parts)))
     return tuple(pulses)
 
 
-def _string(key, raw):
-    return raw.strip()
-
-
 def _key(key, parser, default):
-    """A Config field set by one config key, parsed from its text by parser(key, raw)."""
+    """A Config field set by one config key, read from its text by parser(raw)."""
     return dataclasses.field(default=default, metadata={"key": key, "parser": parser})
 
 
-def _section(section, cls, parser):
-    """A Config field holding a parameter dataclass: one `section.<field>` key per field."""
-    return dataclasses.field(default_factory=cls, metadata={"key": section, "parser": parser})
+def _section(section, cls):
+    """A Config field holding a parameter dataclass: one `section.<field>` number key per field."""
+    return dataclasses.field(default_factory=cls, metadata={"key": section, "parser": _parse_float})
 
 
 @dataclasses.dataclass
 class Config:
     """One experiment, and the one declaration of each config key: every field
-    names its key, parser and default.  Config() is the reference experiment."""
+    names its key, parser and default.  Config() is the reference experiment.
+    The parsers only read text: build_config checks the values by the dataclasses' rules."""
 
-    params: CubliParams = _section("physics", CubliParams, _positive)
-    friction: FrictionParams = _section("friction", FrictionParams, _nonnegative)
+    params: CubliParams = _section("physics", CubliParams)
+    friction: FrictionParams = _section("friction", FrictionParams)
     plant_gravity: GravityModel = _key("model.plant_gravity", _enum(GravityModel), GravityModel.CONSISTENT)
     controller_gravity: GravityModel = _key("model.controller_gravity", _enum(GravityModel), GravityModel.CONSISTENT)
     fidelity: Fidelity = _key("model.fidelity", _enum(Fidelity), Fidelity.EXACT)
-    zeta: float = _key("control.zeta", _zeta, 0.7071067811865476)
-    omega_n_factor: float = _key("control.omega_n_factor", _positive, 1.5)
-    alpha: float = _key("control.alpha", _nonnegative, 0.1)
+    zeta: float = _key("control.zeta", _parse_float, 0.7071067811865476)
+    omega_n_factor: float = _key("control.omega_n_factor", _parse_float, 1.5)
+    alpha: float = _key("control.alpha", _parse_float, 0.1)
     mode: Mode = _key("control.mode", _enum(Mode), Mode.ATTITUDE_AND_WHEEL)
-    tau_max: float = _key("control.tau_max", _positive, 0.5)
+    tau_max: float = _key("control.tau_max", _parse_float, 0.5)
     initial_angle_deg: float = _key("scenario.initial_angle_deg", _parse_float, 40.0)
     reference_angle_deg: float = _key("scenario.reference_angle_deg", _parse_float, 45.0)
-    dt: float = _key("scenario.dt", _positive, 1e-3)
-    t_end: float = _key("scenario.t_end", _positive, 20.0)
+    dt: float = _key("scenario.dt", _parse_float, 1e-3)
+    t_end: float = _key("scenario.t_end", _parse_float, 20.0)
     sensor_bias_deg: float = _key("scenario.sensor_bias_deg", _parse_float, 0.0)
     disturbances: tuple = _key(
         "scenario.disturbances", _disturbances, (sim.Disturbance(9.0, 0.1, 0.05), sim.Disturbance(16.0, 0.1, 0.05))
     )
-    output_path: str = _key("output.path", _string, "cubli_run.csv")
+    output_path: str = _key("output.path", str.strip, "cubli_run.csv")
 
 
 def _schema() -> dict:
@@ -148,41 +118,76 @@ def _schema() -> dict:
 CONFIG_SCHEMA = _schema()
 
 
+def _read_lines(path: str) -> list:
+    """(lineno, stripped line) of each non-blank, non-comment line of a UTF-8 text file."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = enumerate(map(str.strip, handle.read().split("\n")), start=1)
+    except UnicodeDecodeError as err:
+        lineno = err.object.count(b"\n", 0, err.start) + 1
+        raise ValidationError(f"{path}:{lineno}: not UTF-8 text ({err.reason})") from None
+    return [(lineno, line) for lineno, line in lines if line and not line.startswith("#")]
+
+
 def read_config_file(path: str) -> dict:
-    """Parse a key = value config file into a raw string mapping."""
+    """Parse a key = value config file, which sets each key once, into a raw string mapping."""
     raw = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ValidationError(f"{path}:{lineno}: expected key = value, got {stripped!r}")
-            key, _, value = stripped.partition("=")
-            raw[key.strip()] = value.strip()
+    for lineno, line in _read_lines(path):
+        if "=" not in line:
+            raise ValidationError(f"{path}:{lineno}: expected key = value, got {line!r}")
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in raw:
+            raise ValidationError(f"{path}:{lineno}: duplicate key {key}")
+        raw[key] = value
     return raw
 
 
-def build_config(raw: dict) -> Config:
-    """Validate raw key/value strings against the schema; unset keys keep Config()'s values."""
-    for key in raw:
-        if key not in CONFIG_SCHEMA:
-            raise ValidationError(f"unknown config key: {key}")
+def _parse(raw: dict) -> Config:
+    """The Config raw sets.  An error names the key whose text, or whose
+    parameter dataclass's rule on that one field, rejects it."""
     cfg = Config()
     for key, (parser, name, param) in CONFIG_SCHEMA.items():
         if key in raw:
-            value = parser(key, raw[key])
-            if param is not None:
-                value = dataclasses.replace(getattr(cfg, name), **{param: value})
+            try:
+                value = parser(raw[key])
+                if param is not None:
+                    value = dataclasses.replace(getattr(cfg, name), **{param: value})
+            except ValidationError as err:
+                raise ValidationError(f"{key}: {err}") from None
             setattr(cfg, name, value)
     return cfg
 
 
+def _build_error(cfg: Config) -> str | None:
+    """Why cfg's experiment cannot be built, or None.  Building the scenario and
+    the mode's gains runs the rules across fields, from the inertia ratio to the grid."""
+    try:
+        scenario = build_scenario(cfg)
+        dp = plant.derive(cfg.params, cfg.friction, cfg.controller_gravity)
+        control.gains_for_mode(cfg.mode, scenario.design, dp)
+    except ValidationError as err:
+        return str(err)
+    return None
+
+
+def build_config(raw: dict) -> Config:
+    """Parse raw key/value strings and check the whole experiment they make;
+    unset keys keep Config()'s values.  An experiment that cannot be built is
+    blamed on each set key whose removal would remove or change its error, or
+    on every set key when no one removal would."""
+    for key in raw:
+        if key not in CONFIG_SCHEMA:
+            raise ValidationError(f"unknown config key: {key}")
+    cfg = _parse(raw)
+    error = _build_error(cfg)
+    if error is not None:
+        blamed = [key for key in raw if _build_error(_parse({k: v for k, v in raw.items() if k != key})) != error]
+        raise ValidationError(f"{', '.join(blamed or raw)}: {error}")
+    return cfg
+
+
 def load_config(args) -> Config:
-    raw = {}
-    path = args.config_file or args.config
-    if path:
-        raw.update(read_config_file(path))
+    raw = read_config_file(args.config_file) if args.config_file else {}
     for item in args.set or ():
         if "=" not in item:
             raise ValidationError(f"--set expects key=value, got {item!r}")
@@ -334,23 +339,19 @@ def read_steady_state_csv(path: str) -> list:
     """Parse (tau, omega_ss) rows; tolerant of comments and of a header line:
     line 1 when it does not parse as numbers (3e-3 and inf do)."""
     points = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            try:
-                values = [float(part) for part in stripped.split(",")]
-            except ValueError:
-                if lineno == 1:
-                    continue  # header
-                raise ValidationError(f"{path}:{lineno}: non-numeric row {stripped!r}") from None
-            if len(values) != 2:
-                raise ValidationError(f"{path}:{lineno}: expected 'tau,omega_ss', got {stripped!r}")
-            tau, omega = values
-            if not (math.isfinite(tau) and math.isfinite(omega)):
-                raise ValidationError(f"{path}:{lineno}: non-finite row {stripped!r}")
-            points.append(sim.SteadyStatePoint(tau=tau, omega_ss=omega))
+    for lineno, line in _read_lines(path):
+        try:
+            values = [float(part) for part in line.split(",")]
+        except ValueError:
+            if lineno == 1:
+                continue  # header
+            raise ValidationError(f"{path}:{lineno}: non-numeric row {line!r}") from None
+        if len(values) != 2:
+            raise ValidationError(f"{path}:{lineno}: expected 'tau,omega_ss', got {line!r}")
+        tau, omega = values
+        if not (math.isfinite(tau) and math.isfinite(omega)):
+            raise ValidationError(f"{path}:{lineno}: non-finite row {line!r}")
+        points.append(sim.SteadyStatePoint(tau=tau, omega_ss=omega))
     return points
 
 
@@ -386,7 +387,6 @@ def cmd_fit_friction(cfg: Config, input_path: str | None, synthetic: bool) -> in
 
 def _add_common(parser):
     parser.add_argument("config_file", nargs="?", help="path to a key = value config file")
-    parser.add_argument("--config", help="alternative way to pass the config file path")
     parser.add_argument("--set", action="append", metavar="KEY=VALUE", help="override a config key")
 
 

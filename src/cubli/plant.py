@@ -98,11 +98,10 @@ class DerivedParams:
     I_cO_bar: float   # I_cO minus the wheel's own inertia [kg m^2]
     I_wG: float       # wheel inertia about its own centre (copied) [kg m^2]
     mgd: float        # gravity torque scale m_c * g * d [N m]
-    omega_0: float    # pendulum natural frequency, per gravity_model [rad/s]
+    omega_0: float    # pendulum natural frequency, per derive's gravity model [rad/s]
     omega_1: float    # wheel natural frequency b_w / I_wG [rad/s]
     gamma: float      # inertia ratio I_cO_bar / I_wG
     delta: float      # gravity-to-wheel scale mgd / I_wG [1/s^2]
-    gravity_model: GravityModel
 
 
 def derive(
@@ -146,7 +145,6 @@ def derive(
         omega_1=friction.b_w / params.I_wG,
         gamma=gamma,
         delta=mgd / params.I_wG,
-        gravity_model=model,
     )
 
 

@@ -61,6 +61,37 @@ def test_config_file_syntax_error(tmp_path, capsys):
     assert "expected key = value" in capsys.readouterr().err
 
 
+def test_config_file_duplicate_key_rejected(tmp_path, capsys):
+    path = write_config(tmp_path, "physics.l = 0.3\n# the last value used to win\nphysics.l = 0.2\n")
+    assert run_cli("params", path) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {path}:3: duplicate key physics.l\n"
+
+
+def test_set_overrides_the_file_and_the_last_set_wins(tmp_path, capsys):
+    path = write_config(tmp_path, "physics.l = 0.1\n")
+    assert run_cli("params", path, "--set", "physics.l=0.2", "--set", "physics.l=0.3") == 0
+    assert "0.212132" in capsys.readouterr().out  # d of l = 0.3
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(["params"], []), (["fit-friction"], ["--input"])],
+    ids=["config-file", "fit-friction-input"],
+)
+def test_non_utf8_file_names_its_path(command, flag, tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"# fine\n\xff = 1\n")
+    assert run_cli(*command, *flag, str(path)) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {path}:2: not UTF-8 text (invalid start byte)\n"
+
+
+def test_config_option_is_gone(capsys):
+    # the config file is the positional argument only
+    with pytest.raises(SystemExit) as exc:
+        run_cli("params", "--config", "a.cfg")
+    assert exc.value.code == cli.EXIT_VALIDATION
+
+
 def passes_coefficient_gate(out):
     """The printed coefficient error of cubli gains passes the pole gate."""
     return verify.coefficient_gate(float(out.split("coefficient error")[1].split()[0]))[0]
@@ -190,6 +221,52 @@ def test_simulate_zero_t_end_rejected(capsys):
 def test_params_non_finite_rejected(value, capsys):
     assert run_cli("params", "--set", f"friction.tau_c={value}") == cli.EXIT_VALIDATION
     assert "friction.tau_c" in capsys.readouterr().err
+
+
+# Each single-key range rule, and each rule across keys: every command loads
+# the config the same way, so each exits 2 before any work with one message,
+# naming each set key whose removal would remove or change the error.
+ONE_PATH_CASES = [
+    (["physics.l=-1"], "physics.l"),
+    (["physics.m_s=0"], "physics.m_s"),
+    (["physics.m_w=-1"], "physics.m_w"),
+    (["physics.I_sG=0"], "physics.I_sG"),
+    (["physics.I_wG=-1"], "physics.I_wG"),
+    (["physics.g=0"], "physics.g"),
+    (["friction.tau_c=-1"], "friction.tau_c"),
+    (["friction.b_w=-1e-9"], "friction.b_w"),
+    (["friction.c_d=-1"], "friction.c_d"),
+    (["control.zeta=0"], "control.zeta"),
+    (["control.zeta=1.01"], "control.zeta"),
+    (["control.alpha=-0.1"], "control.alpha"),
+    (["control.omega_n_factor=0"], "control.omega_n_factor"),
+    (["control.tau_max=0"], "control.tau_max"),
+    (["scenario.dt=-1e-3"], "scenario.dt"),
+    (["scenario.t_end=0"], "scenario.t_end"),
+    (["scenario.disturbances=1:0:0.05"], "scenario.disturbances"),
+    (["scenario.dt=0.01", "scenario.t_end=0.0105"], "scenario.dt, scenario.t_end"),
+    (["control.omega_n_factor=1e100"], "control.omega_n_factor"),
+    (["scenario.t_end=0.0005"], "scenario.t_end"),
+    (["physics.I_wG=0.01"], "physics.I_wG"),
+    (["scenario.dt=1e-300"], "scenario.dt"),
+    (["scenario.dt=0.3", "scenario.t_end=0.95"], "scenario.dt, scenario.t_end"),
+    (["control.zeta=2", "physics.l=0.2"], "control.zeta"),
+    # either key alone makes omega_n = 0 (l = 1e200 overflows the inertias, so omega_0 = 0)
+    (["control.omega_n_factor=0", "physics.l=1e200"], "control.omega_n_factor, physics.l"),
+]
+
+
+@pytest.mark.parametrize("sets, keys", ONE_PATH_CASES, ids=[" ".join(sets) for sets, _ in ONE_PATH_CASES])
+def test_every_command_rejects_a_config_alike_naming_its_keys(sets, keys, tmp_path, capsys):
+    csv = tmp_path / "x.csv"
+    commands = [["params"], ["gains"], ["verify"], ["simulate", "--out", str(csv)], ["fit-friction", "--synthetic"]]
+    errors = []
+    for command in commands:
+        assert run_cli(*command, *(arg for item in sets for arg in ("--set", item))) == cli.EXIT_VALIDATION
+        errors.append(capsys.readouterr().err)
+    assert errors[0].startswith(f"error: {keys}: ")
+    assert errors == errors[:1] * len(commands)
+    assert not csv.exists()
 
 
 def test_simulate_nan_initial_angle_names_key(tmp_path, capsys):
