@@ -111,9 +111,9 @@ def derive(
 ) -> DerivedParams:
     """Compute the derived inertias, frequencies, and ratios.
 
-    The body/wheel inertia ratio gamma must exceed 10: the reduced wheel
-    equation offered by Fidelity.PAPER_APPROX is only meaningful when the
-    wheel's own inertia is a small perturbation of the total.
+    Every derived value must be finite, and the inertia ratio gamma must
+    exceed 10: the reduced wheel equation of Fidelity.PAPER_APPROX is only
+    meaningful when the wheel's own inertia is a small part of the total.
     """
     d = params.l * math.sqrt(2.0) / 2.0
     m_c = params.m_s + params.m_w
@@ -121,18 +121,12 @@ def derive(
     I_wO = params.I_wG + params.m_w * d * d
     I_cO = I_sO + I_wO
     I_cO_bar = I_cO - params.I_wG
-    gamma = I_cO_bar / params.I_wG
-    if gamma <= 10.0:
-        raise ValidationError(
-            f"inertia ratio gamma = {gamma:.3g} is too small (need > 10) for the "
-            f"reduced wheel dynamics to be valid"
-        )
     mgd = m_c * params.g * d
     if model is GravityModel.PAPER_LITERAL:
         omega_0 = math.sqrt(mgd * (math.sqrt(2.0) / 2.0) / I_cO_bar)
     else:
         omega_0 = math.sqrt(mgd / I_cO_bar)
-    return DerivedParams(
+    dp = DerivedParams(
         d=d,
         m_c=m_c,
         I_sO=I_sO,
@@ -143,9 +137,18 @@ def derive(
         mgd=mgd,
         omega_0=omega_0,
         omega_1=friction.b_w / params.I_wG,
-        gamma=gamma,
+        gamma=I_cO_bar / params.I_wG,
         delta=mgd / params.I_wG,
     )
+    for f in fields(dp):  # finite parameters can still overflow a product or ratio
+        if not math.isfinite(getattr(dp, f.name)):
+            raise ValidationError(f"derived {f.name} overflows")
+    if dp.gamma <= 10.0:
+        raise ValidationError(
+            f"inertia ratio gamma = {dp.gamma:.3g} is too small (need > 10) for the "
+            f"reduced wheel dynamics to be valid"
+        )
+    return dp
 
 
 def state(q, theta_w=0.0, omega_c=0.0, omega_w=0.0) -> np.ndarray:
@@ -198,15 +201,26 @@ def dynamics_rate(
     model: GravityModel = GravityModel.CONSISTENT,
     fidelity: Fidelity = Fidelity.EXACT,
     tau_ext=0.0,
+    out=None,
 ) -> np.ndarray:
     """Time derivative of the state vector under motor torque tau.
 
     tau_ext is an additional external torque applied directly to the body
     (disturbance channel).  EXACT fidelity integrates the wheel's relative
     acceleration; PAPER_APPROX drops the -omega_c_dot coupling term, which is
-    the structure the controller design assumes.
+    the structure the controller design assumes.  Given out, an array of x's
+    shape, the rate is written into it and out is returned.
     """
-    return np.array(_rates(x.tolist() if x.ndim == 1 else x, tau, dp, fp, model, fidelity, tau_ext))
+    return _rows(_rates(x.tolist() if x.ndim == 1 else x, tau, dp, fp, model, fidelity, tau_ext), out)
+
+
+def _rows(rows, out):
+    """The rate rows as a new array, or written into out, which is returned."""
+    if out is None:
+        return np.array(rows)
+    for i, row in enumerate(rows):
+        out[i] = row
+    return out
 
 
 def _rates(x, tau, dp: DerivedParams, fp: FrictionParams, model: GravityModel, fidelity: Fidelity, tau_ext):
@@ -230,11 +244,12 @@ def angle_dynamics_rate(
     model: GravityModel = GravityModel.CONSISTENT,
     fidelity: Fidelity = Fidelity.EXACT,
     tau_ext=0.0,
+    out=None,
 ) -> np.ndarray:
     """Angle-coordinate twin of dynamics_rate on x = (theta_c, theta_w, omega_c, omega_w).
 
     Kept as an independent cross-check of the unit-circle formulation: the two
-    must agree through the angle codec.
+    must agree through the angle codec.  out is as in dynamics_rate.
     """
     theta_c, _theta_w, omega_c, omega_w = x
     if model is GravityModel.PAPER_LITERAL:
@@ -246,7 +261,7 @@ def angle_dynamics_rate(
     omega_w_dot = (tau - tau_f) / dp.I_wG
     if fidelity is Fidelity.EXACT:
         omega_w_dot = omega_w_dot - omega_c_dot
-    return np.array([omega_c, omega_w, omega_c_dot, omega_w_dot])
+    return _rows((omega_c, omega_w, omega_c_dot, omega_w_dot), out)
 
 
 def energies(x, dp: DerivedParams):

@@ -109,18 +109,31 @@ TimeSeries.COLUMNS = tuple(f.name for f in fields(TimeSeries))
 def rk4(f, x, dt: float):
     """One classical Runge-Kutta step of x' = f(x).
 
-    x is an array, which each stage combines whole (broadcasting like f), or
-    one trajectory as a list or tuple of Python floats, which each stage
-    combines component by component; f returns the representation it is
-    given (a tuple for floats).
+    x is one trajectory as a list or tuple of Python floats, where f(y) returns
+    a tuple, or an array, which the step computes in three arrays allocated per
+    call with in-place ufuncs: f(y, out) writes y' into out.  Both forms round
+    alike, the result is new, and x is never written.
     """
-    stage, combine = (_stage, _combine) if isinstance(x, np.ndarray) else (_stage_each, _combine_each)
     half = 0.5 * dt
-    k1 = f(x)
-    k2 = f(stage(x, k1, half))
-    k3 = f(stage(x, k2, half))
-    k4 = f(stage(x, k3, dt))
-    return combine(x, k1, k2, k3, k4, dt / 6.0)
+    if not isinstance(x, np.ndarray):
+        k1 = f(x)
+        k2 = f(_stage_each(x, k1, half))
+        k3 = f(_stage_each(x, k2, half))
+        k4 = f(_stage_each(x, k3, dt))
+        return _combine_each(x, k1, k2, k3, k4, dt / 6.0)
+    # _stage's and _combine's products and sums, in their order
+    k, s, acc = np.empty(x.shape), np.empty(x.shape), np.empty(x.shape)
+    f(x, acc)  # acc = k1
+    f(np.add(x, np.multiply(acc, half, out=s), out=s), k)  # k2
+    for h in (half, dt):
+        np.add(x, np.multiply(k, h, out=s), out=s)  # stage 3 from k2, then stage 4 from k3
+        k += k
+        acc += k
+        f(s, k)  # k3, then k4
+    acc += k
+    acc *= dt / 6.0
+    acc += x
+    return acc
 
 
 def _stage(x, k, h):
@@ -128,7 +141,7 @@ def _stage(x, k, h):
 
 
 def _combine(x, k1, k2, k3, k4, h):
-    # k + k is 2.0 * k bit for bit, and an array sum is cheaper than a scalar product
+    # k + k is 2.0 * k bit for bit, as the array step's k += k
     return x + h * (k1 + (k2 + k2) + (k3 + k3) + k4)
 
 
@@ -170,7 +183,7 @@ def rk4_step(
         if not (n > 0.0 and all(map(math.isfinite, out))):
             raise DivergenceError("integration produced a non-finite state", state=np.array(out))
         return out if isinstance(x, tuple) else np.array(out)
-    out = rk4(lambda s: plant.dynamics_rate(s, tau, dp, fp, model, fidelity, tau_ext), x, dt)
+    out = rk4(lambda s, k: plant.dynamics_rate(s, tau, dp, fp, model, fidelity, tau_ext, out=k), x, dt)
     out[:2] /= np.sqrt(out[0] * out[0] + out[1] * out[1])
     if not np.isfinite(out).all():
         raise DivergenceError("integration produced a non-finite state", state=out)

@@ -134,8 +134,8 @@ def oracle_equivalence(cfg, dp_by_model, tamper: bool = False):
     xa = np.stack([theta, xc[2], xc[3], xc[4]])
     dt, steps = 1e-4, 10000
 
-    def oracle_rate(x):
-        return plant.angle_dynamics_rate(x, 0.0, dp_oracle, cfg.friction, cfg.plant_gravity)
+    def oracle_rate(x, out):
+        return plant.angle_dynamics_rate(x, 0.0, dp_oracle, cfg.friction, cfg.plant_gravity, out=out)
 
     worst = 0.0
     for k in range(steps):

@@ -251,8 +251,12 @@ ONE_PATH_CASES = [
     (["scenario.dt=1e-300"], "scenario.dt"),
     (["scenario.dt=0.3", "scenario.t_end=0.95"], "scenario.dt, scenario.t_end"),
     (["control.zeta=2", "physics.l=0.2"], "control.zeta"),
-    # either key alone makes omega_n = 0 (l = 1e200 overflows the inertias, so omega_0 = 0)
-    (["control.omega_n_factor=0", "physics.l=1e200"], "control.omega_n_factor, physics.l"),
+    # l = 1e200 overflows the inertias, which derive reports before the design sees omega_n
+    (["control.omega_n_factor=0", "physics.l=1e200"], "physics.l"),
+    (["physics.g=1e308", "physics.l=10"], "physics.g, physics.l"),
+    (["physics.I_wG=1e-320"], "physics.I_wG"),
+    # either key alone makes omega_n = 0 (g = 5e-324 rounds m_c g d to 0, so omega_0 = 0)
+    (["control.omega_n_factor=0", "physics.g=5e-324"], "control.omega_n_factor, physics.g"),
 ]
 
 
@@ -267,6 +271,24 @@ def test_every_command_rejects_a_config_alike_naming_its_keys(sets, keys, tmp_pa
     assert errors[0].startswith(f"error: {keys}: ")
     assert errors == errors[:1] * len(commands)
     assert not csv.exists()
+
+
+# Finite parameters whose derived values overflow: the error names the value
+# and the keys it depends on, not a design rule that the value then breaks.
+OVERFLOW_CASES = [
+    (["physics.l=1e200"], "physics.l: derived I_sO overflows"),
+    (["physics.I_sG=1e308"], "physics.I_sG: derived gamma overflows"),
+    (["physics.g=1e308"], "physics.g: derived omega_0 overflows"),
+    # mgd = m_c g d does not depend on I_sG
+    (["physics.I_sG=1e308", "physics.m_s=1e308"], "physics.m_s: derived mgd overflows"),
+    (["physics.I_wG=1e-320"], "physics.I_wG: derived omega_1 overflows"),
+]
+
+
+@pytest.mark.parametrize("sets, error", OVERFLOW_CASES, ids=[" ".join(sets) for sets, _ in OVERFLOW_CASES])
+def test_params_names_the_derived_value_that_overflows(sets, error, capsys):
+    assert run_cli("params", *(arg for item in sets for arg in ("--set", item))) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {error}\n"
 
 
 def test_simulate_nan_initial_angle_names_key(tmp_path, capsys):

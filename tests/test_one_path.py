@@ -129,6 +129,38 @@ def test_rk4_step_never_mutates_its_input(x, tau, single):
     assert x.tobytes() == before.tobytes()
 
 
+def out_of_place_rk4(rate, x, dt):
+    """The RK4 formula on whole arrays, each stage a new one: the reference for
+    sim.rk4's in-place array step."""
+    k1 = rate(x)
+    k2 = rate(x + 0.5 * dt * k1)
+    k3 = rate(x + 0.5 * dt * k2)
+    k4 = rate(x + dt * k3)
+    return x + dt / 6.0 * (k1 + (k2 + k2) + (k3 + k3) + k4)
+
+
+@one_path
+@given(plant_states(), st.data(), friction, models, fidelities, st.sampled_from([1e-4, 1e-3, 1e-2]))
+def test_in_place_step_equals_an_out_of_place_rk4(x, data, fp, model, fidelity, dt):
+    tau = per_column_tau(data.draw, x.shape[1])
+    args = (tau, DP[model], fp, model, fidelity, data.draw(st.floats(-1.0, 1.0)))
+    expected = out_of_place_rk4(lambda y: plant.dynamics_rate(y, *args), x, dt)
+    expected[:2] = expected[:2] / np.sqrt(expected[0] * expected[0] + expected[1] * expected[1])
+    out = sim.rk4_step(x, tau, dt, *args[1:])
+    assert out.tobytes() == expected.tobytes()
+    assert not np.shares_memory(out, x)
+
+    xa = np.vstack([np.arctan2(x[1], x[0]), x[2:]])
+    angle = sim.rk4(lambda y, buf: plant.angle_dynamics_rate(y, *args, out=buf), xa, dt)
+    assert angle.tobytes() == out_of_place_rk4(lambda y: plant.angle_dynamics_rate(y, *args), xa, dt).tobytes()
+    assert not np.shares_memory(angle, xa)
+
+    for rate, y in ((plant.dynamics_rate, x), (plant.angle_dynamics_rate, xa)):
+        buf = np.full_like(y, np.nan)
+        assert rate(y, *args, out=buf) is buf
+        assert buf.tobytes() == rate(y, *args).tobytes()
+
+
 # Explicit cases where the float path of one trajectory could part from the
 # array path: the sign of a zero wheel rate (np.sign(-0.0) is +0.0),
 # friction-free negative rates (the friction torque is -1 * 0.0 = -0.0), and

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +34,23 @@ def test_rk4_step_fixed_point(dp):
     x = state(rotor.UPRIGHT)
     stepped = sim.rk4_step(x, 0.0, 1e-3, dp, FrictionParams())
     assert_allclose(stepped, x, atol=1e-15)
+
+
+def test_stacked_step_allocates_at_most_four_and_a_half_states(dp):
+    # sim.rk4's three work arrays and the rate's rows read 4.0 states; a new array per stage and term reads 6.0
+    rng = np.random.default_rng(3)
+    theta = rng.uniform(-math.pi, math.pi, 10_000)
+    x = np.vstack([np.cos(theta), np.sin(theta), rng.uniform(-300.0, 300.0, (3, theta.size))])
+    sim.rk4_step(x, 0.1, 1e-3, dp, FrictionParams())
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = sim.rk4_step(x, 0.1, 1e-3, dp, FrictionParams())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == x.shape
+    assert peak - base <= 4.5 * x.nbytes
 
 
 def test_small_oscillation_period_near_hanging_pose(dp):
