@@ -121,6 +121,12 @@ def derive(
     I_wO = params.I_wG + params.m_w * d * d
     I_cO = I_sO + I_wO
     I_cO_bar = I_cO - params.I_wG
+    gamma = I_cO_bar / params.I_wG
+    if gamma <= 10.0:  # before omega_0 divides by I_cO_bar, which can round to 0
+        raise ValidationError(
+            f"inertia ratio gamma = {gamma:.3g} is too small (need > 10) for the "
+            f"reduced wheel dynamics to be valid"
+        )
     mgd = m_c * params.g * d
     if model is GravityModel.PAPER_LITERAL:
         omega_0 = math.sqrt(mgd * (math.sqrt(2.0) / 2.0) / I_cO_bar)
@@ -137,17 +143,12 @@ def derive(
         mgd=mgd,
         omega_0=omega_0,
         omega_1=friction.b_w / params.I_wG,
-        gamma=I_cO_bar / params.I_wG,
+        gamma=gamma,
         delta=mgd / params.I_wG,
     )
     for f in fields(dp):  # finite parameters can still overflow a product or ratio
         if not math.isfinite(getattr(dp, f.name)):
             raise ValidationError(f"derived {f.name} overflows")
-    if dp.gamma <= 10.0:
-        raise ValidationError(
-            f"inertia ratio gamma = {dp.gamma:.3g} is too small (need > 10) for the "
-            f"reduced wheel dynamics to be valid"
-        )
     return dp
 
 

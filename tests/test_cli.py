@@ -255,6 +255,9 @@ ONE_PATH_CASES = [
     (["control.omega_n_factor=0", "physics.l=1e200"], "physics.l"),
     (["physics.g=1e308", "physics.l=10"], "physics.g, physics.l"),
     (["physics.I_wG=1e-320"], "physics.I_wG"),
+    # I_cO_bar = I_cO - I_wG rounds to 0, so gamma = 0 is rejected before omega_0 divides by it
+    (["physics.I_wG=1e15"], "physics.I_wG"),
+    (["physics.l=1e-200", "physics.I_sG=1e-320"], "physics.l, physics.I_sG"),
     # either key alone makes omega_n = 0 (g = 5e-324 rounds m_c g d to 0, so omega_0 = 0)
     (["control.omega_n_factor=0", "physics.g=5e-324"], "control.omega_n_factor, physics.g"),
 ]
