@@ -6,15 +6,14 @@ exact polynomial identity, verified here by recomputing the closed-loop
 characteristic polynomial from the matrix, and again from its eigenvalues.
 """
 
-import math
-
 import numpy as np
 
-from cubli import analysis, control, plant
+from cubli import analysis, cli, control, plant, verify
 from cubli.control import DesignSpec
 
-dp = plant.derive(plant.CubliParams(), plant.FrictionParams())
-spec = DesignSpec(zeta=math.sqrt(2) / 2, omega_n=1.5 * dp.omega_0, alpha=0.1)
+cfg = cli.Config()  # the reference experiment's tuning
+dp = plant.derive(cfg.params, cfg.friction, cfg.controller_gravity)
+spec = verify.design_spec(cfg)
 print(f"targets: zeta = {spec.zeta:.4f}, omega_n = {spec.omega_n:.4f} rad/s, alpha = {spec.alpha}")
 
 gains = control.full_gains(spec, dp)

@@ -8,28 +8,19 @@ quietly slides to the true equilibrium, parking the wheel.  The sensed
 attitude then reads 50 deg even though the reference was 45 deg.
 """
 
-import math
+import dataclasses
 
 import numpy as np
 
-from cubli import plant, rotor, sim
-from cubli.control import ControllerConfig, DesignSpec, Mode
+from cubli import cli, sim
+from cubli.control import Mode
 
-dp = plant.derive(plant.CubliParams(), plant.FrictionParams())
-design = DesignSpec(zeta=math.sqrt(2) / 2, omega_n=1.5 * dp.omega_0, alpha=0.1)
-bias = math.radians(5.0)
+# the reference experiment, started at rest at the 45 deg reference, without its pokes
+biased = dataclasses.replace(cli.Config(), initial_angle_deg=45.0, sensor_bias_deg=5.0, disturbances=())
 
 
 def biased_run(mode, t_end):
-    scenario = sim.Scenario(
-        design=design,
-        controller=ControllerConfig(mode=mode, tau_max=0.5),
-        initial=plant.state(rotor.UPRIGHT),
-        sensor_bias=bias,
-        dt=1e-3,
-        t_end=t_end,
-    )
-    return sim.run(scenario)
+    return sim.run(cli.build_scenario(dataclasses.replace(biased, mode=mode, t_end=t_end)))
 
 
 print("full regulator (attitude + wheel feedback), 25 s:")

@@ -357,8 +357,7 @@ def read_steady_state_csv(path: str) -> list:
 
 def cmd_fit_friction(cfg: Config, input_path: str | None, synthetic: bool) -> int:
     if synthetic:
-        omegas = np.linspace(60.0, 600.0, 20)
-        levels = [float(plant.friction_torque(w, cfg.friction)) for w in omegas]
+        levels = [p.tau for p in sim.exact_steady_points(cfg.friction, np.linspace(60.0, 600.0, 20))]
         points = sim.steady_state_sweep(levels, cfg.params, cfg.friction)
         source = f"synthetic sweep ({len(points)} levels)"
     elif input_path:
@@ -397,15 +396,18 @@ def main(argv=None) -> int:
     p = sub.add_parser("params", help="print derived physical parameters")
     _add_common(p)
     p.add_argument("--json", action="store_true", help="emit JSON instead of aligned text")
+    p.set_defaults(run=lambda cfg, args: cmd_params(cfg, json_out=args.json))
 
     p = sub.add_parser("simulate", help="run a closed-loop scenario and write a CSV log")
     _add_common(p)
     p.add_argument("--out", help="output CSV path (overrides output.path)")
     p.add_argument("--mode", help="controller mode override (same as --set control.mode=...)")
     p.add_argument("--sensor-bias-deg", help="sensor bias override [deg] (same as --set scenario.sensor_bias_deg=...)")
+    p.set_defaults(run=lambda cfg, args: cmd_simulate(cfg, out_path=args.out))
 
     p = sub.add_parser("gains", help="print synthesized gains and verified poles")
     _add_common(p)
+    p.set_defaults(run=lambda cfg, args: cmd_gains(cfg))
 
     p = sub.add_parser("verify", help="run the verification suite")
     _add_common(p)
@@ -414,29 +416,20 @@ def main(argv=None) -> int:
         action="store_true",
         help="tamper the oracle gravity constant; the suite must then FAIL",
     )
+    p.set_defaults(run=lambda cfg, args: cmd_verify(cfg, negative_control=args.negative_control))
 
     p = sub.add_parser("fit-friction", help="identify friction parameters from steady-state data")
     _add_common(p)
     p.add_argument("--input", help="CSV of tau,omega_ss rows")
     p.add_argument("--synthetic", action="store_true", help="generate the sweep by simulation first")
+    p.set_defaults(run=lambda cfg, args: cmd_fit_friction(cfg, input_path=args.input, synthetic=args.synthetic))
 
     args = parser.parse_args(argv)
     if args.command == "simulate":  # the flags are --set keys, applied after every other --set
         flags = (("control.mode", args.mode), ("scenario.sensor_bias_deg", args.sensor_bias_deg))
         args.set = [*(args.set or ()), *(f"{key}={value}" for key, value in flags if value is not None)]
     try:
-        cfg = load_config(args)
-        if args.command == "params":
-            return cmd_params(cfg, json_out=args.json)
-        if args.command == "simulate":
-            return cmd_simulate(cfg, out_path=args.out)
-        if args.command == "gains":
-            return cmd_gains(cfg)
-        if args.command == "verify":
-            return cmd_verify(cfg, negative_control=args.negative_control)
-        if args.command == "fit-friction":
-            return cmd_fit_friction(cfg, input_path=args.input, synthetic=args.synthetic)
-        raise ValidationError(f"unknown command {args.command!r}")
+        return args.run(load_config(args), args)
     except SimulationError as err:
         print(f"simulation error: {err}", file=sys.stderr)
         return EXIT_SIMULATION

@@ -111,9 +111,10 @@ def derive(
 ) -> DerivedParams:
     """Compute the derived inertias, frequencies, and ratios.
 
-    Every derived value must be finite, and the inertia ratio gamma must
-    exceed 10: the reduced wheel equation of Fidelity.PAPER_APPROX is only
-    meaningful when the wheel's own inertia is a small part of the total.
+    Every derived value must be finite and, but for omega_1 (0 when b_w = 0),
+    positive, and the inertia ratio gamma must exceed 10: the reduced wheel
+    equation of Fidelity.PAPER_APPROX is only meaningful when the wheel's own
+    inertia is a small part of the total.
     """
     d = params.l * math.sqrt(2.0) / 2.0
     m_c = params.m_s + params.m_w
@@ -146,9 +147,12 @@ def derive(
         gamma=gamma,
         delta=mgd / params.I_wG,
     )
-    for f in fields(dp):  # finite parameters can still overflow a product or ratio
-        if not math.isfinite(getattr(dp, f.name)):
+    for f in fields(dp):  # positive finite parameters can still overflow, or underflow to 0
+        value = getattr(dp, f.name)
+        if not math.isfinite(value):
             raise ValidationError(f"derived {f.name} overflows")
+        if value == 0.0 and f.name != "omega_1":
+            raise ValidationError(f"derived {f.name} underflows to 0")
     return dp
 
 

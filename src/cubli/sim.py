@@ -44,16 +44,18 @@ class Disturbance:
 
 @dataclass
 class Scenario:
-    """Everything one closed-loop experiment needs.
+    """Everything one closed-loop experiment needs.  The reference experiment
+    is cli.build_scenario(cli.Config()); dataclasses.replace varies it and
+    runs these checks again.
 
     The plant and the controller each get their own gravity model
     (controller.gravity_model) so model-mismatch studies need no code
     changes; the controller uses the plant's friction values.
     """
 
+    design: DesignSpec
     params: CubliParams = field(default_factory=CubliParams)
     friction: FrictionParams = field(default_factory=FrictionParams)
-    design: DesignSpec = field(default_factory=lambda: DesignSpec(zeta=math.sqrt(2) / 2, omega_n=12.0, alpha=0.1))
     controller: ControllerConfig = field(default_factory=ControllerConfig)
     initial: np.ndarray = field(default_factory=lambda: plant.state(rotor.UPRIGHT))
     plant_gravity: GravityModel = GravityModel.CONSISTENT

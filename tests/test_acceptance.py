@@ -5,6 +5,7 @@ one test per check.  Run with `pytest tests/test_acceptance.py -v -s` to see
 the per-criterion lines and metrics.
 """
 
+import dataclasses
 import math
 import time
 
@@ -12,10 +13,8 @@ import numpy as np
 import pytest
 
 from cubli import cli, control, plant, rotor, sim, verify
-from cubli.control import ControllerConfig, DesignSpec, Gains, Mode
-from cubli.plant import CubliParams, Fidelity, FrictionParams, GravityModel, state
-
-SQ2 = math.sqrt(2.0) / 2.0
+from cubli.control import Gains, Mode
+from cubli.plant import CubliParams, FrictionParams, GravityModel, state
 
 PARAMS = CubliParams()
 FRICTION = FrictionParams()
@@ -29,19 +28,8 @@ def report(number, name, metric, started):
 
 
 def reference_scenario(**overrides):
-    base = dict(
-        params=PARAMS,
-        friction=FRICTION,
-        design=DesignSpec(zeta=SQ2, omega_n=1.5 * DP_CON.omega_0, alpha=0.1),
-        controller=ControllerConfig(mode=Mode.ATTITUDE_AND_WHEEL, tau_max=0.5),
-        initial=state(rotor.from_angle(math.radians(40.0))),
-        plant_gravity=GravityModel.CONSISTENT,
-        fidelity=Fidelity.EXACT,
-        dt=1e-3,
-        t_end=20.0,
-    )
-    base.update(overrides)
-    return sim.Scenario(**base)
+    """The reference experiment, varied by Config fields."""
+    return cli.build_scenario(dataclasses.replace(CONFIG, **overrides))
 
 
 def test_01_parameter_derivation():
@@ -84,26 +72,24 @@ def test_verify_check(name, check):
 def test_08_reference_experiment_reproduction():
     started = time.perf_counter()
     # clean run: settling behaviour
-    ts = sim.run(reference_scenario())
-    att_settle = sim.settling_time(ts.t, ts.theta_c_deg - 45.0, 0.5)
+    ref = CONFIG.reference_angle_deg
+    ts = sim.run(reference_scenario(disturbances=()))
+    att_settle = sim.settling_time(ts.t, ts.theta_c_deg - ref, 0.5)
     assert att_settle < 1.0
     peak_wheel = float(np.max(np.abs(ts.omega_w)))
     wheel_settle = sim.settling_time(ts.t, ts.omega_w, 0.02 * peak_wheel)
     ratio = wheel_settle / att_settle
     assert 7.0 <= ratio <= 13.0
-    assert float(np.max(np.abs(ts.tau_applied))) < 0.5  # never saturates
+    assert float(np.max(np.abs(ts.tau_applied))) < CONFIG.tau_max  # never saturates
 
-    # disturbance run: two pulses, each rejected within 2 s of pulse end
-    pulses = (
-        sim.Disturbance(start=9.0, duration=0.1, torque=0.05),
-        sim.Disturbance(start=16.0, duration=0.1, torque=0.05),
-    )
-    ts = sim.run(reference_scenario(disturbances=pulses))
+    # the reference run: each pulse rejected within 2 s of its end
+    ts = sim.run(reference_scenario())
+    pulses = CONFIG.disturbances
     recoveries = []
-    windows = ((9.1, 16.0), (16.1, 20.0))
-    for (w_start, w_end) in windows:
+    for pulse, w_end in zip(pulses, [p.start for p in pulses[1:]] + [CONFIG.t_end]):
+        w_start = pulse.start + pulse.duration
         mask = (ts.t >= w_start) & (ts.t <= w_end)
-        seg_t, seg_y = ts.t[mask], ts.theta_c_deg[mask] - 45.0
+        seg_t, seg_y = ts.t[mask], ts.theta_c_deg[mask] - ref
         assert np.max(np.abs(seg_y)) > 0.2  # the pulse visibly perturbs
         resettle = sim.settling_time(seg_t, seg_y, 0.5) - w_start
         assert resettle < 2.0
@@ -119,12 +105,11 @@ def test_08_reference_experiment_reproduction():
 
 def test_09_sensor_bias_equilibrium_shift():
     started = time.perf_counter()
-    bias = math.radians(5.0)
+    # at rest at the reference, without the pulses, and a 5 deg sensor bias
+    biased = dict(initial_angle_deg=45.0, sensor_bias_deg=5.0, disturbances=())
     # full regulator: wheel feedback finds the true balance pose, so the
     # sensor-frame attitude converges to reference + bias = 50 deg
-    ts = sim.run(
-        reference_scenario(initial=state(rotor.UPRIGHT), sensor_bias=bias, t_end=25.0)
-    )
+    ts = sim.run(reference_scenario(**biased, t_end=25.0))
     sensor_final = ts.theta_c_deg[-1] + 5.0
     assert sensor_final == pytest.approx(50.0, abs=0.5)
     assert ts.theta_c_deg[-1] == pytest.approx(45.0, abs=0.5)
@@ -134,14 +119,7 @@ def test_09_sensor_bias_equilibrium_shift():
     # misaligned pose, so its speed never converges.  (Past ~6 s the friction
     # at the runaway wheel speed exceeds the actuator limit and the cube
     # falls, which is the failure the wheel feedback exists to prevent.)
-    ts_att = sim.run(
-        reference_scenario(
-            initial=state(rotor.UPRIGHT),
-            sensor_bias=bias,
-            t_end=5.5,
-            controller=ControllerConfig(mode=Mode.ATTITUDE_ONLY, tau_max=0.5),
-        )
-    )
+    ts_att = sim.run(reference_scenario(**biased, t_end=5.5, mode=Mode.ATTITUDE_ONLY))
     speeds = np.abs(ts_att.omega_w)
     checkpoints = [speeds[np.searchsorted(ts_att.t, t_c)] for t_c in (2.0, 4.0, 5.5 - 1e-9)]
     assert checkpoints[0] < checkpoints[1] < checkpoints[2]  # monotone growth
@@ -191,9 +169,9 @@ def test_10_friction_identification():
 
 def test_11_small_angle_equivalence():
     started = time.perf_counter()
-    omega_n = 1.5 * DP_CON.omega_0
-    gains = Gains(omega_n**2, 2.0 * SQ2 * omega_n)  # the attitude-only law
-    q_r = rotor.UPRIGHT
+    spec = verify.design_spec(CONFIG)
+    gains = Gains(spec.omega_n**2, 2.0 * spec.zeta * spec.omega_n)  # the attitude-only law
+    q_r = reference_scenario().controller.q_r
     rng = np.random.default_rng(17)
     worst = 0.0
     peak = 0.0
@@ -201,7 +179,7 @@ def test_11_small_angle_equivalence():
     for _ in range(2000):
         theta_e = math.radians(rng.uniform(-2.0, 2.0))
         omega_c = rng.uniform(-0.1, 0.1)
-        x = state(rotor.from_angle(math.pi / 4 - theta_e), omega_c=omega_c)
+        x = state(rotor.from_angle(math.radians(CONFIG.reference_angle_deg) - theta_e), omega_c=omega_c)
         u_nl = control.regulator_attitude(x, q_r, gains)
         u_sa = control.regulator_small_angle(x, q_r, gains)
         worst = max(worst, abs(u_nl - u_sa))

@@ -6,12 +6,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cubli import analysis, control, plant, rotor, verify
+from cubli import analysis, cli, control, plant, rotor, verify
 from cubli.control import DesignSpec
 from cubli.errors import DivergenceError, ValidationError
 from cubli.plant import CubliParams, Fidelity, FrictionParams, GravityModel
-
-SQ2 = math.sqrt(2.0) / 2.0
 
 
 def passes(error):
@@ -123,7 +121,7 @@ def test_gain_synthesis_identity_random_specs(dp):
 
 def test_closed_loop_eigenvalues_reference_case(dp):
     dp_lit = plant.derive(CubliParams(), FrictionParams(), GravityModel.PAPER_LITERAL)
-    spec = DesignSpec(zeta=SQ2, omega_n=1.5 * dp_lit.omega_0, alpha=0.1)
+    spec = verify.design_spec(dataclasses.replace(cli.Config(), controller_gravity=GravityModel.PAPER_LITERAL))
     eigs = np.linalg.eigvals(analysis.closed_loop_matrix(control.full_gains(spec, dp_lit), dp_lit))
     assert passes(analysis.coefficient_error(np.poly(eigs), analysis.design_poly(spec)))
     expected = analysis.designed_poles(spec)
@@ -136,9 +134,9 @@ def test_closed_loop_matrix_matches_end_to_end_finite_differences(dp):
     # drive regulator + feedback linearization + reduced plant through the
     # (sigma_e, theta_w, omega_c, omega_w) coordinates and differentiate
     fp = FrictionParams()
-    spec = DesignSpec(zeta=SQ2, omega_n=1.5 * dp.omega_0, alpha=0.1)
-    gains = control.full_gains(spec, dp)
-    q_r = rotor.UPRIGHT
+    reference = cli.build_scenario(cli.Config())
+    gains = control.full_gains(reference.design, dp)
+    q_r = reference.controller.q_r
     theta_r = rotor.to_angle(q_r)
 
     def closed_loop_rate(z):
@@ -193,7 +191,7 @@ def close_double_poles_spec(dp):
 
 
 def reference_spec(dp):
-    return DesignSpec(zeta=SQ2, omega_n=1.5 * dp.omega_0, alpha=0.1)
+    return verify.design_spec(cli.Config())
 
 
 def placed(spec, dp, gains=None):

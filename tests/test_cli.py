@@ -258,8 +258,10 @@ ONE_PATH_CASES = [
     # I_cO_bar = I_cO - I_wG rounds to 0, so gamma = 0 is rejected before omega_0 divides by it
     (["physics.I_wG=1e15"], "physics.I_wG"),
     (["physics.l=1e-200", "physics.I_sG=1e-320"], "physics.l, physics.I_sG"),
-    # either key alone makes omega_n = 0 (g = 5e-324 rounds m_c g d to 0, so omega_0 = 0)
-    (["control.omega_n_factor=0", "physics.g=5e-324"], "control.omega_n_factor, physics.g"),
+    # g = 5e-324 rounds m_c g d to 0, which derive reports before the design sees omega_n
+    (["control.omega_n_factor=0", "physics.g=5e-324"], "physics.g"),
+    # either key alone overflows omega_1 = b_w / I_wG
+    (["friction.b_w=1e308", "physics.I_wG=1e-320"], "friction.b_w, physics.I_wG"),
 ]
 
 
@@ -276,8 +278,8 @@ def test_every_command_rejects_a_config_alike_naming_its_keys(sets, keys, tmp_pa
     assert not csv.exists()
 
 
-# Finite parameters whose derived values overflow: the error names the value
-# and the keys it depends on, not a design rule that the value then breaks.
+# Finite parameters whose derived values overflow, or underflow to 0: the error names
+# the value and the keys it depends on, not a design rule that the value then breaks.
 OVERFLOW_CASES = [
     (["physics.l=1e200"], "physics.l: derived I_sO overflows"),
     (["physics.I_sG=1e308"], "physics.I_sG: derived gamma overflows"),
@@ -285,6 +287,7 @@ OVERFLOW_CASES = [
     # mgd = m_c g d does not depend on I_sG
     (["physics.I_sG=1e308", "physics.m_s=1e308"], "physics.m_s: derived mgd overflows"),
     (["physics.I_wG=1e-320"], "physics.I_wG: derived omega_1 overflows"),
+    (["physics.g=5e-324"], "physics.g: derived mgd underflows to 0"),
 ]
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from cubli import analysis, control, plant, rotor, verify
+from cubli import analysis, cli, control, plant, rotor, verify
 from cubli.control import ControllerConfig, DesignSpec, Gains, Mode
 from cubli.errors import SingularityError, ValidationError
 from cubli.plant import CubliParams, Fidelity, FrictionParams, GravityModel, state
@@ -30,9 +31,9 @@ def dp_literal():
 
 
 @pytest.fixture(scope="module")
-def paper_spec(dp_literal):
-    # the reference experiment's tuning: omega_n a 1.5 multiple of omega_0
-    return DesignSpec(zeta=SQ2, omega_n=1.5 * dp_literal.omega_0, alpha=0.1)
+def paper_spec():
+    # the reference experiment's tuning, with omega_0 of the paper-literal gravity model
+    return verify.design_spec(dataclasses.replace(cli.Config(), controller_gravity=GravityModel.PAPER_LITERAL))
 
 
 def test_design_spec_validation():

@@ -7,6 +7,7 @@ array, chosen by the state's shape.  Column j of a stacked call must then
 equal, bit for bit, the call on column j alone.
 """
 
+import dataclasses
 import math
 import re
 
@@ -16,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cubli import control, plant, rotor, sim
-from cubli.control import ControllerConfig, Mode
+from cubli import cli, control, plant, rotor, sim
+from cubli.control import Mode
 from cubli.errors import DivergenceError, SimulationError, SingularityError
 from cubli.plant import CubliParams, Fidelity, FrictionParams, GravityModel, state
 
@@ -25,6 +26,7 @@ from cubli.plant import CubliParams, Fidelity, FrictionParams, GravityModel, sta
 one_path = settings(deadline=None, max_examples=150)
 
 DP = {model: plant.derive(CubliParams(), FrictionParams(), model) for model in GravityModel}
+REFERENCE = cli.build_scenario(cli.Config())
 
 finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 friction = st.sampled_from([FrictionParams(), plant.FRICTION_FREE, FrictionParams(1e-2, 1e-4, 1e-7)])
@@ -299,16 +301,20 @@ def assert_run_matches_array_loop(sc):
 
 @st.composite
 def scenarios(draw):
-    """Short closed-loop runs over every mode, gravity model (plant and
-    controller apart), fidelity and friction, with sensor bias, a small
-    actuator limit and a pulse that may fall off the grid."""
+    """Short closed-loop runs from the reference experiment over every mode,
+    gravity model (plant and controller apart), fidelity and friction, with
+    sensor bias, a small actuator limit and a pulse that may fall off the grid."""
     dt = draw(st.sampled_from([1e-3, 1e-2]))
     t_end = draw(st.integers(1, 300)) * dt
     pulse = st.builds(sim.Disturbance, st.floats(0.0, t_end), st.floats(1e-4, 0.2), st.floats(-1.0, 1.0))
-    controller = ControllerConfig(
-        mode=draw(st.sampled_from(list(Mode))), tau_max=draw(st.floats(0.01, 0.5)), gravity_model=draw(models)
+    controller = dataclasses.replace(
+        REFERENCE.controller,
+        mode=draw(st.sampled_from(list(Mode))),
+        tau_max=draw(st.floats(0.01, 0.5)),
+        gravity_model=draw(models),
     )
-    return sim.Scenario(
+    return dataclasses.replace(
+        REFERENCE,
         friction=draw(st.sampled_from([FrictionParams(), plant.FRICTION_FREE])),
         controller=controller,
         initial=state(rotor.from_angle(draw(st.floats(-math.pi, math.pi)))),
@@ -329,12 +335,14 @@ def test_run_on_floats_equals_the_array_loop_bit_for_bit(sc):
 
 def test_run_fails_like_the_array_loop():
     # a singularity four steps in, and a divergence at dt = 0.9 s
-    singular = sim.Scenario(initial=state(rotor.from_angle(math.radians(45.0 - 89.9)), omega_c=-0.2), t_end=1.0)
+    singular = dataclasses.replace(
+        REFERENCE, initial=state(rotor.from_angle(math.radians(45.0 - 89.9)), omega_c=-0.2), t_end=1.0
+    )
     with pytest.raises(SingularityError) as info:
         array_loop(singular)
     assert info.value.step == 4
     assert_run_matches_array_loop(singular)
-    diverging = sim.Scenario(initial=state(rotor.from_angle(math.radians(40.0))), dt=0.9, t_end=900.0)
+    diverging = dataclasses.replace(REFERENCE, dt=0.9, t_end=900.0)
     with pytest.raises(DivergenceError):
         array_loop(diverging)
     assert_run_matches_array_loop(diverging)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
-from cubli import analysis, plant, rotor, sim
+from cubli import analysis, cli, plant, rotor, sim
 from cubli.control import ControllerConfig, DesignSpec
 from cubli.errors import ValidationError
 from cubli.plant import CubliParams, Fidelity, FrictionParams, GravityModel, state
@@ -25,6 +26,8 @@ DELTA = MGD / 1.25e-4                                # 7075.451873908832
 OMEGA_0_LITERAL = math.sqrt(MGD * math.sqrt(2.0) / 2.0 / I_CO_BAR)   # 6.854011
 OMEGA_0_CONSISTENT = math.sqrt(MGD / I_CO_BAR)                       # 8.150838
 OMEGA_1 = 1.06e-5 / 1.25e-4                          # 0.0848
+
+REFERENCE = cli.build_scenario(cli.Config())
 
 SQ2 = math.sqrt(2.0) / 2.0
 
@@ -72,10 +75,10 @@ def test_params_validation():
         lambda: DesignSpec(zeta=0.7, omega_n=math.inf),
         lambda: sim.Disturbance(start=math.nan, duration=0.1, torque=0.05),
         lambda: sim.Disturbance(start=1.0, duration=0.1, torque=math.inf),
-        lambda: sim.Scenario(t_end=math.inf),
-        lambda: sim.Scenario(dt=math.nan),
-        lambda: sim.Scenario(sensor_bias=math.nan),
-        lambda: sim.Scenario(initial=state(rotor.from_angle(math.nan))),
+        lambda: dataclasses.replace(REFERENCE, t_end=math.inf),
+        lambda: dataclasses.replace(REFERENCE, dt=math.nan),
+        lambda: dataclasses.replace(REFERENCE, sensor_bias=math.nan),
+        lambda: dataclasses.replace(REFERENCE, initial=state(rotor.from_angle(math.nan))),
     ],
     ids=[
         "friction-tau_c-nan", "friction-b_w-inf", "params-g-inf", "design-alpha-nan",
@@ -92,8 +95,8 @@ def test_non_finite_input_rejected(build):
 def test_scenario_rejects_off_grid_end_time():
     # 0.0105 s is not a whole number of 0.01 s steps; it must not round to 0.01 s
     with pytest.raises(ValidationError, match="t_end"):
-        sim.Scenario(t_end=0.0105, dt=0.01)
-    assert len(sim.run(sim.Scenario(t_end=0.03, dt=0.01)).t) == 4
+        dataclasses.replace(REFERENCE, t_end=0.0105, dt=0.01)
+    assert len(sim.run(dataclasses.replace(REFERENCE, t_end=0.03, dt=0.01)).t) == 4
 
 
 @pytest.mark.parametrize(
@@ -103,10 +106,10 @@ def test_scenario_rejects_a_non_unit_initial_orientation(q):
     # the first step would silently renormalize it; the bound is the one
     # ControllerConfig applies to q_r (rotor.is_unit)
     with pytest.raises(ValidationError, match="^initial .* unit complex q"):
-        sim.Scenario(initial=state(q))
+        dataclasses.replace(REFERENCE, initial=state(q))
     with pytest.raises(ValidationError, match="^q_r "):
         ControllerConfig(q_r=q)
-    sim.Scenario(initial=state((0.6, 0.8 + 5e-10)))
+    dataclasses.replace(REFERENCE, initial=state((0.6, 0.8 + 5e-10)))
     ControllerConfig(q_r=(0.6, 0.8 + 5e-10))
 
 
@@ -118,7 +121,7 @@ def test_scenario_rejects_a_non_unit_initial_orientation(q):
 )
 def test_scenario_rejects_a_malformed_initial_state(initial):
     with pytest.raises(ValidationError, match="^initial must be a finite \\(5,\\) state"):
-        sim.Scenario(initial=initial)
+        dataclasses.replace(REFERENCE, initial=initial)
 
 
 def test_derive_rejects_small_inertia_ratio():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -5,12 +6,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cubli import plant, rotor, sim
-from cubli.control import ControllerConfig, DesignSpec, Mode
+from cubli import cli, plant, rotor, sim
+from cubli.control import Mode
 from cubli.errors import DivergenceError, IdentificationError, SingularityError, ValidationError
 from cubli.plant import CubliParams, FrictionParams, state
-
-SQ2 = math.sqrt(2.0) / 2.0
 
 
 @pytest.fixture(scope="module")
@@ -19,15 +18,8 @@ def dp():
 
 
 def default_scenario(**overrides):
-    base = dict(
-        design=DesignSpec(zeta=SQ2, omega_n=12.226257711082006, alpha=0.1),
-        controller=ControllerConfig(),
-        initial=state(rotor.from_angle(math.radians(40.0))),
-        dt=1e-3,
-        t_end=8.0,
-    )
-    base.update(overrides)
-    return sim.Scenario(**base)
+    """The reference experiment cut to 8 s without its pulses, varied by Config fields."""
+    return cli.build_scenario(dataclasses.replace(cli.Config(), **{"t_end": 8.0, "disturbances": (), **overrides}))
 
 
 def test_rk4_step_fixed_point(dp):
@@ -112,7 +104,11 @@ def test_rk4_step_column_alone_matches_stacked_bitwise():
 
 
 def test_run_at_equilibrium_is_quiescent():
-    ts = sim.run(default_scenario(initial=state(rotor.UPRIGHT), t_end=1.0))
+    # at rest on the exact fixed point q0 = q1.  The config's 45 deg is 1 ulp off it, and
+    # the Coulomb friction's jump at omega_w = 0 turns that into |u| = 0.11 within 1 s
+    sc = default_scenario(t_end=1.0)
+    upright = dict(initial=state(rotor.UPRIGHT), controller=dataclasses.replace(sc.controller, q_r=rotor.UPRIGHT))
+    ts = sim.run(dataclasses.replace(sc, **upright))
     assert_allclose(ts.u, np.zeros_like(ts.u), atol=1e-12)
     assert_allclose(ts.theta_c_deg, np.full_like(ts.theta_c_deg, 45.0), atol=1e-10)
     assert_allclose(ts.omega_w, np.zeros_like(ts.omega_w), atol=1e-12)
@@ -136,8 +132,8 @@ def test_run_stabilizes_from_offset():
 
 def test_run_modes_differ():
     full = sim.run(default_scenario())
-    att = sim.run(default_scenario(controller=ControllerConfig(mode=Mode.ATTITUDE_ONLY)))
-    small = sim.run(default_scenario(controller=ControllerConfig(mode=Mode.SMALL_ANGLE)))
+    att = sim.run(default_scenario(mode=Mode.ATTITUDE_ONLY))
+    small = sim.run(default_scenario(mode=Mode.SMALL_ANGLE))
     # all three stabilize the attitude from 5 deg away
     for ts in (full, att, small):
         assert abs(ts.theta_c_deg[-1] - 45.0) < 0.5
@@ -147,10 +143,7 @@ def test_run_modes_differ():
 
 def test_run_raises_singularity_with_timestamp():
     # reference exactly 90 degrees from the initial attitude
-    scenario = default_scenario(
-        controller=ControllerConfig(q_r=rotor.from_angle(math.radians(130.0))),
-        t_end=1.0,
-    )
+    scenario = default_scenario(reference_angle_deg=130.0, t_end=1.0)
     with pytest.raises(SingularityError, match="t = 0.0000 s"):
         sim.run(scenario)
 
@@ -161,7 +154,7 @@ def test_run_raises_divergence_on_unstable_step():
 
 
 def test_run_errors_carry_time_step_and_state():
-    singular = default_scenario(controller=ControllerConfig(q_r=rotor.from_angle(math.radians(130.0))), t_end=1.0)
+    singular = default_scenario(reference_angle_deg=130.0, t_end=1.0)
     with pytest.raises(SingularityError) as info:
         sim.run(singular)
     err = info.value
@@ -189,7 +182,7 @@ def test_rk4_step_divergence_carries_the_state_alone():
 def test_on_grid_pulses_weigh_exactly_one_on_the_steps_they_cover():
     # the reference experiment's pulses, against the per-step scan that
     # sim.run used before: t_k = k dt is inside [start, start + duration)
-    pulses = (sim.Disturbance(9.0, 0.1, 0.05), sim.Disturbance(16.0, 0.1, 0.05), sim.Disturbance(16.05, 0.2, -0.03))
+    pulses = (*cli.Config().disturbances, sim.Disturbance(16.05, 0.2, -0.03))
     dt, n = 1e-3, 20_000
     t = np.arange(n) * dt
     scanned = [sum(d.torque for d in pulses if d.start <= t_k < d.start + d.duration) for t_k in t]
@@ -218,9 +211,7 @@ def test_sub_step_pulse_acts_like_the_same_impulse_over_the_step():
 
 
 def test_disturbance_pulse_is_rejected():
-    scenario = default_scenario(
-        t_end=8.0, disturbances=(sim.Disturbance(start=4.0, duration=0.1, torque=0.05),)
-    )
+    scenario = default_scenario(disturbances=(sim.Disturbance(start=4.0, duration=0.1, torque=0.05),))
     ts = sim.run(scenario)
     i_end = np.searchsorted(ts.t, 4.1)
     deviation = np.abs(ts.theta_c_deg[i_end:] - 45.0)
@@ -302,11 +293,7 @@ def test_fit_friction_under_noise_smoke():
 
 def test_sensor_bias_shifts_wheel_equilibrium_not_attitude():
     # wheel feedback hunts the true balance pose; the sensor frame reads the bias
-    scenario = default_scenario(
-        initial=state(rotor.UPRIGHT),
-        sensor_bias=math.radians(5.0),
-        t_end=25.0,
-    )
+    scenario = default_scenario(initial_angle_deg=45.0, sensor_bias_deg=5.0, t_end=25.0)
     ts = sim.run(scenario)
     assert ts.theta_c_deg[-1] == pytest.approx(45.0, abs=0.2)
     assert abs(ts.omega_w[-1]) < 0.1
