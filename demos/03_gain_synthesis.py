@@ -8,12 +8,12 @@ characteristic polynomial from the matrix, and again from its eigenvalues.
 
 import numpy as np
 
-from cubli import analysis, cli, control, plant, verify
+from cubli import analysis, cli, control, plant
 from cubli.control import DesignSpec
 
 cfg = cli.Config()  # the reference experiment's tuning
 dp = plant.derive(cfg.params, cfg.friction, cfg.controller_gravity)
-spec = verify.design_spec(cfg)
+spec = cli.design_spec(cfg)
 print(f"targets: zeta = {spec.zeta:.4f}, omega_n = {spec.omega_n:.4f} rad/s, alpha = {spec.alpha}")
 
 gains = control.full_gains(spec, dp)

@@ -16,11 +16,10 @@ import sys
 
 import numpy as np
 
-from . import control, plant, rotor, sim, verify
-from .control import ControllerConfig, Mode
+from . import plant, rotor, sim, verify
+from .control import DesignSpec, Mode
 from .errors import CubliError, SimulationError, ValidationError
 from .plant import CubliParams, Fidelity, FrictionParams, GravityModel
-from .verify import design_spec
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -159,12 +158,10 @@ def _parse(raw: dict) -> Config:
 
 
 def _build_error(cfg: Config) -> str | None:
-    """Why cfg's experiment cannot be built, or None.  Building the scenario and
-    the mode's gains runs the rules across fields, from the inertia ratio to the grid."""
+    """Why cfg's experiment cannot be built, or None.  Building the scenario
+    runs the rules across fields, from the inertia ratio to the grid and the gains."""
     try:
-        scenario = build_scenario(cfg)
-        dp = plant.derive(cfg.params, cfg.friction, cfg.controller_gravity)
-        control.gains_for_mode(cfg.mode, scenario.design, dp)
+        build_scenario(cfg)
     except ValidationError as err:
         return str(err)
     return None
@@ -196,20 +193,25 @@ def load_config(args) -> Config:
     return build_config(raw)
 
 
+def design_spec(cfg: Config) -> DesignSpec:
+    """Resolve the design targets: omega_n is a multiple of the pendulum
+    natural frequency under the controller's gravity model."""
+    dp = plant.derive(cfg.params, cfg.friction, cfg.controller_gravity)
+    return DesignSpec(zeta=cfg.zeta, omega_n=cfg.omega_n_factor * dp.omega_0, alpha=cfg.alpha)
+
+
 def build_scenario(cfg: Config) -> sim.Scenario:
     return sim.Scenario(
         params=cfg.params,
         friction=cfg.friction,
-        design=design_spec(cfg),
-        controller=ControllerConfig(
-            mode=cfg.mode,
-            tau_max=cfg.tau_max,
-            gravity_model=cfg.controller_gravity,
-            q_r=rotor.from_angle(math.radians(cfg.reference_angle_deg)),
-        ),
-        initial=plant.state(rotor.from_angle(math.radians(cfg.initial_angle_deg))),
         plant_gravity=cfg.plant_gravity,
+        controller_gravity=cfg.controller_gravity,
         fidelity=cfg.fidelity,
+        design=design_spec(cfg),
+        mode=cfg.mode,
+        tau_max=cfg.tau_max,
+        q_r=rotor.from_angle(math.radians(cfg.reference_angle_deg)),
+        initial=plant.state(rotor.from_angle(math.radians(cfg.initial_angle_deg))),
         dt=cfg.dt,
         t_end=cfg.t_end,
         sensor_bias=math.radians(cfg.sensor_bias_deg),
@@ -268,12 +270,12 @@ def cmd_params(cfg: Config, json_out: bool = False) -> int:
     return EXIT_OK
 
 
-def cmd_gains(cfg: Config) -> int:
-    dp = plant.derive(cfg.params, cfg.friction, cfg.controller_gravity)
-    spec, gains, poles, eigs, error = verify.pole_placement(cfg, dp)
+def cmd_gains(sc: sim.Scenario) -> int:
+    dp = plant.derive(sc.params, sc.friction, sc.controller_gravity)
+    spec, gains, poles, eigs, error = verify.pole_placement(sc, dp)
     _print_kv(
         [
-            ("mode", cfg.mode.value),
+            ("mode", sc.mode.value),
             ("zeta", f"{spec.zeta:.6f}"),
             ("omega_n", f"{spec.omega_n:.6f} rad/s"),
             ("alpha", f"{spec.alpha:.6g}"),
@@ -298,8 +300,8 @@ def cmd_simulate(cfg: Config, out_path: str | None = None) -> int:
     path = out_path or cfg.output_path
     write_csv(ts, path)
 
-    # settling is measured before the first disturbance, which would restart it
-    first = min((d.start for d in cfg.disturbances), default=math.inf)
+    # settling is measured before the first disturbance that acts, which would restart it
+    first = min((d.start for d in cfg.disturbances if d.start + d.duration > 0.0), default=math.inf)
     calm = ts.t < first
     ref = cfg.reference_angle_deg
     att = wheel = converged = "n/a"
@@ -326,9 +328,9 @@ def cmd_simulate(cfg: Config, out_path: str | None = None) -> int:
     return EXIT_OK
 
 
-def cmd_verify(cfg: Config, negative_control: bool = False) -> int:
+def cmd_verify(sc: sim.Scenario, negative_control: bool = False) -> int:
     all_ok = True
-    for name, ok, metric in verify.run(cfg, negative_control):
+    for name, ok, metric in verify.run(sc, negative_control):
         all_ok = all_ok and ok
         print(f"{name}: {metric} {'PASS' if ok else 'FAIL'}")
     print("verification:", "PASS" if all_ok else "FAIL")
@@ -407,7 +409,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("gains", help="print synthesized gains and verified poles")
     _add_common(p)
-    p.set_defaults(run=lambda cfg, args: cmd_gains(cfg))
+    p.set_defaults(run=lambda cfg, args: cmd_gains(build_scenario(cfg)))
 
     p = sub.add_parser("verify", help="run the verification suite")
     _add_common(p)
@@ -416,7 +418,7 @@ def main(argv=None) -> int:
         action="store_true",
         help="tamper the oracle gravity constant; the suite must then FAIL",
     )
-    p.set_defaults(run=lambda cfg, args: cmd_verify(cfg, negative_control=args.negative_control))
+    p.set_defaults(run=lambda cfg, args: cmd_verify(build_scenario(cfg), negative_control=args.negative_control))
 
     p = sub.add_parser("fit-friction", help="identify friction parameters from steady-state data")
     _add_common(p)

@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
-import numpy as np
-
 from . import rotor
 from .errors import ValidationError
 from .plant import DerivedParams, FrictionParams, GravityModel, _gravity, friction_torque
@@ -56,27 +54,6 @@ class Gains:
     k_d: float           # attitude derivative [1/s]
     k_pw: float = 0.0    # wheel-angle feedback [1/(s^2 rad)]
     k_dw: float = 0.0    # wheel-velocity feedback [1/s]
-
-
-@dataclass(frozen=True)
-class ControllerConfig:
-    """The regulator, its reference and actuator limit, and the gravity model
-    the controller believes in (it may deliberately mismatch the plant's, to
-    study robustness).  The controller uses the plant's friction values.
-    """
-
-    mode: Mode = Mode.ATTITUDE_AND_WHEEL
-    tau_max: float = 0.5
-    gravity_model: GravityModel = GravityModel.CONSISTENT
-    q_r: np.ndarray = None
-
-    def __post_init__(self):
-        if not self.tau_max > 0.0:
-            raise ValidationError("tau_max must be positive")
-        q_r = rotor.UPRIGHT.copy() if self.q_r is None else np.asarray(self.q_r, dtype=float)
-        if q_r.shape != (2,) or not rotor.is_unit(q_r):
-            raise ValidationError(f"q_r must be a finite unit complex number of shape (2,), got {self.q_r!r}")
-        object.__setattr__(self, "q_r", q_r)
 
 
 def full_gains(spec: DesignSpec, dp: DerivedParams) -> Gains:
@@ -160,5 +137,5 @@ def feedback_linearize(
 
 def saturate(tau, tau_max: float):
     """Clamp the commanded torque to the actuator range [-tau_max, tau_max];
-    ControllerConfig has already checked that tau_max is positive."""
+    sim.Scenario has already checked that tau_max is positive."""
     return min(max(tau, -tau_max), tau_max)

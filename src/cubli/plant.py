@@ -269,16 +269,21 @@ def angle_dynamics_rate(
     return _rows((omega_c, omega_w, omega_c_dot, omega_w_dot), out)
 
 
-def energies(x, dp: DerivedParams):
+def energies(x, dp: DerivedParams, model: GravityModel = GravityModel.CONSISTENT):
     """Kinetic, potential, and total energy of the state (vectorises over (5, N)).
 
-    The wheel term uses the absolute wheel rate omega_c + omega_w; the
-    potential is measured so that it vanishes when the centre of mass is level
-    with the pivot.
+    The wheel term uses the absolute wheel rate omega_c + omega_w.  The
+    potential is the one whose negative gradient is the model's gravity
+    torque (_gravity): mgd sin(theta_c + 45 deg), which vanishes when the
+    centre of mass is level with the pivot, or mgd q1 = mgd sin(theta_c)
+    under PAPER_LITERAL.
     """
     q0, q1, _theta_w, omega_c, omega_w = x
     kinetic = 0.5 * dp.I_cO_bar * omega_c**2 + 0.5 * dp.I_wG * (omega_c + omega_w) ** 2
-    potential = dp.mgd * np.sin(rotor.to_angle((q0, q1)) + np.pi / 4.0)
+    if model is GravityModel.PAPER_LITERAL:
+        potential = dp.mgd * q1
+    else:
+        potential = dp.mgd * np.sin(rotor.to_angle((q0, q1)) + np.pi / 4.0)
     return kinetic, potential, kinetic + potential
 
 

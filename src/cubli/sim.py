@@ -1,4 +1,4 @@
-"""Fixed-step closed-loop simulation, disturbance scenarios, and the
+"""Fixed-step closed-loop simulation of one experiment, a Scenario, and the
 friction-identification experiment.
 
 The controller runs at every integration step (control rate = 1/dt) with the
@@ -16,13 +16,13 @@ the per-step controller runs on Python floats too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from itertools import repeat
 
 import numpy as np
 
 from . import control, plant, rotor
-from .control import ControllerConfig, DesignSpec
+from .control import DesignSpec, Mode
 from .errors import DivergenceError, IdentificationError, SingularityError, ValidationError
 from .plant import CubliParams, Fidelity, FrictionParams, GravityModel
 
@@ -44,28 +44,38 @@ class Disturbance:
 
 @dataclass
 class Scenario:
-    """Everything one closed-loop experiment needs.  The reference experiment
-    is cli.build_scenario(cli.Config()); dataclasses.replace varies it and
-    runs these checks again.
+    """Everything one closed-loop experiment needs; no field has a default.
+    The reference experiment is cli.build_scenario(cli.Config()).  A scenario
+    that constructs is one that runs (its plant derives, its mode's gains are
+    finite); dataclasses.replace varies it and runs these checks again.
 
     The plant and the controller each get their own gravity model
-    (controller.gravity_model) so model-mismatch studies need no code
-    changes; the controller uses the plant's friction values.
+    (controller_gravity) so model-mismatch studies need no code changes; the
+    controller uses the plant's friction values.
     """
 
+    params: CubliParams
+    friction: FrictionParams
+    plant_gravity: GravityModel
+    controller_gravity: GravityModel
+    fidelity: Fidelity
     design: DesignSpec
-    params: CubliParams = field(default_factory=CubliParams)
-    friction: FrictionParams = field(default_factory=FrictionParams)
-    controller: ControllerConfig = field(default_factory=ControllerConfig)
-    initial: np.ndarray = field(default_factory=lambda: plant.state(rotor.UPRIGHT))
-    plant_gravity: GravityModel = GravityModel.CONSISTENT
-    fidelity: Fidelity = Fidelity.EXACT
-    dt: float = 1e-3
-    t_end: float = 20.0
-    sensor_bias: float = 0.0          # attitude measurement offset [rad]
-    disturbances: tuple[Disturbance, ...] = ()
+    mode: Mode
+    tau_max: float                    # actuator limit [N m]
+    q_r: np.ndarray                   # reference orientation, a unit complex number
+    initial: np.ndarray
+    dt: float
+    t_end: float
+    sensor_bias: float                # attitude measurement offset [rad]
+    disturbances: tuple[Disturbance, ...]
 
     def __post_init__(self):
+        if not self.tau_max > 0.0:
+            raise ValidationError("tau_max must be positive")
+        q_r = np.array(self.q_r, dtype=float)
+        if q_r.shape != (2,) or not rotor.is_unit(q_r):
+            raise ValidationError(f"q_r must be a finite unit complex number of shape (2,), got {self.q_r!r}")
+        self.q_r = q_r
         if not 0.0 < self.dt < math.inf:
             raise ValidationError("dt must be positive and finite")
         if not self.dt <= self.t_end < math.inf:
@@ -84,6 +94,7 @@ class Scenario:
         if initial.shape != (5,) or not (np.isfinite(initial).all() and rotor.is_unit(initial[:2])):
             raise ValidationError(f"initial must be a finite (5,) state with a unit complex q, got {self.initial!r}")
         self.initial = initial
+        control.gains_for_mode(self.mode, self.design, plant.derive(self.params, self.friction, self.plant_gravity))
 
 
 @dataclass
@@ -206,12 +217,11 @@ def run(scenario: Scenario) -> TimeSeries:
     at which the run failed.
     """
     sc = scenario
-    cc = sc.controller
     dp = plant.derive(sc.params, sc.friction, sc.plant_gravity)
-    gains = control.gains_for_mode(cc.mode, sc.design, dp)
+    gains = control.gains_for_mode(sc.mode, sc.design, dp)
     # looked up on the module when the run starts, so a wrapper installed there is the one called
-    regulator = getattr(control, control.REGULATORS[cc.mode])
-    q_bias, q_r = tuple(rotor.from_angle(sc.sensor_bias).tolist()), tuple(cc.q_r.tolist())
+    regulator = getattr(control, control.REGULATORS[sc.mode])
+    q_bias, q_r = tuple(rotor.from_angle(sc.sensor_bias).tolist()), tuple(sc.q_r.tolist())
     n_steps = int(_steps(sc.t_end, sc.dt))
     tau_ext = disturbance_torque(sc.disturbances, sc.dt, n_steps).tolist()
 
@@ -226,8 +236,8 @@ def run(scenario: Scenario) -> TimeSeries:
             u_k = regulator(q_meas + x[2:], q_r, gains)
         except SingularityError as err:
             raise SingularityError(f"{err} at t = {t[k]:.4f} s", t=float(t[k]), step=k, state=np.array(x)) from None
-        cmd_k = control.feedback_linearize(u_k, q_meas, x[4], dp, sc.friction, cc.gravity_model)
-        applied_k = control.saturate(cmd_k, cc.tau_max)
+        cmd_k = control.feedback_linearize(u_k, q_meas, x[4], dp, sc.friction, sc.controller_gravity)
+        applied_k = control.saturate(cmd_k, sc.tau_max)
         states[k] = x
         u[k], tau_cmd[k], tau_applied[k] = u_k, cmd_k, applied_k
 
@@ -243,7 +253,7 @@ def run(scenario: Scenario) -> TimeSeries:
     angles = (math.degrees(math.atan2(q1, q0)) for q0, q1 in zip(states[0], states[1]))
     theta_c_deg = np.fromiter(angles, float, len(t))
     tau_f = plant.friction_torque(states[4], sc.friction)
-    energy = plant.energies(states, dp)[2]
+    energy = plant.energies(states, dp, sc.plant_gravity)[2]
     return TimeSeries(t, *states[:2], theta_c_deg, *states[2:], u, tau_cmd, tau_applied, tau_f, energy)
 
 

@@ -20,6 +20,7 @@ PARAMS = CubliParams()
 FRICTION = FrictionParams()
 DP_CON = plant.derive(PARAMS, FRICTION, GravityModel.CONSISTENT)
 CONFIG = cli.build_config({})
+SCENARIO = cli.build_scenario(CONFIG)
 
 
 def report(number, name, metric, started):
@@ -64,7 +65,7 @@ def test_01_parameter_derivation():
 def test_verify_check(name, check):
     # the checks `cubli verify` runs, on the default config
     started = time.perf_counter()
-    ok, metric = check(CONFIG, verify.derive_all(CONFIG))
+    ok, metric = check(SCENARIO, verify.derive_all(SCENARIO))
     assert ok, metric
     report("V", name, metric, started)
 
@@ -169,9 +170,9 @@ def test_10_friction_identification():
 
 def test_11_small_angle_equivalence():
     started = time.perf_counter()
-    spec = verify.design_spec(CONFIG)
+    spec = SCENARIO.design
     gains = Gains(spec.omega_n**2, 2.0 * spec.zeta * spec.omega_n)  # the attitude-only law
-    q_r = reference_scenario().controller.q_r
+    q_r = SCENARIO.q_r
     rng = np.random.default_rng(17)
     worst = 0.0
     peak = 0.0

@@ -121,7 +121,7 @@ def test_gain_synthesis_identity_random_specs(dp):
 
 def test_closed_loop_eigenvalues_reference_case(dp):
     dp_lit = plant.derive(CubliParams(), FrictionParams(), GravityModel.PAPER_LITERAL)
-    spec = verify.design_spec(dataclasses.replace(cli.Config(), controller_gravity=GravityModel.PAPER_LITERAL))
+    spec = cli.design_spec(dataclasses.replace(cli.Config(), controller_gravity=GravityModel.PAPER_LITERAL))
     eigs = np.linalg.eigvals(analysis.closed_loop_matrix(control.full_gains(spec, dp_lit), dp_lit))
     assert passes(analysis.coefficient_error(np.poly(eigs), analysis.design_poly(spec)))
     expected = analysis.designed_poles(spec)
@@ -136,7 +136,7 @@ def test_closed_loop_matrix_matches_end_to_end_finite_differences(dp):
     fp = FrictionParams()
     reference = cli.build_scenario(cli.Config())
     gains = control.full_gains(reference.design, dp)
-    q_r = reference.controller.q_r
+    q_r = reference.q_r
     theta_r = rotor.to_angle(q_r)
 
     def closed_loop_rate(z):
@@ -191,7 +191,7 @@ def close_double_poles_spec(dp):
 
 
 def reference_spec(dp):
-    return verify.design_spec(cli.Config())
+    return cli.design_spec(cli.Config())
 
 
 def placed(spec, dp, gains=None):

@@ -389,9 +389,18 @@ def test_simulate_summary_measures_settling_before_the_first_disturbance(tmp_pat
 
 @pytest.mark.parametrize("start", ["0", "-1"])
 def test_simulate_summary_with_a_pulse_at_the_start_reads_not_applicable(start, tmp_path, capsys):
-    summary = summary_of(f"scenario.disturbances={start}:0.1:0.05", "scenario.t_end=1", tmp_path=tmp_path, capsys=capsys)
+    # each pulse acts from t = 0, so no calm stretch precedes it
+    summary = summary_of(f"scenario.disturbances={start}:1.5:0.05", "scenario.t_end=1", tmp_path=tmp_path, capsys=capsys)
     for key in ("attitude settling", "wheel settling", "wheel velocity"):
         assert summary[key] == "n/a"
+
+
+def test_simulate_summary_ignores_a_pulse_that_ends_by_the_start(tmp_path, capsys):
+    # such a pulse never acts (the CSV is the quiet run's), so it opens no settling window
+    quiet = summary_of("scenario.disturbances=none", tmp_path=tmp_path, capsys=capsys)
+    for pulses in ("-5:1:0.05", "-1:1:0.05"):
+        summary = summary_of(f"scenario.disturbances={pulses}", tmp_path=tmp_path, capsys=capsys)
+        assert summary == quiet
 
 
 def test_verify_passes_and_negative_control_fails(capsys):

@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cubli import analysis, cli, control, plant, rotor, verify
-from cubli.control import ControllerConfig, DesignSpec, Gains, Mode
+from cubli.control import DesignSpec, Gains, Mode
 from cubli.errors import SingularityError, ValidationError
 from cubli.plant import CubliParams, Fidelity, FrictionParams, GravityModel, state
 
 SQ2 = math.sqrt(2.0) / 2.0
 
 DP_BY_MODEL = {model: plant.derive(CubliParams(), FrictionParams(), model) for model in GravityModel}
+REFERENCE = cli.build_scenario(cli.Config())
 
 # no deadline: the host's speed varies too much for per-example timing
 prop = settings(deadline=None, max_examples=300)
@@ -33,7 +34,7 @@ def dp_literal():
 @pytest.fixture(scope="module")
 def paper_spec():
     # the reference experiment's tuning, with omega_0 of the paper-literal gravity model
-    return verify.design_spec(dataclasses.replace(cli.Config(), controller_gravity=GravityModel.PAPER_LITERAL))
+    return cli.design_spec(dataclasses.replace(cli.Config(), controller_gravity=GravityModel.PAPER_LITERAL))
 
 
 def test_design_spec_validation():
@@ -60,9 +61,16 @@ def test_design_spec_validation():
     ],
 )
 def test_controller_config_rejects_bad_reference_or_guard(bad):
+    # the controller's settings in sim.Scenario
     (key,) = bad
     with pytest.raises(ValidationError, match=key):
-        ControllerConfig(**bad)
+        dataclasses.replace(REFERENCE, **bad)
+
+
+def test_scenario_rejects_a_design_whose_gains_overflow():
+    # checked when the scenario is built, not first inside sim.run
+    with pytest.raises(ValidationError, match="the gains overflow"):
+        dataclasses.replace(REFERENCE, design=DesignSpec(zeta=1.0, omega_n=1e100))
 
 
 def test_attitude_closed_loop_polynomial():

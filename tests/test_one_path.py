@@ -247,9 +247,8 @@ def test_rotor_functions_on_a_tuple_equal_them_on_an_array(v):
 def array_loop(sc):
     """sim.run's loop on numpy arrays: the logged (x, u, tau_cmd, tau_applied)
     rows as a (8, steps + 1) array."""
-    cc = sc.controller
     dp = plant.derive(sc.params, sc.friction, sc.plant_gravity)
-    gains = control.gains_for_mode(cc.mode, sc.design, dp)
+    gains = control.gains_for_mode(sc.mode, sc.design, dp)
     q_bias = rotor.from_angle(sc.sensor_bias)
     n_steps = round(sc.t_end / sc.dt)
     tau_ext = sim.disturbance_torque(sc.disturbances, sc.dt, n_steps)
@@ -261,16 +260,16 @@ def array_loop(sc):
             q_meas = rotor.product(x[:2], q_bias)
             measured = state(q_meas, *x[2:])
             try:
-                if cc.mode is Mode.ATTITUDE_ONLY:
-                    u = control.regulator_attitude(measured, cc.q_r, gains)
-                elif cc.mode is Mode.SMALL_ANGLE:
-                    u = control.regulator_small_angle(measured, cc.q_r, gains)
+                if sc.mode is Mode.ATTITUDE_ONLY:
+                    u = control.regulator_attitude(measured, sc.q_r, gains)
+                elif sc.mode is Mode.SMALL_ANGLE:
+                    u = control.regulator_small_angle(measured, sc.q_r, gains)
                 else:
-                    u = control.regulator_full(measured, cc.q_r, gains)
+                    u = control.regulator_full(measured, sc.q_r, gains)
             except SingularityError as err:
                 raise SingularityError(f"{err} at t = {t[k]:.4f} s", t=float(t[k]), step=k, state=x) from None
-            cmd = control.feedback_linearize(u, q_meas, measured[4], dp, sc.friction, cc.gravity_model)
-            applied = control.saturate(cmd, cc.tau_max)
+            cmd = control.feedback_linearize(u, q_meas, measured[4], dp, sc.friction, sc.controller_gravity)
+            applied = control.saturate(cmd, sc.tau_max)
             rows.append((*x, u, cmd, applied))
             if k < n_steps:
                 try:
@@ -307,16 +306,12 @@ def scenarios(draw):
     dt = draw(st.sampled_from([1e-3, 1e-2]))
     t_end = draw(st.integers(1, 300)) * dt
     pulse = st.builds(sim.Disturbance, st.floats(0.0, t_end), st.floats(1e-4, 0.2), st.floats(-1.0, 1.0))
-    controller = dataclasses.replace(
-        REFERENCE.controller,
-        mode=draw(st.sampled_from(list(Mode))),
-        tau_max=draw(st.floats(0.01, 0.5)),
-        gravity_model=draw(models),
-    )
     return dataclasses.replace(
         REFERENCE,
         friction=draw(st.sampled_from([FrictionParams(), plant.FRICTION_FREE])),
-        controller=controller,
+        mode=draw(st.sampled_from(list(Mode))),
+        tau_max=draw(st.floats(0.01, 0.5)),
+        controller_gravity=draw(models),
         initial=state(rotor.from_angle(draw(st.floats(-math.pi, math.pi)))),
         plant_gravity=draw(models),
         fidelity=draw(fidelities),

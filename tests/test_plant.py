@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from cubli import analysis, cli, plant, rotor, sim
-from cubli.control import ControllerConfig, DesignSpec
+from cubli.control import DesignSpec
 from cubli.errors import ValidationError
 from cubli.plant import CubliParams, Fidelity, FrictionParams, GravityModel, state
 
@@ -104,13 +104,13 @@ def test_scenario_rejects_off_grid_end_time():
 )
 def test_scenario_rejects_a_non_unit_initial_orientation(q):
     # the first step would silently renormalize it; the bound is the one
-    # ControllerConfig applies to q_r (rotor.is_unit)
+    # Scenario applies to q_r (rotor.is_unit)
     with pytest.raises(ValidationError, match="^initial .* unit complex q"):
         dataclasses.replace(REFERENCE, initial=state(q))
     with pytest.raises(ValidationError, match="^q_r "):
-        ControllerConfig(q_r=q)
+        dataclasses.replace(REFERENCE, q_r=q)
     dataclasses.replace(REFERENCE, initial=state((0.6, 0.8 + 5e-10)))
-    ControllerConfig(q_r=(0.6, 0.8 + 5e-10))
+    dataclasses.replace(REFERENCE, q_r=(0.6, 0.8 + 5e-10))
 
 
 @pytest.mark.parametrize(
@@ -248,18 +248,20 @@ def test_energies(dp):
     assert plant.energies(locked, dp)[0] == pytest.approx(0.5 * (I_CO_BAR + 1.25e-4), rel=1e-12)
 
 
-def test_power_balance_along_forced_trajectory(dp):
-    # dE/dt must equal (tau - tau_f) * omega_w on the exact dynamics
+@pytest.mark.parametrize("model", list(GravityModel))
+def test_power_balance_along_forced_trajectory(model):
+    # dE/dt must equal (tau - tau_f) * omega_w on the exact dynamics, under either gravity model
     fp = FrictionParams()
+    dp = plant.derive(CubliParams(), fp, model)
     tau = 8e-3
     dt = 1e-4
     x = state(rotor.from_angle(0.3), omega_c=0.5, omega_w=40.0)
     for step in range(2000):
         x_prev = x
-        x = sim.rk4_step(x, tau, dt, dp, fp, GravityModel.CONSISTENT, Fidelity.EXACT)
+        x = sim.rk4_step(x, tau, dt, dp, fp, model, Fidelity.EXACT)
         if step % 400 == 0:
-            x_next = sim.rk4_step(x, tau, dt, dp, fp, GravityModel.CONSISTENT, Fidelity.EXACT)
-            de_dt = (plant.energies(x_next, dp)[2] - plant.energies(x_prev, dp)[2]) / (2 * dt)
+            x_next = sim.rk4_step(x, tau, dt, dp, fp, model, Fidelity.EXACT)
+            de_dt = (plant.energies(x_next, dp, model)[2] - plant.energies(x_prev, dp, model)[2]) / (2 * dt)
             expected = (tau - plant.friction_torque(x[4], fp)) * x[4]
             assert de_dt == pytest.approx(expected, rel=1e-5, abs=1e-9)
 

@@ -107,8 +107,7 @@ def test_run_at_equilibrium_is_quiescent():
     # at rest on the exact fixed point q0 = q1.  The config's 45 deg is 1 ulp off it, and
     # the Coulomb friction's jump at omega_w = 0 turns that into |u| = 0.11 within 1 s
     sc = default_scenario(t_end=1.0)
-    upright = dict(initial=state(rotor.UPRIGHT), controller=dataclasses.replace(sc.controller, q_r=rotor.UPRIGHT))
-    ts = sim.run(dataclasses.replace(sc, **upright))
+    ts = sim.run(dataclasses.replace(sc, initial=state(rotor.UPRIGHT), q_r=rotor.UPRIGHT))
     assert_allclose(ts.u, np.zeros_like(ts.u), atol=1e-12)
     assert_allclose(ts.theta_c_deg, np.full_like(ts.theta_c_deg, 45.0), atol=1e-10)
     assert_allclose(ts.omega_w, np.zeros_like(ts.omega_w), atol=1e-12)
