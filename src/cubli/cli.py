@@ -64,6 +64,12 @@ def _disturbances(raw):
     return tuple(pulses)
 
 
+def _path(raw):
+    if not raw.strip():
+        raise ValidationError("must not be empty")
+    return raw.strip()
+
+
 def _key(key, parser, default):
     """A Config field set by one config key, read from its text by parser(raw)."""
     return dataclasses.field(default=default, metadata={"key": key, "parser": parser})
@@ -98,7 +104,7 @@ class Config:
     disturbances: tuple = _key(
         "scenario.disturbances", _disturbances, (sim.Disturbance(9.0, 0.1, 0.05), sim.Disturbance(16.0, 0.1, 0.05))
     )
-    output_path: str = _key("output.path", str.strip, "cubli_run.csv")
+    output_path: str = _key("output.path", _path, "cubli_run.csv")
 
 
 def _schema() -> dict:
@@ -171,15 +177,17 @@ def build_config(raw: dict) -> Config:
     """Parse raw key/value strings and check the whole experiment they make;
     unset keys keep Config()'s values.  An experiment that cannot be built is
     blamed on each set key whose removal would remove or change its error, or
-    on every set key when no one removal would."""
+    on every set key when no one removal would; output.* keys are not part of
+    the experiment and are never blamed."""
     for key in raw:
         if key not in CONFIG_SCHEMA:
             raise ValidationError(f"unknown config key: {key}")
     cfg = _parse(raw)
     error = _build_error(cfg)
     if error is not None:
-        blamed = [key for key in raw if _build_error(_parse({k: v for k, v in raw.items() if k != key})) != error]
-        raise ValidationError(f"{', '.join(blamed or raw)}: {error}")
+        keys = [key for key in raw if not key.startswith("output.")]
+        blamed = [key for key in keys if _build_error(_parse({k: v for k, v in raw.items() if k != key})) != error]
+        raise ValidationError(f"{', '.join(blamed or keys)}: {error}")
     return cfg
 
 
@@ -295,10 +303,9 @@ def cmd_gains(sc: sim.Scenario) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(cfg: Config, out_path: str | None = None) -> int:
+def cmd_simulate(cfg: Config) -> int:
     ts = sim.run(build_scenario(cfg))
-    path = out_path or cfg.output_path
-    write_csv(ts, path)
+    write_csv(ts, cfg.output_path)
 
     # settling is measured before the first disturbance that acts, which would restart it
     first = min((d.start for d in cfg.disturbances if d.start + d.duration > 0.0), default=math.inf)
@@ -313,7 +320,7 @@ def cmd_simulate(cfg: Config, out_path: str | None = None) -> int:
         wheel = f"{wheel_settle:.3f} s (within 2% of peak {peak_wheel:.1f} rad/s)"
         converged = "converged" if wheel_settle < math.inf else "NOT converged (did not settle)"
     pairs = [
-        ("csv", path),
+        ("csv", cfg.output_path),
         ("steps", str(len(ts.t))),
         ("settling window", "whole run" if first > ts.t[-1] else f"t < {first:g} s (before the first disturbance)"),
         ("attitude settling", att),
@@ -321,8 +328,9 @@ def cmd_simulate(cfg: Config, out_path: str | None = None) -> int:
         ("peak |tau|", f"{np.max(np.abs(ts.tau_applied)):.4f} N m"),
         ("final attitude (true)", f"{ts.theta_c_deg[-1]:.4f} deg"),
     ]
-    if cfg.sensor_bias_deg != 0.0:
-        pairs.append(("final attitude (sensor)", f"{ts.theta_c_deg[-1] + cfg.sensor_bias_deg:.4f} deg"))
+    if cfg.sensor_bias_deg != 0.0:  # the measured attitude, decoded on the circle like the true one
+        q0, q1 = rotor.product((ts.q0[-1], ts.q1[-1]), rotor.from_angle(math.radians(cfg.sensor_bias_deg)))
+        pairs.append(("final attitude (sensor)", f"{math.degrees(math.atan2(q1, q0)):.4f} deg"))
     pairs += [("final |omega_w|", f"{abs(float(ts.omega_w[-1])):.4f} rad/s"), ("wheel velocity", converged)]
     _print_kv(pairs)
     return EXIT_OK
@@ -402,10 +410,10 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("simulate", help="run a closed-loop scenario and write a CSV log")
     _add_common(p)
-    p.add_argument("--out", help="output CSV path (overrides output.path)")
+    p.add_argument("--out", help="output CSV path (same as --set output.path=...)")
     p.add_argument("--mode", help="controller mode override (same as --set control.mode=...)")
     p.add_argument("--sensor-bias-deg", help="sensor bias override [deg] (same as --set scenario.sensor_bias_deg=...)")
-    p.set_defaults(run=lambda cfg, args: cmd_simulate(cfg, out_path=args.out))
+    p.set_defaults(run=lambda cfg, args: cmd_simulate(cfg))
 
     p = sub.add_parser("gains", help="print synthesized gains and verified poles")
     _add_common(p)
@@ -428,8 +436,8 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     if args.command == "simulate":  # the flags are --set keys, applied after every other --set
-        flags = (("control.mode", args.mode), ("scenario.sensor_bias_deg", args.sensor_bias_deg))
-        args.set = [*(args.set or ()), *(f"{key}={value}" for key, value in flags if value is not None)]
+        flags = {"control.mode": args.mode, "scenario.sensor_bias_deg": args.sensor_bias_deg, "output.path": args.out}
+        args.set = [*(args.set or ()), *(f"{key}={value}" for key, value in flags.items() if value is not None)]
     try:
         return args.run(load_config(args), args)
     except SimulationError as err:

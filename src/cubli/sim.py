@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from itertools import repeat
 
 import numpy as np
 
 from . import control, plant, rotor
 from .control import DesignSpec, Mode
-from .errors import DivergenceError, IdentificationError, SingularityError, ValidationError
+from .errors import DivergenceError, IdentificationError, SimulationError, ValidationError
 from .plant import CubliParams, Fidelity, FrictionParams, GravityModel
 
 
@@ -130,11 +129,13 @@ def rk4(f, x, dt: float):
     half = 0.5 * dt
     if not isinstance(x, np.ndarray):
         k1 = f(x)
-        k2 = f(_stage_each(x, k1, half))
-        k3 = f(_stage_each(x, k2, half))
-        k4 = f(_stage_each(x, k3, dt))
-        return _combine_each(x, k1, k2, k3, k4, dt / 6.0)
-    # _stage's and _combine's products and sums, in their order
+        k2 = f([a + half * b for a, b in zip(x, k1)])
+        k3 = f([a + half * b for a, b in zip(x, k2)])
+        k4 = f([a + dt * b for a, b in zip(x, k3)])
+        h = dt / 6.0
+        # k + k is 2.0 * k bit for bit, as the array step's k += k
+        return tuple([a + h * (b + (c + c) + (d + d) + e) for a, b, c, d, e in zip(x, k1, k2, k3, k4)])
+    # the float branch's products and sums, in their order
     k, s, acc = np.empty(x.shape), np.empty(x.shape), np.empty(x.shape)
     f(x, acc)  # acc = k1
     f(np.add(x, np.multiply(acc, half, out=s), out=s), k)  # k2
@@ -147,23 +148,6 @@ def rk4(f, x, dt: float):
     acc *= dt / 6.0
     acc += x
     return acc
-
-
-def _stage(x, k, h):
-    return x + h * k
-
-
-def _combine(x, k1, k2, k3, k4, h):
-    # k + k is 2.0 * k bit for bit, as the array step's k += k
-    return x + h * (k1 + (k2 + k2) + (k3 + k3) + k4)
-
-
-def _stage_each(x, k, h):
-    return tuple(map(_stage, x, k, repeat(h)))
-
-
-def _combine_each(x, k1, k2, k3, k4, h):
-    return tuple(map(_combine, x, k1, k2, k3, k4, repeat(h)))
 
 
 def rk4_step(
@@ -206,15 +190,15 @@ def rk4_step(
 def run(scenario: Scenario) -> TimeSeries:
     """Execute a closed-loop scenario and log every step.
 
-    The mode's regulator is picked once, before the loop.  Per step: rotate
-    the true attitude by the sensor bias to get the measured state, evaluate
-    the regulator and the feedback linearization on it, saturate, then
-    integrate the true plant under the applied torque plus the step's
-    disturbance torque.  The trajectory is carried as a tuple of five Python
-    floats, so the controller and rk4_step run on floats; each row is logged
-    into an array.
-    A SingularityError or DivergenceError carries the time, step and state
-    at which the run failed.
+    The mode's regulator is picked once, before the loop.  Each step after
+    the first integrates the true plant over the previous one, under the
+    torque applied there plus that step's disturbance torque.  Every step
+    then rotates the true attitude by the sensor bias to get the measured
+    state, evaluates the regulator and the feedback linearization on it,
+    saturates, and logs (*x, u, tau_cmd, tau_applied) as one row.  The
+    trajectory is a tuple of five Python floats, so the controller and
+    rk4_step run on floats.  A SingularityError or DivergenceError carries
+    the grid time t[k], the step k and the state at which the run failed.
     """
     sc = scenario
     dp = plant.derive(sc.params, sc.friction, sc.plant_gravity)
@@ -226,35 +210,29 @@ def run(scenario: Scenario) -> TimeSeries:
     tau_ext = disturbance_torque(sc.disturbances, sc.dt, n_steps).tolist()
 
     t = np.arange(n_steps + 1) * sc.dt
-    states = np.empty((n_steps + 1, 5))
-    u, tau_cmd, tau_applied = np.empty((3, n_steps + 1))
+    log = np.empty((n_steps + 1, 8))
     x = tuple(sc.initial.tolist())
 
     for k in range(n_steps + 1):
-        q_meas = rotor.product(x[:2], q_bias)
         try:
-            u_k = regulator(q_meas + x[2:], q_r, gains)
-        except SingularityError as err:
-            raise SingularityError(f"{err} at t = {t[k]:.4f} s", t=float(t[k]), step=k, state=np.array(x)) from None
-        cmd_k = control.feedback_linearize(u_k, q_meas, x[4], dp, sc.friction, sc.controller_gravity)
-        applied_k = control.saturate(cmd_k, sc.tau_max)
-        states[k] = x
-        u[k], tau_cmd[k], tau_applied[k] = u_k, cmd_k, applied_k
+            if k:
+                x = rk4_step(x, applied, sc.dt, dp, sc.friction, sc.plant_gravity, sc.fidelity, tau_ext[k - 1])
+            q_meas = rotor.product(x[:2], q_bias)
+            u = regulator(q_meas + x[2:], q_r, gains)
+        except SimulationError as err:
+            state = np.array(x) if err.state is None else err.state
+            raise type(err)(f"{err} at t = {t[k]:.4f} s", t=float(t[k]), step=k, state=state) from None
+        cmd = control.feedback_linearize(u, q_meas, x[4], dp, sc.friction, sc.controller_gravity)
+        applied = control.saturate(cmd, sc.tau_max)
+        log[k] = (*x, u, cmd, applied)
 
-        if k < n_steps:
-            try:
-                x = rk4_step(x, applied_k, sc.dt, dp, sc.friction, sc.plant_gravity, sc.fidelity, tau_ext[k])
-            except DivergenceError as err:
-                t_fail = float(t[k] + sc.dt)
-                raise DivergenceError(f"{err} at t = {t_fail:.4f} s", t=t_fail, step=k + 1, state=err.state) from None
-
-    states = np.ascontiguousarray(states.T)
+    log = np.ascontiguousarray(log.T)  # rows q0, q1, theta_w, omega_c, omega_w, u, tau_cmd, tau_applied
     # math.atan2, not np.arctan2: the vectorized one differs in the last bit on some hosts
-    angles = (math.degrees(math.atan2(q1, q0)) for q0, q1 in zip(states[0], states[1]))
+    angles = (math.degrees(math.atan2(q1, q0)) for q0, q1 in zip(log[0], log[1]))
     theta_c_deg = np.fromiter(angles, float, len(t))
-    tau_f = plant.friction_torque(states[4], sc.friction)
-    energy = plant.energies(states, dp, sc.plant_gravity)[2]
-    return TimeSeries(t, *states[:2], theta_c_deg, *states[2:], u, tau_cmd, tau_applied, tau_f, energy)
+    tau_f = plant.friction_torque(log[4], sc.friction)
+    energy = plant.energies(log[:5], dp, sc.plant_gravity)[2]
+    return TimeSeries(t, *log[:2], theta_c_deg, *log[2:], tau_f, energy)
 
 
 def _steps(t: float, dt: float) -> float:

@@ -61,13 +61,13 @@ def test_01_parameter_derivation():
     report(1, "parameter-derivation", f"max rel err {worst:.2e} (tol 1e-4)", started)
 
 
-@pytest.mark.parametrize("name, check", verify.CHECKS, ids=[name for name, _ in verify.CHECKS])
-def test_verify_check(name, check):
+@pytest.mark.parametrize("check", verify.CHECKS, ids=[check.__name__ for check in verify.CHECKS])
+def test_verify_check(check):
     # the checks `cubli verify` runs, on the default config
     started = time.perf_counter()
     ok, metric = check(SCENARIO, verify.derive_all(SCENARIO))
     assert ok, metric
-    report("V", name, metric, started)
+    report("V", check.__name__, metric, started)
 
 
 def test_08_reference_experiment_reproduction():

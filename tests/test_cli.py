@@ -278,6 +278,13 @@ def test_every_command_rejects_a_config_alike_naming_its_keys(sets, keys, tmp_pa
     assert not csv.exists()
 
 
+def test_output_path_is_never_blamed_for_the_experiment(capsys):
+    # no one removal changes this error, so every set key is blamed, but output.path builds nothing
+    sets = ("output.path=a.csv", "friction.b_w=1e308", "physics.I_wG=1e-320")
+    assert run_cli("params", *(arg for item in sets for arg in ("--set", item))) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: friction.b_w, physics.I_wG: derived omega_1 overflows\n"
+
+
 # Finite parameters whose derived values overflow, or underflow to 0: the error names
 # the value and the keys it depends on, not a design rule that the value then breaks.
 OVERFLOW_CASES = [
@@ -366,6 +373,35 @@ def test_simulate_flags_are_checked_as_their_config_keys(flag, key, tmp_path, ca
     assert run_cli("simulate", *flag, "--out", str(tmp_path / "x.csv")) == cli.EXIT_VALIDATION
     assert capsys.readouterr().err.startswith(f"error: {key}: ")
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("simulate", "--out", ""), ("simulate", "--set", "output.path="), ("params", "--set", "output.path= ")],
+    ids=["out-flag", "set-simulate", "set-params"],
+)
+def test_an_empty_output_path_is_rejected_at_load(argv, tmp_path, monkeypatch, capsys):
+    # params writes no CSV, so its exit 2 shows the key is checked when the config loads
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: output.path: must not be empty\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_flag_is_applied_after_every_set(tmp_path, capsys):
+    path = tmp_path / "flag.csv"
+    args = ("--set", f"output.path={tmp_path / 'set.csv'}", "--out", str(path), "--set", "scenario.t_end=0.01")
+    assert run_cli("simulate", *args) == 0
+    assert capsys.readouterr().out.splitlines()[0].split() == ["csv", str(path)]
+    assert [p.name for p in tmp_path.iterdir()] == ["flag.csv"]
+
+
+def test_sensor_attitude_is_decoded_on_the_circle(tmp_path, capsys):
+    args = ("--sensor-bias-deg", "170", "--set", "scenario.t_end=1", "--out", str(tmp_path / "x.csv"))
+    assert run_cli("simulate", *args) == 0
+    summary = capsys.readouterr().out.splitlines()
+    assert "final attitude (true)    40.7531 deg" in summary
+    assert "final attitude (sensor)  -149.2469 deg" in summary
 
 
 def summary_of(*sets, tmp_path, capsys):

@@ -275,7 +275,7 @@ def array_loop(sc):
                 try:
                     x = sim.rk4_step(x, applied, sc.dt, dp, sc.friction, sc.plant_gravity, sc.fidelity, tau_ext[k])
                 except DivergenceError as err:
-                    t_fail = float(t[k] + sc.dt)
+                    t_fail = float(t[k + 1])
                     raise DivergenceError(f"{err} at t = {t_fail:.4f} s", t=t_fail, step=k + 1, state=err.state) from None
     return np.array(rows).T
 

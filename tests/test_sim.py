@@ -169,6 +169,14 @@ def test_run_errors_carry_time_step_and_state():
     assert err.state.shape == (5,) and not np.isfinite(err.state).all()
 
 
+def test_run_failure_reports_the_grid_time():
+    # at dt = 0.3 s the step's grid time k * dt and the sum t[k - 1] + dt differ in the last bit
+    with pytest.raises(DivergenceError) as info:
+        sim.run(default_scenario(dt=0.3, t_end=300.0))
+    err = info.value
+    assert err.t == (np.arange(err.step + 1) * 0.3)[-1]
+
+
 def test_rk4_step_divergence_carries_the_state_alone():
     x = state(rotor.from_angle(0.3), omega_w=math.inf)
     with pytest.raises(DivergenceError) as info:
