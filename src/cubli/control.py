@@ -132,7 +132,8 @@ def feedback_linearize(
     friction in the body equation (where the motor enters negatively), leaving
     omega_c_dot = u exactly under the reduced wheel dynamics.
     """
-    return -_gravity(q[0], q[1], dp, model) + friction_torque(omega_w, fp) - dp.I_cO_bar * u
+    gravity = _gravity(q[0], q[1], dp.mgd, model is GravityModel.PAPER_LITERAL)
+    return -gravity + friction_torque(omega_w, fp) - dp.I_cO_bar * u
 
 
 def saturate(tau, tau_max: float):

@@ -15,9 +15,10 @@ equation.
 Each rate expression is written once and serves one trajectory and many: a
 stacked state of shape (5, N) (or (4, N) for the angle form) integrates N
 trajectories at once, and sim.rk4_step carries a (5,) state as five Python
-floats through the same expression (_rates).  Python floats and float64
-arrays round alike, so the two representations agree bit for bit; the one
-exception is a -NaN wheel rate, whose NaN rates may differ in sign bit.
+floats through the same expression (_rates, on the constants that _constants
+reads once per step).  Python floats and float64 arrays round alike, so the
+two representations agree bit for bit; the one exception is a -NaN wheel
+rate, whose NaN rates may differ in sign bit.
 """
 
 from __future__ import annotations
@@ -166,13 +167,15 @@ def friction_torque(omega_w, fp: FrictionParams):
 
     sign(0) = 0 by convention so that rest is a fixed point.  One float
     (np.float64 included) takes the float sign below, anything else np.sign;
-    the two agree bit for bit, so the expression is written once.
+    the two agree bit for bit, so the expression is written once (_friction).
     """
-    if isinstance(omega_w, float):
-        sign, a = _sign(omega_w), abs(omega_w)
-    else:
-        sign, a = np.sign(omega_w), np.abs(omega_w)
-    return sign * (fp.tau_c + fp.b_w * a + fp.c_d * a * a)
+    return _friction(omega_w, _sign if isinstance(omega_w, float) else np.sign, fp.tau_c, fp.b_w, fp.c_d)
+
+
+def _friction(w, sign, tau_c, b_w, c_d):
+    """friction_torque on fp's coefficients given one by one, as _rates has them."""
+    a = abs(w)
+    return sign(w) * (tau_c + b_w * a + c_d * a * a)
 
 
 def _sign(w: float) -> float:
@@ -187,15 +190,14 @@ def _sign(w: float) -> float:
 _HALF_SQRT2 = math.sqrt(2.0) / 2.0  # cos 45 deg
 
 
-def _gravity(q0, q1, dp: DerivedParams, model: GravityModel):
-    """Gravity torque about the pivot for orientation (q0, q1), per the chosen model.
-
-    Private, so that the benchmark's traced run does not wrap it: the rate
-    functions call it four times per integration step.
-    """
-    if model is GravityModel.PAPER_LITERAL:
-        return dp.mgd * q0
-    return dp.mgd * _HALF_SQRT2 * (q0 - q1)
+def _gravity(q0, q1, mgd: float, literal: bool):
+    """Gravity torque about the pivot for orientation (q0, q1), under the
+    PAPER_LITERAL model if literal, else the CONSISTENT one.  Private, like
+    _friction, so that the benchmark's traced run does not wrap a function
+    that runs four times per integration step."""
+    if literal:
+        return mgd * q0
+    return mgd * _HALF_SQRT2 * (q0 - q1)
 
 
 def dynamics_rate(
@@ -216,7 +218,11 @@ def dynamics_rate(
     the structure the controller design assumes.  Given out, an array of x's
     shape, the rate is written into it and out is returned.
     """
-    return _rows(_rates(x.tolist() if x.ndim == 1 else x, tau, dp, fp, model, fidelity, tau_ext), out)
+    one = x.ndim == 1
+    q0, q1, _theta_w, omega_c, omega_w = x.tolist() if one else x
+    consts = _constants(dp, fp, model, fidelity, _sign if one else np.sign)
+    dq0, dq1, omega_c_dot, omega_w_dot = _rates(q0, q1, omega_c, omega_w, tau, tau_ext, consts)
+    return _rows((dq0, dq1, omega_w, omega_c_dot, omega_w_dot), out)
 
 
 def _rows(rows, out):
@@ -228,17 +234,25 @@ def _rows(rows, out):
     return out
 
 
-def _rates(x, tau, dp: DerivedParams, fp: FrictionParams, model: GravityModel, fidelity: Fidelity, tau_ext):
-    """dynamics_rate's five components in the representation of x: five
-    Python floats for one trajectory, or the five (N,) rows of a stacked
-    (5, N) state.  sim.rk4_step steps one trajectory on the floats."""
-    q0, q1, _theta_w, omega_c, omega_w = x
-    tau_f = friction_torque(omega_w, fp)
-    omega_c_dot = (tau_f - _gravity(q0, q1, dp, model) - tau + tau_ext) / dp.I_cO_bar
-    omega_w_dot = (tau - tau_f) / dp.I_wG
-    if fidelity is Fidelity.EXACT:
+def _constants(dp: DerivedParams, fp: FrictionParams, model: GravityModel, fidelity: Fidelity, sign=_sign):
+    """The plant's constants as _rates reads them, with the gravity and
+    fidelity branches picked; sign is _sign for Python floats, else np.sign."""
+    literal, exact = model is GravityModel.PAPER_LITERAL, fidelity is Fidelity.EXACT
+    return dp.I_cO_bar, dp.I_wG, dp.mgd, literal, exact, sign, fp.tau_c, fp.b_w, fp.c_d
+
+
+def _rates(q0, q1, omega_c, omega_w, tau, tau_ext, consts):
+    """(q0', q1', omega_c', omega_w') under the plant's constants consts (see
+    _constants); theta_w' is omega_w.  The arguments are Python floats for
+    one trajectory, which sim.rk4_step steps on four such calls, or the (N,)
+    rows of a stacked state, which dynamics_rate returns."""
+    I_cO_bar, I_wG, mgd, literal, exact, sign, tau_c, b_w, c_d = consts
+    tau_f = _friction(omega_w, sign, tau_c, b_w, c_d)
+    omega_c_dot = (tau_f - _gravity(q0, q1, mgd, literal) - tau + tau_ext) / I_cO_bar
+    omega_w_dot = (tau - tau_f) / I_wG
+    if exact:
         omega_w_dot = omega_w_dot - omega_c_dot
-    return (-q1 * omega_c, q0 * omega_c, omega_w, omega_c_dot, omega_w_dot)
+    return -q1 * omega_c, q0 * omega_c, omega_c_dot, omega_w_dot
 
 
 def angle_dynamics_rate(

@@ -5,12 +5,13 @@ The controller runs at every integration step (control rate = 1/dt) with the
 torque held constant over the step.  Scenarios own their state exclusively, so
 independent runs can execute in parallel.
 
-sim.rk4 is the one RK4 formula.  rk4_step picks the representation from the
-state's type and shape: one trajectory (a tuple of five Python floats, or a
-(5,) array) is stepped on Python floats, which skips numpy's per-call cost at
-N = 1, and a stacked (5, N) state as its array.  A scenario's initial state is
-the (5,) vector of plant.state; run carries its trajectory as the tuple, so
-the per-step controller runs on Python floats too.
+rk4_step picks the representation from the state's type and shape: one
+trajectory (a tuple of five Python floats, or a (5,) array) is stepped on
+five Python floats, with the RK4 stages written out per component, which
+skips numpy's per-call cost at N = 1; a stacked (5, N) state is stepped as
+its array by rk4, in place.  Both round alike, so they agree bit for bit.  A
+scenario's initial state is the (5,) vector of plant.state; run carries its
+trajectory as the tuple, so the per-step controller runs on Python floats too.
 """
 
 from __future__ import annotations
@@ -119,23 +120,11 @@ TimeSeries.COLUMNS = tuple(f.name for f in fields(TimeSeries))
 
 
 def rk4(f, x, dt: float):
-    """One classical Runge-Kutta step of x' = f(x).
-
-    x is one trajectory as a list or tuple of Python floats, where f(y) returns
-    a tuple, or an array, which the step computes in three arrays allocated per
-    call with in-place ufuncs: f(y, out) writes y' into out.  Both forms round
-    alike, the result is new, and x is never written.
+    """One classical Runge-Kutta step of x' = f(x) on an array x, computed in
+    three arrays allocated per call with in-place ufuncs: f(y, out) writes y'
+    into out.  The result is new, and x is never written.
     """
     half = 0.5 * dt
-    if not isinstance(x, np.ndarray):
-        k1 = f(x)
-        k2 = f([a + half * b for a, b in zip(x, k1)])
-        k3 = f([a + half * b for a, b in zip(x, k2)])
-        k4 = f([a + dt * b for a, b in zip(x, k3)])
-        h = dt / 6.0
-        # k + k is 2.0 * k bit for bit, as the array step's k += k
-        return tuple([a + h * (b + (c + c) + (d + d) + e) for a, b, c, d, e in zip(x, k1, k2, k3, k4)])
-    # the float branch's products and sums, in their order
     k, s, acc = np.empty(x.shape), np.empty(x.shape), np.empty(x.shape)
     f(x, acc)  # acc = k1
     f(np.add(x, np.multiply(acc, half, out=s), out=s), k)  # k2
@@ -170,13 +159,27 @@ def rk4_step(
     renormalization changes neither the decoded angle nor the energy.
     """
     if isinstance(x, tuple) or x.ndim == 1:
-        tau, tau_ext = float(tau), float(tau_ext)
-        one = x if isinstance(x, tuple) else x.tolist()
-        q0, q1, *rest = rk4(lambda s: plant._rates(s, tau, dp, fp, model, fidelity, tau_ext), one, dt)
+        # rk4's stages and sums on the five components: k1 = (a0, a1, omega_w, a3, a4), k2 = (b0, ...)
+        consts, tau, tau_ext = plant._constants(dp, fp, model, fidelity), float(tau), float(tau_ext)
+        rates, half, h = plant._rates, 0.5 * dt, dt / 6.0
+        q0, q1, theta_w, omega_c, omega_w = x if isinstance(x, tuple) else x.tolist()
+        a0, a1, a3, a4 = rates(q0, q1, omega_c, omega_w, tau, tau_ext, consts)
+        w2 = omega_w + half * a4
+        b0, b1, b3, b4 = rates(q0 + half * a0, q1 + half * a1, omega_c + half * a3, w2, tau, tau_ext, consts)
+        w3 = omega_w + half * b4
+        c0, c1, c3, c4 = rates(q0 + half * b0, q1 + half * b1, omega_c + half * b3, w3, tau, tau_ext, consts)
+        w4 = omega_w + dt * c4
+        d0, d1, d3, d4 = rates(q0 + dt * c0, q1 + dt * c1, omega_c + dt * c3, w4, tau, tau_ext, consts)
+        # b + b is 2.0 * b bit for bit, as rk4's k += k
+        q0 += h * (a0 + (b0 + b0) + (c0 + c0) + d0)
+        q1 += h * (a1 + (b1 + b1) + (c1 + c1) + d1)
+        theta_w += h * (omega_w + (w2 + w2) + (w3 + w3) + w4)
+        omega_c += h * (a3 + (b3 + b3) + (c3 + c3) + d3)
+        omega_w += h * (a4 + (b4 + b4) + (c4 + c4) + d4)
         n = math.sqrt(q0 * q0 + q1 * q1)
         if n > 0.0:  # q = 0 (or NaN) has no direction; the array path divides it into NaN
             q0, q1 = q0 / n, q1 / n
-        out = (q0, q1, *rest)
+        out = (q0, q1, theta_w, omega_c, omega_w)
         if not (n > 0.0 and all(map(math.isfinite, out))):
             raise DivergenceError("integration produced a non-finite state", state=np.array(out))
         return out if isinstance(x, tuple) else np.array(out)

@@ -1,10 +1,13 @@
 """Property tests of the one-path contract.
 
 Every rate, rotor and integrator function takes one trajectory as a (k,)
-vector or N trajectories stacked as (k, N), with each formula written once.
-sim.rk4_step steps a (k,) state on Python floats and a stacked one as its
-array, chosen by the state's shape.  Column j of a stacked call must then
-equal, bit for bit, the call on column j alone.
+vector or N trajectories stacked as (k, N), with each rate formula written
+once.  sim.rk4_step steps a (5,) state or a tuple on five Python floats, the
+RK4 stages written out per component, and a stacked one as its array through
+sim.rk4's in-place step, chosen by the state's type and shape.  Column j of a
+stacked call must then equal, bit for bit, the call on column j alone, and
+each of the two RK4 forms must equal the textbook formula on whole arrays
+(out_of_place_rk4).
 """
 
 import dataclasses
@@ -161,6 +164,21 @@ def test_in_place_step_equals_an_out_of_place_rk4(x, data, fp, model, fidelity, 
         buf = np.full_like(y, np.nan)
         assert rate(y, *args, out=buf) is buf
         assert buf.tobytes() == rate(y, *args).tobytes()
+
+
+@one_path
+@given(plant_states(), st.data(), friction, models, fidelities, st.sampled_from([1e-4, 1e-3, 1e-2]))
+def test_one_trajectory_step_equals_an_out_of_place_rk4(x, data, fp, model, fidelity, dt):
+    # the per-component float step of a tuple or a (5,) state against the
+    # textbook formula on whole (5,) arrays
+    x = x[:, 0].copy()
+    tau_ext = data.draw(st.floats(-1.0, 1.0).filter(lambda v: v != 0.0))
+    args = (data.draw(st.floats(-1.0, 1.0)), DP[model], fp, model, fidelity, tau_ext)
+    expected = out_of_place_rk4(lambda y: plant.dynamics_rate(y, *args), x, dt)
+    expected[:2] = expected[:2] / np.sqrt(expected[0] * expected[0] + expected[1] * expected[1])
+    for one in (x, tuple(x.tolist())):
+        out = sim.rk4_step(one, args[0], dt, *args[1:])
+        assert type(out) is type(one) and np.array(out).tobytes() == expected.tobytes()
 
 
 # Explicit cases where the float path of one trajectory could part from the

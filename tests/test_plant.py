@@ -143,11 +143,11 @@ def test_friction_torque_values():
 
 def test_gravity_torque(dp):
     q_u = rotor.UPRIGHT
-    assert plant._gravity(*q_u, dp, GravityModel.CONSISTENT) == pytest.approx(0.0, abs=1e-15)
-    assert plant._gravity(*q_u, dp, GravityModel.PAPER_LITERAL) == pytest.approx(
+    assert plant._gravity(*q_u, dp.mgd, literal=False) == pytest.approx(0.0, abs=1e-15)
+    assert plant._gravity(*q_u, dp.mgd, literal=True) == pytest.approx(
         MGD * SQ2, rel=1e-12
     )
-    assert plant._gravity(1.0, 0.0, dp, GravityModel.CONSISTENT) == pytest.approx(
+    assert plant._gravity(1.0, 0.0, dp.mgd, literal=False) == pytest.approx(
         MGD * SQ2, rel=1e-12
     )
     assert MGD * SQ2 == pytest.approx(0.6254, rel=1e-3)
@@ -185,13 +185,13 @@ stacks = st.integers(1, 8).flatmap(
 def test_rate_preserves_unit_tangency(dp, stack, tau):
     # rows 0-1 are the kinematics q_dot = G(q)^T omega_c: tangent to the unit
     # circle (q . q_dot = 0), and G(q) = (-q1, q0) maps them back to omega_c;
-    # on a (5, N) stack and on the Python floats sim.rk4_step steps
+    # on a (5, N) stack and on each (5,) column, which is rated on Python floats
     theta, rest = stack
     x = np.vstack([np.cos(theta), np.sin(theta), rest])
     fp = FrictionParams()
-    floats = [plant._rates(c, tau, dp, fp, GravityModel.CONSISTENT, Fidelity.EXACT, 0.0) for c in x.T.tolist()]
+    columns = [plant.dynamics_rate(x[:, j], tau, dp, fp) for j in range(x.shape[1])]
     ulp = np.spacing(np.abs(x[3]))  # a subnormal omega_c included
-    for rate in (plant.dynamics_rate(x, tau, dp, fp), np.array(floats).T):
+    for rate in (plant.dynamics_rate(x, tau, dp, fp), np.array(columns).T):
         assert np.all(np.abs(x[0] * rate[0] + x[1] * rate[1]) <= 4.0 * ulp)
         assert np.all(np.abs(-x[1] * rate[0] + x[0] * rate[1] - x[3]) <= 8.0 * ulp)
 
