@@ -291,48 +291,57 @@ def steady_state_sweep(
     """Spin the wheel alone at each torque level until it stops accelerating.
 
     The structure is held fixed, mirroring a bench identification: only
-    omega_w_dot = (tau - tau_f(omega_w)) / I_wG is integrated, in steps of
-    dt = 10 ms for at most 200 s per level, and a level is accepted once
-    |omega_w_dot| < 1e-6 rad/s^2.  Levels at or below the Coulomb torque never
-    spin up and are rejected.
+    omega_w_dot = (tau - tau_f(omega_w)) / I_wG is integrated by RK4, in
+    steps of dt = 10 ms for at most 200 s per level, and a level is accepted
+    once |omega_w_dot| < 1e-6 rad/s^2.  A non-finite level, and one at or
+    below the Coulomb torque (it never spins up), is rejected; so is a level
+    whose wheel speed turns non-finite, at the step where it does.
+
+    Each stage at omega_w > 0 is plant.friction_torque's expression written
+    out, in the same IEEE operations; any other stage point (the start at
+    rest, a swing below zero) goes through plant._friction.  Friction is odd
+    and rounding is sign-symmetric, so a level -tau runs mirrored, at +tau,
+    and returns the exact negation of its speed.
     """
     dt, budget, accel_tol = 1e-2, 200.0, 1e-6
-    inv_iwg = 1.0 / params.I_wG
+    half, sixth, inv_iwg = 0.5 * dt, dt / 6.0, 1.0 / params.I_wG
     tc, bw, cd = fp.tau_c, fp.b_w, fp.c_d
 
-    def accel(w: float, tau: float) -> float:
-        if w > 0.0:
-            tf = tc + bw * w + cd * w * w
-        elif w < 0.0:
-            tf = -(tc - bw * w + cd * w * w)
-        else:
-            tf = 0.0
-        return (tau - tf) * inv_iwg
+    def accel(w: float, tau: float) -> float:  # a stage the fast path leaves: omega_w <= 0 or NaN
+        return (tau - plant._friction(w, plant._sign, tc, bw, cd)) * inv_iwg
 
     points = []
     max_steps = int(round(budget / dt))
-    for tau in tau_levels:
-        tau = float(tau)
-        if abs(tau) <= tc:
+    for level in tau_levels:
+        level = float(level)
+        if not math.isfinite(level):
+            raise IdentificationError(f"input torque {level} N m is not finite")
+        if abs(level) <= tc:
             raise IdentificationError(
-                f"input torque {tau:.3e} N m cannot overcome Coulomb friction {tc:.3e} N m"
+                f"input torque {level:.3e} N m cannot overcome Coulomb friction {tc:.3e} N m"
             )
-        w = 0.0
-        converged = False
-        for _ in range(max_steps):
-            k1 = accel(w, tau)
+        tau, w = abs(level), 0.0
+        for step in range(1, max_steps + 1):
+            k1 = (tau - (tc + bw * w + cd * w * w)) * inv_iwg if w > 0.0 else accel(w, tau)
             if abs(k1) < accel_tol:
-                converged = True
                 break
-            k2 = accel(w + 0.5 * dt * k1, tau)
-            k3 = accel(w + 0.5 * dt * k2, tau)
-            k4 = accel(w + dt * k3, tau)
-            w += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not converged:
+            s = w + half * k1
+            k2 = (tau - (tc + bw * s + cd * s * s)) * inv_iwg if s > 0.0 else accel(s, tau)
+            s = w + half * k2
+            k3 = (tau - (tc + bw * s + cd * s * s)) * inv_iwg if s > 0.0 else accel(s, tau)
+            s = w + dt * k3
+            k4 = (tau - (tc + bw * s + cd * s * s)) * inv_iwg if s > 0.0 else accel(s, tau)
+            w += sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not math.isfinite(w):
+                raise IdentificationError(
+                    f"wheel speed diverged to {w} rad/s at step {step} (t = {step * dt:.2f} s) at tau = {level:.3e} N m"
+                )
+        else:
             raise IdentificationError(
-                f"wheel did not reach steady state within {budget:.0f} s at tau = {tau:.3e} N m"
+                f"wheel did not reach steady state within {budget:.0f} s at tau = {level:.3e} N m"
             )
-        points.append(SteadyStatePoint(tau=tau, omega_ss=w))
+        # 0.0 - w, not -w: a level that converges at rest keeps +0.0, as its unmirrored run does
+        points.append(SteadyStatePoint(tau=level, omega_ss=w if level > 0.0 else 0.0 - w))
     return points
 
 

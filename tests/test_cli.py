@@ -463,6 +463,12 @@ def test_fit_friction_synthetic(capsys):
     assert at_300 == pytest.approx(7.17e-3, rel=1e-3)
 
 
+def test_fit_friction_synthetic_reports_a_diverging_level_at_once(capsys):
+    assert run_cli("fit-friction", "--synthetic", "--set", "friction.c_d=1e-2") == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err == "error: wheel speed diverged to -inf rad/s at step 2 (t = 0.02 s) at tau = 3.600e+01 N m\n"
+
+
 def test_fit_friction_from_csv(tmp_path, capsys):
     rows = ["tau,omega_ss"]
     for w in (50.0, 150.0, 300.0, 450.0, 600.0):

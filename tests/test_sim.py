@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cubli import cli, plant, rotor, sim
@@ -262,6 +264,89 @@ def test_steady_state_sweep_monotone():
     points = sim.steady_state_sweep(levels)
     speeds = [p.omega_ss for p in points]
     assert all(a < b for a, b in zip(speeds, speeds[1:]))
+
+
+def reference_sweep_level(level, I_wG, fp):
+    """One steady_state_sweep level written plainly: one accel call per RK4
+    stage, the friction law branch by branch.  Returns (converged, omega_w
+    at the end, the stage points at which omega_w <= 0 after the start)."""
+    dt, budget, accel_tol = 1e-2, 200.0, 1e-6
+    inv_iwg = 1.0 / I_wG
+    tc, bw, cd = fp.tau_c, fp.b_w, fp.c_d
+    not_positive = []
+
+    def accel(w, tau):
+        if w > 0.0:
+            tf = tc + bw * w + cd * w * w
+        else:
+            not_positive.append(w)
+            if w < 0.0:
+                tf = -(tc - bw * w + cd * w * w)
+            else:
+                tf = 0.0
+        return (tau - tf) * inv_iwg
+
+    w = 0.0
+    for _ in range(int(round(budget / dt))):
+        k1 = accel(w, level)
+        if abs(k1) < accel_tol:
+            return True, w, not_positive[1:]
+        k2 = accel(w + 0.5 * dt * k1, level)
+        k3 = accel(w + 0.5 * dt * k2, level)
+        k4 = accel(w + dt * k3, level)
+        w += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return False, w, not_positive[1:]
+
+
+def log_uniform(default):
+    """Values within 10x of default either way, log-uniform."""
+    return st.floats(-1.0, 1.0).map(lambda e: default * 10.0**e)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    log_uniform(2.46e-3), log_uniform(1.06e-5), log_uniform(1.70e-8), log_uniform(1.25e-4),
+    st.floats(0.0, 3.0), st.booleans(),
+)
+def test_steady_state_sweep_is_the_reference_loop_bit_for_bit(tau_c, b_w, c_d, I_wG, log_speed, negative):
+    fp, params = FrictionParams(tau_c, b_w, c_d), CubliParams(I_wG=I_wG)
+    w = 10.0**log_speed  # the level whose steady speed is 1-1000 rad/s, so |tau| > tau_c
+    level = (-1.0 if negative else 1.0) * (tau_c + b_w * w + c_d * w * w)
+    converged, expected, _ = reference_sweep_level(level, I_wG, fp)
+    assume(converged)
+    [point, mirrored] = sim.steady_state_sweep([level, -level], params, fp)
+    assert point.omega_ss.hex() == expected.hex()
+    assert mirrored.omega_ss.hex() == (-expected).hex()
+
+
+@pytest.mark.parametrize("fp", [FrictionParams(), FrictionParams(tau_c=1e-4, b_w=0.03)], ids=["rig", "steep_viscous"])
+def test_steady_state_sweep_on_the_cli_levels_is_the_reference_loop_and_mirrors(fp):
+    levels = [p.tau for p in sim.exact_steady_points(fp, np.linspace(60.0, 600.0, 20))]
+    points = sim.steady_state_sweep(levels + [-tau for tau in levels], fp=fp)
+    below_zero = []
+    for point, mirrored, level in zip(points, points[len(levels):], levels):
+        converged, expected, not_positive = reference_sweep_level(level, CubliParams().I_wG, fp)
+        assert converged and point.omega_ss.hex() == expected.hex()
+        assert mirrored.tau == -level and mirrored.omega_ss.hex() == (-expected).hex()
+        below_zero += not_positive
+    # the steep viscous term overshoots: its first steps swing omega_w below zero
+    assert (min(below_zero, default=0.0) < 0.0) == (fp.b_w == 0.03)
+
+
+def test_steady_state_sweep_at_rest_is_positive_zero_on_both_signs():
+    # without Coulomb friction a tiny level is already steady at rest, and the reference keeps +0.0
+    fp = FrictionParams(tau_c=0.0)
+    for level in (1e-12, -1e-12):
+        converged, expected, _ = reference_sweep_level(level, CubliParams().I_wG, fp)
+        assert converged and expected.hex() == (0.0).hex()
+        [point] = sim.steady_state_sweep([level], fp=fp)
+        assert point.omega_ss.hex() == (0.0).hex()
+
+
+@pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
+def test_steady_state_sweep_rejects_a_non_finite_level(level):
+    with pytest.raises(IdentificationError, match=r"input torque -?(nan|inf) N m is not finite"):
+        sim.steady_state_sweep([5e-3, level])
 
 
 def test_fit_friction_exact_recovery():
