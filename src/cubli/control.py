@@ -21,7 +21,7 @@ from enum import Enum
 
 from . import rotor
 from .errors import ValidationError
-from .plant import _PAPER_LITERAL, DerivedParams, FrictionParams, GravityModel, _gravity, friction_torque
+from .plant import DerivedParams, FrictionParams, GravityModel, _gravity, friction_torque
 
 
 class Mode(Enum):
@@ -132,7 +132,7 @@ def feedback_linearize(
     friction in the body equation (where the motor enters negatively), leaving
     omega_c_dot = u exactly under the reduced wheel dynamics.
     """
-    gravity = _gravity(q[0], q[1], dp.mgd, model is _PAPER_LITERAL)
+    gravity = _gravity(q[0], q[1], dp.mgd, model is GravityModel.PAPER_LITERAL)
     return -gravity + friction_torque(omega_w, fp) - dp.I_cO_bar * u
 
 

@@ -53,11 +53,6 @@ class Fidelity(Enum):
     PAPER_APPROX = "paper-approx"
 
 
-# the members the per-step code tests for, bound once: under Python 3.11 a
-# member lookup such as GravityModel.PAPER_LITERAL costs ten module globals
-_PAPER_LITERAL, _EXACT = GravityModel.PAPER_LITERAL, Fidelity.EXACT
-
-
 @dataclass(frozen=True)
 class CubliParams:
     """Physical constants of the rig (defaults: the reference desk prototype)."""
@@ -242,7 +237,7 @@ def _rows(rows, out):
 def _constants(dp: DerivedParams, fp: FrictionParams, model: GravityModel, fidelity: Fidelity, sign=_sign):
     """The plant's constants as _rates reads them, with the gravity and
     fidelity branches picked; sign is _sign for Python floats, else np.sign."""
-    literal, exact = model is _PAPER_LITERAL, fidelity is _EXACT
+    literal, exact = model is GravityModel.PAPER_LITERAL, fidelity is Fidelity.EXACT
     return dp.I_cO_bar, dp.I_wG, dp.mgd, literal, exact, sign, fp.tau_c, fp.b_w, fp.c_d
 
 

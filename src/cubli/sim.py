@@ -299,9 +299,7 @@ def steady_state_sweep(
 
     Each stage at omega_w > 0 is plant.friction_torque's expression written
     out, in the same IEEE operations; any other stage point (the start at
-    rest, a swing below zero) goes through plant._friction.  Friction is odd
-    and rounding is sign-symmetric, so a level -tau runs mirrored, at +tau,
-    and returns the exact negation of its speed.
+    rest, a swing below zero, a negative level) goes through plant._friction.
     """
     dt, budget, accel_tol = 1e-2, 200.0, 1e-6
     half, sixth, inv_iwg = 0.5 * dt, dt / 6.0, 1.0 / params.I_wG
@@ -312,15 +310,15 @@ def steady_state_sweep(
 
     points = []
     max_steps = int(round(budget / dt))
-    for level in tau_levels:
-        level = float(level)
-        if not math.isfinite(level):
-            raise IdentificationError(f"input torque {level} N m is not finite")
-        if abs(level) <= tc:
+    for tau in tau_levels:
+        tau = float(tau)
+        if not math.isfinite(tau):
+            raise IdentificationError(f"input torque {tau} N m is not finite")
+        if abs(tau) <= tc:
             raise IdentificationError(
-                f"input torque {level:.3e} N m cannot overcome Coulomb friction {tc:.3e} N m"
+                f"input torque {tau:.3e} N m cannot overcome Coulomb friction {tc:.3e} N m"
             )
-        tau, w = abs(level), 0.0
+        w = 0.0
         for step in range(1, max_steps + 1):
             k1 = (tau - (tc + bw * w + cd * w * w)) * inv_iwg if w > 0.0 else accel(w, tau)
             if abs(k1) < accel_tol:
@@ -334,14 +332,13 @@ def steady_state_sweep(
             w += sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if not math.isfinite(w):
                 raise IdentificationError(
-                    f"wheel speed diverged to {w} rad/s at step {step} (t = {step * dt:.2f} s) at tau = {level:.3e} N m"
+                    f"wheel speed diverged to {w} rad/s at step {step} (t = {step * dt:.2f} s) at tau = {tau:.3e} N m"
                 )
         else:
             raise IdentificationError(
-                f"wheel did not reach steady state within {budget:.0f} s at tau = {level:.3e} N m"
+                f"wheel did not reach steady state within {budget:.0f} s at tau = {tau:.3e} N m"
             )
-        # 0.0 - w, not -w: a level that converges at rest keeps +0.0, as its unmirrored run does
-        points.append(SteadyStatePoint(tau=level, omega_ss=w if level > 0.0 else 0.0 - w))
+        points.append(SteadyStatePoint(tau=tau, omega_ss=w))
     return points
 
 

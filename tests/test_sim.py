@@ -328,6 +328,7 @@ def test_steady_state_sweep_on_the_cli_levels_is_the_reference_loop_and_mirrors(
         converged, expected, not_positive = reference_sweep_level(level, CubliParams().I_wG, fp)
         assert converged and point.omega_ss.hex() == expected.hex()
         assert mirrored.tau == -level and mirrored.omega_ss.hex() == (-expected).hex()
+        assert reference_sweep_level(-level, CubliParams().I_wG, fp)[1].hex() == mirrored.omega_ss.hex()
         below_zero += not_positive
     # the steep viscous term overshoots: its first steps swing omega_w below zero
     assert (min(below_zero, default=0.0) < 0.0) == (fp.b_w == 0.03)
@@ -347,6 +348,14 @@ def test_steady_state_sweep_at_rest_is_positive_zero_on_both_signs():
 def test_steady_state_sweep_rejects_a_non_finite_level(level):
     with pytest.raises(IdentificationError, match=r"input torque -?(nan|inf) N m is not finite"):
         sim.steady_state_sweep([5e-3, level])
+
+
+@pytest.mark.parametrize("level, speed", [(36.0, "-inf"), (-36.0, "inf")])
+def test_steady_state_sweep_names_the_step_where_the_wheel_diverges(level, speed):
+    # the steep drag overshoots past zero to the opposite speed, without bound
+    with pytest.raises(IdentificationError) as err:
+        sim.steady_state_sweep([level], fp=FrictionParams(c_d=1e-2))
+    assert str(err.value) == f"wheel speed diverged to {speed} rad/s at step 2 (t = 0.02 s) at tau = {level:.3e} N m"
 
 
 def test_fit_friction_exact_recovery():
