@@ -12,13 +12,15 @@ an orientation, and every function reads its components.  The motor torque
 tau acts on the wheel; its reaction shows up with a minus sign in the body
 equation.
 
-Each rate expression is written once and serves one trajectory and many: a
-stacked state of shape (5, N) (or (4, N) for the angle form) integrates N
-trajectories at once, and sim.rk4_step carries a (5,) state as five Python
-floats through the same expression (_rates, on the constants that _constants
-reads once per step).  Python floats and float64 arrays round alike, so the
-two representations agree bit for bit; the one exception is a -NaN wheel
-rate, whose NaN rates may differ in sign bit.
+Each rate serves one trajectory and many: a stacked state of shape (5, N) (or
+(4, N) for the angle form) integrates N trajectories at once.  dynamics_rate
+has two bodies in the same IEEE operations and order.  One trajectory, a (5,)
+vector or the five Python floats that sim.rk4_step carries, takes _rates on
+Python floats (on the constants that _constants reads once per step); stacked
+rows are computed by ufuncs that write into the rows of out, with no (N,)
+temporary.  Python floats and float64 arrays round alike, and
+tests/test_one_path.py holds the two bodies bit-identical; the one exception
+is a -NaN wheel rate, whose NaN rates may differ in sign bit.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -83,6 +86,11 @@ class FrictionParams:
             if not 0.0 <= getattr(self, f.name) < math.inf:
                 raise ValidationError(f"{f.name} must be nonnegative and finite")
 
+    @cached_property
+    def _operands(self):
+        """(tau_c, b_w, c_d) as dynamics_rate's stacked body takes them (_frozen_0d)."""
+        return _frozen_0d(self.tau_c, self.b_w, self.c_d)
+
 
 FRICTION_FREE = FrictionParams(0.0, 0.0, 0.0)
 
@@ -103,6 +111,12 @@ class DerivedParams:
     omega_1: float    # wheel natural frequency b_w / I_wG [rad/s]
     gamma: float      # inertia ratio I_cO_bar / I_wG
     delta: float      # gravity-to-wheel scale mgd / I_wG [1/s^2]
+
+    @cached_property
+    def _operands(self):
+        """(I_cO_bar, I_wG, mgd, mgd cos 45 deg) as dynamics_rate's stacked body
+        takes them (_frozen_0d)."""
+        return _frozen_0d(self.I_cO_bar, self.I_wG, self.mgd, self.mgd * _HALF_SQRT2)
 
 
 def derive(
@@ -216,13 +230,60 @@ def dynamics_rate(
     (disturbance channel).  EXACT fidelity integrates the wheel's relative
     acceleration; PAPER_APPROX drops the -omega_c_dot coupling term, which is
     the structure the controller design assumes.  Given out, an array of x's
-    shape, the rate is written into it and out is returned.
+    shape, the rate is written into it and out is returned.  A stacked x uses
+    the rows of out as scratch, so out must not overlap x, tau or tau_ext; an
+    out that overlaps x raises ValueError.
     """
-    one = x.ndim == 1
-    q0, q1, _theta_w, omega_c, omega_w = x.tolist() if one else x
-    consts = _constants(dp, fp, model, fidelity, _sign if one else np.sign)
-    dq0, dq1, omega_c_dot, omega_w_dot = _rates(q0, q1, omega_c, omega_w, tau, tau_ext, consts)
-    return _rows((dq0, dq1, omega_w, omega_c_dot, omega_w_dot), out)
+    if x.ndim == 1:
+        q0, q1, _theta_w, omega_c, omega_w = x.tolist()
+        consts = _constants(dp, fp, model, fidelity)
+        dq0, dq1, omega_c_dot, omega_w_dot = _rates(q0, q1, omega_c, omega_w, tau, tau_ext, consts)
+        return _rows((dq0, dq1, omega_w, omega_c_dot, omega_w_dot), out)
+    if out is None:
+        out = np.empty(x.shape)
+    elif np.shares_memory(out, x):
+        raise ValueError("out overlaps x, and dynamics_rate uses its rows as scratch")
+    q0, q1, _theta_w, omega_c, omega_w = x
+    r0, r1, r2, r3, r4 = out
+    tau_c, b_w, c_d = fp._operands
+    I_cO_bar, I_wG, mgd, mgd_half_sqrt2 = dp._operands
+    # _rates' operations in its order, each written into a row of out, which goes in
+    # positionally (numpy parses that faster than out=)
+    np.abs(omega_w, r0)
+    np.multiply(b_w, r0, r1)
+    np.add(tau_c, r1, r1)
+    np.multiply(c_d, r0, r2)
+    np.multiply(r2, r0, r2)
+    np.add(r1, r2, r1)
+    np.sign(omega_w, r0)
+    np.multiply(r0, r1, r1)  # tau_f
+    if model is GravityModel.PAPER_LITERAL:
+        np.multiply(mgd, q0, r2)
+    else:
+        np.subtract(q0, q1, r2)
+        np.multiply(mgd_half_sqrt2, r2, r2)  # the gravity torque
+    np.subtract(r1, r2, r3)
+    np.subtract(r3, tau, r3)
+    np.add(r3, tau_ext, r3)
+    np.divide(r3, I_cO_bar, r3)  # omega_c_dot
+    np.subtract(tau, r1, r4)
+    np.divide(r4, I_wG, r4)
+    if fidelity is Fidelity.EXACT:
+        np.subtract(r4, r3, r4)  # omega_w_dot
+    np.negative(q1, r0)
+    np.multiply(r0, omega_c, r0)
+    np.multiply(q0, omega_c, r1)
+    r2[...] = omega_w
+    return out
+
+
+def _frozen_0d(*values):
+    """values as read-only 0-d arrays.  A ufunc takes a 0-d array operand
+    without the conversion it makes of a Python float on every call, which
+    matters at small N; the values and their rounding are the same."""
+    frozen = np.array(values)
+    frozen.flags.writeable = False
+    return tuple(frozen[i, ...] for i in range(len(values)))
 
 
 def _rows(rows, out):
@@ -234,20 +295,20 @@ def _rows(rows, out):
     return out
 
 
-def _constants(dp: DerivedParams, fp: FrictionParams, model: GravityModel, fidelity: Fidelity, sign=_sign):
+def _constants(dp: DerivedParams, fp: FrictionParams, model: GravityModel, fidelity: Fidelity):
     """The plant's constants as _rates reads them, with the gravity and
-    fidelity branches picked; sign is _sign for Python floats, else np.sign."""
+    fidelity branches picked."""
     literal, exact = model is GravityModel.PAPER_LITERAL, fidelity is Fidelity.EXACT
-    return dp.I_cO_bar, dp.I_wG, dp.mgd, literal, exact, sign, fp.tau_c, fp.b_w, fp.c_d
+    return dp.I_cO_bar, dp.I_wG, dp.mgd, literal, exact, fp.tau_c, fp.b_w, fp.c_d
 
 
 def _rates(q0, q1, omega_c, omega_w, tau, tau_ext, consts):
-    """(q0', q1', omega_c', omega_w') under the plant's constants consts (see
-    _constants); theta_w' is omega_w.  The arguments are Python floats for
-    one trajectory, which sim.rk4_step steps on four such calls, or the (N,)
-    rows of a stacked state, which dynamics_rate returns."""
-    I_cO_bar, I_wG, mgd, literal, exact, sign, tau_c, b_w, c_d = consts
-    tau_f = _friction(omega_w, sign, tau_c, b_w, c_d)
+    """(q0', q1', omega_c', omega_w') of one trajectory, on Python floats, under
+    the plant's constants consts (see _constants); theta_w' is omega_w.
+    sim.rk4_step steps on four such calls, and dynamics_rate of a (5,) vector
+    makes one."""
+    I_cO_bar, I_wG, mgd, literal, exact, tau_c, b_w, c_d = consts
+    tau_f = _friction(omega_w, _sign, tau_c, b_w, c_d)
     omega_c_dot = (tau_f - _gravity(q0, q1, mgd, literal) - tau + tau_ext) / I_cO_bar
     omega_w_dot = (tau - tau_f) / I_wG
     if exact:

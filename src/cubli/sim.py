@@ -183,7 +183,8 @@ def rk4_step(
         if not (n > 0.0 and all(map(math.isfinite, out))):
             raise DivergenceError("integration produced a non-finite state", state=np.array(out))
         return out if isinstance(x, tuple) else np.array(out)
-    out = rk4(lambda s, k: plant.dynamics_rate(s, tau, dp, fp, model, fidelity, tau_ext, out=k), x, dt)
+    tau, tau_ext = np.asarray(tau, float), np.asarray(tau_ext, float)  # a 0-d operand is the faster one
+    out = rk4(lambda s, k: plant.dynamics_rate(s, tau, dp, fp, model, fidelity, tau_ext, k), x, dt)
     out[:2] /= np.sqrt(out[0] * out[0] + out[1] * out[1])
     if not np.isfinite(out).all():
         raise DivergenceError("integration produced a non-finite state", state=out)
@@ -295,7 +296,11 @@ def steady_state_sweep(
     steps of dt = 10 ms for at most 200 s per level, and a level is accepted
     once |omega_w_dot| < 1e-6 rad/s^2.  A non-finite level, and one at or
     below the Coulomb torque (it never spins up), is rejected; so is a level
-    whose wheel speed turns non-finite, at the step where it does.
+    whose wheel speed turns non-finite, at the step where it does.  A level
+    out of budget is stepped once more, and the error says so when omega_w
+    has stalled: a step that leaves it unchanged while |omega_w_dot| is above
+    the tolerance is a fixed point of the RK4 map, not of the wheel (stiff
+    friction, where the stages cancel to below half an ulp of omega_w).
 
     Each stage at omega_w > 0 is plant.friction_torque's expression written
     out, in the same IEEE operations; any other stage point (the start at
@@ -305,7 +310,7 @@ def steady_state_sweep(
     half, sixth, inv_iwg = 0.5 * dt, dt / 6.0, 1.0 / params.I_wG
     tc, bw, cd = fp.tau_c, fp.b_w, fp.c_d
 
-    def accel(w: float, tau: float) -> float:  # a stage the fast path leaves: omega_w <= 0 or NaN
+    def accel(w: float, tau: float) -> float:  # a stage off the fast path (omega_w <= 0 or NaN), or past the budget
         return (tau - plant._friction(w, plant._sign, tc, bw, cd)) * inv_iwg
 
     points = []
@@ -335,8 +340,16 @@ def steady_state_sweep(
                     f"wheel speed diverged to {w} rad/s at step {step} (t = {step * dt:.2f} s) at tau = {tau:.3e} N m"
                 )
         else:
+            # out of budget: one more step, off the loop, tells a stalled RK4 map from a slow wheel
+            k1 = accel(w, tau)
+            k2 = accel(w + half * k1, tau)
+            k3 = accel(w + half * k2, tau)
+            k4 = accel(w + dt * k3, tau)
+            stalled = abs(k1) >= accel_tol and w + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4) == w
             raise IdentificationError(
                 f"wheel did not reach steady state within {budget:.0f} s at tau = {tau:.3e} N m"
+                + (f": omega_w = {w!r} rad/s is a fixed point of the {dt * 1e3:.0f} ms RK4 step, not of the wheel"
+                   f" (|omega_w_dot| = {abs(k1):.3e} rad/s^2)" if stalled else "")
             )
         points.append(SteadyStatePoint(tau=tau, omega_ss=w))
     return points

@@ -469,6 +469,15 @@ def test_fit_friction_synthetic_reports_a_diverging_level_at_once(capsys):
     assert err == "error: wheel speed diverged to -inf rad/s at step 2 (t = 0.02 s) at tau = 3.600e+01 N m\n"
 
 
+def test_fit_friction_synthetic_names_a_stalled_level(capsys):
+    assert run_cli("fit-friction", "--synthetic", "--set", "friction.c_d=1e-4") == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err == (
+        "error: wheel did not reach steady state within 200 s at tau = 3.021e+00 N m: omega_w = 134.9963194730358"
+        " rad/s is a fixed point of the 10 ms RK4 step, not of the wheel (|omega_w_dot| = 9.557e+03 rad/s^2)\n"
+    )
+
+
 def test_fit_friction_from_csv(tmp_path, capsys):
     rows = ["tau,omega_ss"]
     for w in (50.0, 150.0, 300.0, 450.0, 600.0):

@@ -1,13 +1,14 @@
 """Property tests of the one-path contract.
 
 Every rate, rotor and integrator function takes one trajectory as a (k,)
-vector or N trajectories stacked as (k, N), with each rate formula written
-once.  sim.rk4_step steps a (5,) state or a tuple on five Python floats, the
-RK4 stages written out per component, and a stacked one as its array through
-sim.rk4's in-place step, chosen by the state's type and shape.  Column j of a
-stacked call must then equal, bit for bit, the call on column j alone, and
-each of the two RK4 forms must equal the textbook formula on whole arrays
-(out_of_place_rk4).
+vector or N trajectories stacked as (k, N).  plant.dynamics_rate rates one
+trajectory on Python floats and a stack by ufuncs that write into the rows
+of out, in the same operations.  sim.rk4_step steps a (5,) state or a tuple
+on five Python floats, the RK4 stages written out per component, and a
+stacked one as its array through sim.rk4's in-place step, chosen by the
+state's type and shape.  Column j of a stacked call must then equal, bit for
+bit, the call on column j alone, and each of the two RK4 forms must equal
+the textbook formula on whole arrays (out_of_place_rk4).
 """
 
 import dataclasses

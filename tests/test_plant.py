@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -178,6 +179,45 @@ stacks = st.integers(1, 8).flatmap(
         hnp.arrays(np.float64, (3, n), elements=st.floats(-300.0, 300.0)),
     )
 )
+
+
+def stacked_states(n, seed=3):
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(-math.pi, math.pi, n)
+    return np.vstack([np.cos(theta), np.sin(theta), rng.uniform(-300.0, 300.0, (3, n))])
+
+
+@pytest.mark.parametrize("fp", [FrictionParams(), plant.FRICTION_FREE], ids=["friction", "friction-free"])
+@pytest.mark.parametrize("fidelity", list(Fidelity))
+@pytest.mark.parametrize("model", list(GravityModel))
+def test_stacked_rate_into_out_allocates_less_than_one_row(model, fidelity, fp):
+    # the rows of out hold every intermediate; an (N,) temporary per term read 5 rows at peak
+    n = 10_000
+    x, out = stacked_states(n), np.empty((5, n))
+    dp = plant.derive(CubliParams(), fp, model)
+    args = (0.1, dp, fp, model, fidelity, 0.01)
+    plant.dynamics_rate(x, *args, out)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert plant.dynamics_rate(x, *args, out) is out
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 8 * n
+    assert out.tobytes() == plant.dynamics_rate(x, *args).tobytes()
+
+
+def test_stacked_rate_rejects_an_out_that_overlaps_x(dp):
+    # out's rows are scratch, so an out over x would read its own partial results
+    buf = np.vstack([stacked_states(4), stacked_states(4, seed=4)[:1]])
+    x, expected = buf[:5], plant.dynamics_rate(buf[:5], 0.1, dp, FrictionParams())
+    for out in (x, buf[1:], buf[::-1][:5]):
+        with pytest.raises(ValueError, match="out overlaps x"):
+            plant.dynamics_rate(x, 0.1, dp, FrictionParams(), out=out)
+    # the same buffer, apart from x: allowed, and the same bits
+    wide = np.hstack([x, np.full_like(x, np.nan)])
+    assert plant.dynamics_rate(wide[:, :4], 0.1, dp, FrictionParams(), out=wide[:, 4:]).tobytes() == expected.tobytes()
 
 
 @settings(deadline=None, max_examples=200)
