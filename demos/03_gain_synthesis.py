@@ -12,7 +12,7 @@ from cubli import analysis, cli, control, plant
 from cubli.control import DesignSpec
 
 cfg = cli.Config()  # the reference experiment's tuning
-dp = plant.derive(cfg.params, cfg.friction, cfg.controller_gravity)
+dp = plant.derive(cfg.params, cfg.friction)
 spec = cli.design_spec(cfg)
 print(f"targets: zeta = {spec.zeta:.4f}, omega_n = {spec.omega_n:.4f} rad/s, alpha = {spec.alpha}")
 

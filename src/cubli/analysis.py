@@ -20,8 +20,10 @@ _MAX_DIM = 8
 def char_poly(a) -> np.ndarray:
     """Monic characteristic polynomial coefficients, highest degree first.
 
-    Uses the Faddeev-LeVerrier trace recurrence, which is exact in the field
-    of the inputs up to rounding and needs no eigensolver.
+    Uses the Faddeev-LeVerrier trace recurrence, which needs no eigensolver,
+    in integers: A is an integer matrix over 2**s (each float is m / 2**e),
+    so coefficient k is an integer over 2**(s*k), rounded once.  In floats the
+    recurrence cancels digits where the poles lie far apart (low gravity).
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -29,14 +31,22 @@ def char_poly(a) -> np.ndarray:
     n = a.shape[0]
     if n > _MAX_DIM:
         raise ValidationError(f"matrix dimension {n} exceeds supported maximum {_MAX_DIM}")
-    coeffs = np.empty(n + 1)
-    coeffs[0] = 1.0
-    m = np.zeros_like(a)
-    ident = np.eye(n)
+    if not np.isfinite(a).all():
+        raise ValidationError("matrix entries must be finite")
+    ratios = [[x.as_integer_ratio() for x in row] for row in a.tolist()]
+    scale = max((den for row in ratios for _, den in row), default=1)  # 2**s
+    num = [[top * (scale // den) for top, den in row] for row in ratios]  # A * 2**s
+    coeffs = [1]
+    m = [[0] * n for _ in range(n)]
     for k in range(1, n + 1):
-        m = a @ m + coeffs[k - 1] * ident
-        coeffs[k] = -np.trace(a @ m) / k
-    return coeffs
+        for i in range(n):
+            m[i][i] += coeffs[-1]
+        m = [[sum(x * y for x, y in zip(row, col)) for col in zip(*m)] for row in num]
+        coeffs.append(-sum(m[i][i] for i in range(n)) // k)
+    try:
+        return np.array([c / scale**k for k, c in enumerate(coeffs)])  # int / int rounds correctly
+    except OverflowError:
+        raise ValidationError("characteristic polynomial coefficient overflows") from None
 
 
 def controllability_matrix(a, b) -> np.ndarray:

@@ -204,8 +204,8 @@ def load_config(args) -> Config:
 def design_spec(cfg: Config) -> DesignSpec:
     """Resolve the design targets: omega_n is a multiple of the pendulum
     natural frequency under the controller's gravity model."""
-    dp = plant.derive(cfg.params, cfg.friction, cfg.controller_gravity)
-    return DesignSpec(zeta=cfg.zeta, omega_n=cfg.omega_n_factor * dp.omega_0, alpha=cfg.alpha)
+    omega_0 = plant.pendulum_frequency(plant.derive(cfg.params, cfg.friction), cfg.controller_gravity)
+    return DesignSpec(zeta=cfg.zeta, omega_n=cfg.omega_n_factor * omega_0, alpha=cfg.alpha)
 
 
 def build_scenario(cfg: Config) -> sim.Scenario:
@@ -255,21 +255,20 @@ def _print_kv(pairs):
 
 
 def cmd_params(cfg: Config, json_out: bool = False) -> int:
-    dp_con = plant.derive(cfg.params, cfg.friction, GravityModel.CONSISTENT)
-    dp_lit = plant.derive(cfg.params, cfg.friction, GravityModel.PAPER_LITERAL)
+    dp = plant.derive(cfg.params, cfg.friction)
     entries = [
-        ("d", f"{dp_con.d:.6f} m"),
-        ("m_c", f"{dp_con.m_c:.6g} kg"),
-        ("I_sO", f"{dp_con.I_sO:.6e} kg m^2"),
-        ("I_wO", f"{dp_con.I_wO:.6e} kg m^2"),
-        ("I_cO", f"{dp_con.I_cO:.6e} kg m^2"),
-        ("I_cO_bar", f"{dp_con.I_cO_bar:.6e} kg m^2"),
-        ("m_c*g*d", f"{dp_con.mgd:.6f} N m"),
-        ("omega_0 (consistent)", f"{dp_con.omega_0:.6f} rad/s"),
-        ("omega_0 (paper-literal)", f"{dp_lit.omega_0:.6f} rad/s"),
-        ("omega_1", f"{dp_con.omega_1:.6g} rad/s"),
-        ("gamma", f"{dp_con.gamma:.6g}"),
-        ("delta", f"{dp_con.delta:.6f} 1/s^2"),
+        ("d", f"{dp.d:.6f} m"),
+        ("m_c", f"{dp.m_c:.6g} kg"),
+        ("I_sO", f"{dp.I_sO:.6e} kg m^2"),
+        ("I_wO", f"{dp.I_wO:.6e} kg m^2"),
+        ("I_cO", f"{dp.I_cO:.6e} kg m^2"),
+        ("I_cO_bar", f"{dp.I_cO_bar:.6e} kg m^2"),
+        ("m_c*g*d", f"{dp.mgd:.6f} N m"),
+        ("omega_0 (consistent)", f"{plant.pendulum_frequency(dp, GravityModel.CONSISTENT):.6f} rad/s"),
+        ("omega_0 (paper-literal)", f"{plant.pendulum_frequency(dp, GravityModel.PAPER_LITERAL):.6f} rad/s"),
+        ("omega_1", f"{dp.omega_1:.6g} rad/s"),
+        ("gamma", f"{dp.gamma:.6g}"),
+        ("delta", f"{dp.delta:.6f} 1/s^2"),
     ]
     if json_out:
         print(json.dumps({k: v for k, v in entries}, indent=2))
@@ -279,7 +278,7 @@ def cmd_params(cfg: Config, json_out: bool = False) -> int:
 
 
 def cmd_gains(sc: sim.Scenario) -> int:
-    dp = plant.derive(sc.params, sc.friction, sc.controller_gravity)
+    dp = plant.derive(sc.params, sc.friction)
     spec, gains, poles, eigs, error = verify.pole_placement(sc, dp)
     _print_kv(
         [

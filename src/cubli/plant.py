@@ -97,7 +97,7 @@ FRICTION_FREE = FrictionParams(0.0, 0.0, 0.0)
 
 @dataclass(frozen=True)
 class DerivedParams:
-    """Quantities derived from CubliParams; see derive()."""
+    """Quantities derived from CubliParams and FrictionParams, under no gravity model; see derive()."""
 
     d: float          # pivot-to-centre distance [m]
     m_c: float        # total mass [kg]
@@ -107,7 +107,6 @@ class DerivedParams:
     I_cO_bar: float   # I_cO minus the wheel's own inertia [kg m^2]
     I_wG: float       # wheel inertia about its own centre (copied) [kg m^2]
     mgd: float        # gravity torque scale m_c * g * d [N m]
-    omega_0: float    # pendulum natural frequency, per derive's gravity model [rad/s]
     omega_1: float    # wheel natural frequency b_w / I_wG [rad/s]
     gamma: float      # inertia ratio I_cO_bar / I_wG
     delta: float      # gravity-to-wheel scale mgd / I_wG [1/s^2]
@@ -119,17 +118,14 @@ class DerivedParams:
         return _frozen_0d(self.I_cO_bar, self.I_wG, self.mgd, self.mgd * _HALF_SQRT2)
 
 
-def derive(
-    params: CubliParams,
-    friction: FrictionParams = FrictionParams(),
-    model: GravityModel = GravityModel.CONSISTENT,
-) -> DerivedParams:
+def derive(params: CubliParams, friction: FrictionParams = FrictionParams(), _model=None) -> DerivedParams:
     """Compute the derived inertias, frequencies, and ratios.
 
     Every derived value must be finite and, but for omega_1 (0 when b_w = 0),
     positive, and the inertia ratio gamma must exceed 10: the reduced wheel
     equation of Fidelity.PAPER_APPROX is only meaningful when the wheel's own
-    inertia is a small part of the total.
+    inertia is a small part of the total.  A third argument (the gravity
+    model that perfbench/ still passes) is accepted and ignored.
     """
     d = params.l * math.sqrt(2.0) / 2.0
     m_c = params.m_s + params.m_w
@@ -138,16 +134,12 @@ def derive(
     I_cO = I_sO + I_wO
     I_cO_bar = I_cO - params.I_wG
     gamma = I_cO_bar / params.I_wG
-    if gamma <= 10.0:  # before omega_0 divides by I_cO_bar, which can round to 0
+    if gamma <= 10.0:  # I_cO_bar can round to 0, and pendulum_frequency divides by it
         raise ValidationError(
             f"inertia ratio gamma = {gamma:.3g} is too small (need > 10) for the "
             f"reduced wheel dynamics to be valid"
         )
     mgd = m_c * params.g * d
-    if model is GravityModel.PAPER_LITERAL:
-        omega_0 = math.sqrt(mgd * (math.sqrt(2.0) / 2.0) / I_cO_bar)
-    else:
-        omega_0 = math.sqrt(mgd / I_cO_bar)
     dp = DerivedParams(
         d=d,
         m_c=m_c,
@@ -157,7 +149,6 @@ def derive(
         I_cO_bar=I_cO_bar,
         I_wG=params.I_wG,
         mgd=mgd,
-        omega_0=omega_0,
         omega_1=friction.b_w / params.I_wG,
         gamma=gamma,
         delta=mgd / params.I_wG,
@@ -169,6 +160,16 @@ def derive(
         if value == 0.0 and f.name != "omega_1":
             raise ValidationError(f"derived {f.name} underflows to 0")
     return dp
+
+
+def pendulum_frequency(dp: DerivedParams, model: GravityModel) -> float:
+    """The pendulum natural frequency omega_0 [rad/s] under the gravity model:
+    finite, as omega_0^2 <= delta / gamma with gamma > 10, but it can underflow."""
+    scale = _HALF_SQRT2 if model is GravityModel.PAPER_LITERAL else 1.0  # mgd * 1.0 is mgd
+    omega_0 = math.sqrt(dp.mgd * scale / dp.I_cO_bar)
+    if omega_0 == 0.0:
+        raise ValidationError("derived omega_0 underflows to 0")
+    return omega_0
 
 
 def state(q, theta_w=0.0, omega_c=0.0, omega_w=0.0) -> np.ndarray:

@@ -94,7 +94,7 @@ class Scenario:
         if initial.shape != (5,) or not (np.isfinite(initial).all() and rotor.is_unit(initial[:2])):
             raise ValidationError(f"initial must be a finite (5,) state with a unit complex q, got {self.initial!r}")
         self.initial = initial
-        control.gains_for_mode(self.mode, self.design, plant.derive(self.params, self.friction, self.plant_gravity))
+        control.gains_for_mode(self.mode, self.design, plant.derive(self.params, self.friction))
 
 
 @dataclass
@@ -205,7 +205,7 @@ def run(scenario: Scenario) -> TimeSeries:
     the grid time t[k], the step k and the state at which the run failed.
     """
     sc = scenario
-    dp = plant.derive(sc.params, sc.friction, sc.plant_gravity)
+    dp = plant.derive(sc.params, sc.friction)
     gains = control.gains_for_mode(sc.mode, sc.design, dp)
     # looked up on the module when the run starts, so a wrapper installed there is the one called
     regulator = getattr(control, control.REGULATORS[sc.mode])

@@ -11,14 +11,17 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cubli import cli, control, plant, rotor, sim, verify
 from cubli.control import Gains, Mode
+from cubli.errors import ValidationError
 from cubli.plant import CubliParams, FrictionParams, GravityModel, state
 
 PARAMS = CubliParams()
 FRICTION = FrictionParams()
-DP_CON = plant.derive(PARAMS, FRICTION, GravityModel.CONSISTENT)
+DP_CON = plant.derive(PARAMS, FRICTION)
 CONFIG = cli.build_config({})
 SCENARIO = cli.build_scenario(CONFIG)
 
@@ -65,9 +68,56 @@ def test_01_parameter_derivation():
 def test_verify_check(check):
     # the checks `cubli verify` runs, on the default config
     started = time.perf_counter()
-    ok, metric = check(SCENARIO, verify.derive_all(SCENARIO))
+    ok, metric = check(SCENARIO, plant.derive(SCENARIO.params, SCENARIO.friction))
     assert ok, metric
     report("V", check.__name__, metric, started)
+
+
+# the checks whose claims hold for any rig, not only the default one; the oracle
+# and energy checks run 10^4 and 10^5 steps and stay on the default config
+RIG_CHECKS = (
+    verify.linearization_fd, verify.open_loop_poles, verify.gain_synthesis,
+    verify.closed_loop_poles, verify.fbl_cancellation,
+)
+
+
+def rig_check_failures(sc):
+    """{check name: metric text} of each check in RIG_CHECKS that fails on sc."""
+    dp = plant.derive(sc.params, sc.friction)
+    results = {check.__name__: check(sc, dp) for check in RIG_CHECKS}
+    return {name: metric for name, (ok, metric) in results.items() if not ok}
+
+
+@st.composite
+def rig_scenarios(draw):
+    """The reference experiment with each physics.* and friction.* value drawn
+    log-uniformly within 10x of its default, under one gravity model for the
+    plant and the controller; only scenarios that build are kept."""
+    rnd = draw(st.randoms(use_true_random=True))  # uniform: st.floats favours the box's ends and centre
+
+    def near(cls):
+        return cls(**{f.name: f.default * 10.0 ** rnd.uniform(-1.0, 1.0) for f in dataclasses.fields(cls)})
+
+    model = draw(st.sampled_from(list(GravityModel)))
+    try:
+        return reference_scenario(
+            params=near(CubliParams), friction=near(FrictionParams), plant_gravity=model, controller_gravity=model
+        )
+    except ValidationError:
+        assume(False)
+
+
+@settings(deadline=None, max_examples=60)
+@given(sc=rig_scenarios())
+def test_rig_checks_hold_over_the_physics_box(sc):
+    assert rig_check_failures(sc) == {}
+
+
+@pytest.mark.parametrize("g", [0.3, 0.1])
+def test_rig_checks_hold_at_low_gravity(g):
+    # the poles spread far apart, where a float Faddeev-LeVerrier recurrence
+    # read gain_synthesis errors of 1.3e-9 (g = 0.3) and 7.4e-8 (g = 0.1)
+    assert rig_check_failures(reference_scenario(params=CubliParams(g=g))) == {}
 
 
 def test_08_reference_experiment_reproduction():

@@ -40,6 +40,19 @@ def test_char_poly_input_validation():
         analysis.char_poly(np.zeros((2, 3)))
     with pytest.raises(ValidationError):
         analysis.char_poly(np.zeros((9, 9)))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValidationError, match="finite"):
+            analysis.char_poly(np.diag([1.0, bad]))
+    with pytest.raises(ValidationError, match="overflows"):
+        analysis.char_poly(np.diag([1e300, 1e300]))
+
+
+def test_char_poly_rounds_each_coefficient_once():
+    # poles 80 octaves apart: the recurrence in floats cancels the constant
+    # coefficient -3 to about -1.8e11.  Each coefficient is the nearest float to
+    # the true one, in which the 2^-40 terms fall below half an ulp.
+    a = np.diag([2.0**40, 3.0, 2.0**-40])
+    assert analysis.char_poly(a).tolist() == [1.0, -(2.0**40 + 3.0), 3.0 * 2.0**40 + 1.0, -3.0]
 
 
 def test_controllability_trivial_cases():
@@ -53,7 +66,7 @@ def test_controllability_trivial_cases():
 @pytest.mark.parametrize("model", list(GravityModel))
 def test_open_loop_controllability_rank_is_four(model):
     fp = FrictionParams()
-    dp = plant.derive(CubliParams(), fp, model)
+    dp = plant.derive(CubliParams(), fp)
     a, b = plant.linearize(dp, fp, model)
     assert analysis.controllability_rank(a, b) == 4
 
@@ -120,9 +133,8 @@ def test_gain_synthesis_identity_random_specs(dp):
 
 
 def test_closed_loop_eigenvalues_reference_case(dp):
-    dp_lit = plant.derive(CubliParams(), FrictionParams(), GravityModel.PAPER_LITERAL)
     spec = cli.design_spec(dataclasses.replace(cli.Config(), controller_gravity=GravityModel.PAPER_LITERAL))
-    eigs = np.linalg.eigvals(analysis.closed_loop_matrix(control.full_gains(spec, dp_lit), dp_lit))
+    eigs = np.linalg.eigvals(analysis.closed_loop_matrix(control.full_gains(spec, dp), dp))
     assert passes(analysis.coefficient_error(np.poly(eigs), analysis.design_poly(spec)))
     expected = analysis.designed_poles(spec)
     # the textbook numbers: -7.27 +/- 7.27j and a double pole at -0.727
@@ -187,7 +199,7 @@ def close_double_poles_spec(dp):
     # zeta = 1 makes the attitude pair a double pole at -omega_n and alpha near
     # 1 puts the wheel's double pole 0.004 away: rounding splits the four
     # eigenvalues by ~1.8e-4, yet their polynomial stays within ~3e-15 of the design
-    return DesignSpec(zeta=1.0, omega_n=0.490748 * dp.omega_0, alpha=0.999)
+    return DesignSpec(zeta=1.0, omega_n=0.490748 * plant.pendulum_frequency(dp, GravityModel.CONSISTENT), alpha=0.999)
 
 
 def reference_spec(dp):
@@ -247,9 +259,10 @@ def test_coefficient_error_fails_two_distinct_poles_moved_oppositely(dp):
 def test_coefficient_error_fails_a_wrong_open_loop_frequency(dp):
     a, _ = plant.linearize(dp, FrictionParams(), GravityModel.CONSISTENT)
     coeffs = analysis.char_poly(a)
-    for w0 in (dp.omega_0, dp.omega_0 * (1.0 + 1e-6), dp.omega_0 * (1.0 - 1e-6), dp.omega_0 * 1.01):
+    omega_0 = plant.pendulum_frequency(dp, GravityModel.CONSISTENT)
+    for w0 in (omega_0, omega_0 * (1.0 + 1e-6), omega_0 * (1.0 - 1e-6), omega_0 * 1.01):
         target = np.poly([0.0, 0.0, -dp.omega_1, w0, -w0])
-        assert passes(analysis.coefficient_error(coeffs, target)) == (w0 == dp.omega_0), w0
+        assert passes(analysis.coefficient_error(coeffs, target)) == (w0 == omega_0), w0
 
 
 def test_design_poly_expansion():

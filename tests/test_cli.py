@@ -290,11 +290,13 @@ def test_output_path_is_never_blamed_for_the_experiment(capsys):
 OVERFLOW_CASES = [
     (["physics.l=1e200"], "physics.l: derived I_sO overflows"),
     (["physics.I_sG=1e308"], "physics.I_sG: derived gamma overflows"),
-    (["physics.g=1e308"], "physics.g: derived omega_0 overflows"),
+    (["physics.g=1e308"], "physics.g: derived delta overflows"),
     # mgd = m_c g d does not depend on I_sG
     (["physics.I_sG=1e308", "physics.m_s=1e308"], "physics.m_s: derived mgd overflows"),
     (["physics.I_wG=1e-320"], "physics.I_wG: derived omega_1 overflows"),
     (["physics.g=5e-324"], "physics.g: derived mgd underflows to 0"),
+    # mgd / I_cO_bar underflows, while delta = mgd / I_wG does not
+    (["physics.g=5e-322", "physics.I_sG=100"], "physics.g, physics.I_sG: derived omega_0 underflows to 0"),
 ]
 
 

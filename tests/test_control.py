@@ -14,7 +14,7 @@ from cubli.plant import CubliParams, Fidelity, FrictionParams, GravityModel, sta
 
 SQ2 = math.sqrt(2.0) / 2.0
 
-DP_BY_MODEL = {model: plant.derive(CubliParams(), FrictionParams(), model) for model in GravityModel}
+DP = plant.derive(CubliParams(), FrictionParams())
 REFERENCE = cli.build_scenario(cli.Config())
 
 # no deadline: the host's speed varies too much for per-example timing
@@ -23,12 +23,7 @@ prop = settings(deadline=None, max_examples=300)
 
 @pytest.fixture(scope="module")
 def dp():
-    return plant.derive(CubliParams(), FrictionParams())
-
-
-@pytest.fixture(scope="module")
-def dp_literal():
-    return plant.derive(CubliParams(), FrictionParams(), GravityModel.PAPER_LITERAL)
+    return DP
 
 
 @pytest.fixture(scope="module")
@@ -97,8 +92,8 @@ def test_full_gains_continuous_at_zero_alpha(dp):
     assert gains.k_d == pytest.approx(2.0 * 0.7 * 8.0, rel=1e-6)
 
 
-def test_full_gains_reference_values(paper_spec, dp_literal):
-    gains = control.full_gains(paper_spec, dp_literal)
+def test_full_gains_reference_values(paper_spec, dp):
+    gains = control.full_gains(paper_spec, dp)
     assert gains.k_p == pytest.approx(128.2, rel=1e-3)
     assert gains.k_d == pytest.approx(18.42, rel=1e-3)
     assert gains.k_pw == pytest.approx(7.90e-3, rel=2e-3)
@@ -110,12 +105,10 @@ def test_full_gains_reference_values(paper_spec, dp_literal):
     zeta=st.floats(0.05, 1.0),
     omega_n=st.floats(0.5, 20.0),
     alpha=st.floats(0.0, 2.0),
-    model=st.sampled_from(list(GravityModel)),
 )
-def test_full_gains_match_design_polynomial(zeta, omega_n, alpha, model):
-    dp = DP_BY_MODEL[model]
+def test_full_gains_match_design_polynomial(zeta, omega_n, alpha):
     spec = DesignSpec(zeta=zeta, omega_n=omega_n, alpha=alpha)
-    coeffs = analysis.char_poly(analysis.closed_loop_matrix(control.full_gains(spec, dp), dp))
+    coeffs = analysis.char_poly(analysis.closed_loop_matrix(control.full_gains(spec, DP), DP))
     assert verify.coefficient_gate(analysis.coefficient_error(coeffs, analysis.design_poly(spec)))[0]
 
 
@@ -132,9 +125,8 @@ def test_full_gains_match_design_polynomial(zeta, omega_n, alpha, model):
 def test_closed_loop_eigenvalues_are_designed_poles(zeta, omega_n_factor, alpha, model):
     # the eigensolver path of closed_loop_poles and cubli gains, over omega_n
     # from 0.1 to 7 omega_0, where the poles may nearly coalesce
-    dp = DP_BY_MODEL[model]
-    spec = DesignSpec(zeta=zeta, omega_n=omega_n_factor * dp.omega_0, alpha=alpha)
-    eigs = np.linalg.eigvals(analysis.closed_loop_matrix(control.full_gains(spec, dp), dp))
+    spec = DesignSpec(zeta=zeta, omega_n=omega_n_factor * plant.pendulum_frequency(DP, model), alpha=alpha)
+    eigs = np.linalg.eigvals(analysis.closed_loop_matrix(control.full_gains(spec, DP), DP))
     assert verify.coefficient_gate(analysis.coefficient_error(np.poly(eigs), analysis.design_poly(spec)))[0]
 
 
@@ -143,7 +135,7 @@ def test_design_poly_roots_are_designed_poles(paper_spec):
     assert verify.coefficient_gate(error)[0]
 
 
-def test_regulator_attitude(dp_literal, paper_spec):
+def test_regulator_attitude(paper_spec):
     gains = control.Gains(paper_spec.omega_n**2, 2.0 * paper_spec.zeta * paper_spec.omega_n)
     q_r = rotor.UPRIGHT
     assert control.regulator_attitude(state(q_r), q_r, gains) == 0.0
@@ -230,11 +222,10 @@ def test_feedback_linearize_at_equilibrium(dp):
 )
 def test_feedback_linearization_cancels_exactly(model, theta, theta_w, omega_c, omega_w, u):
     fp = FrictionParams()
-    dp = DP_BY_MODEL[model]
     q = rotor.from_angle(theta)
     x = state(q, theta_w, omega_c, omega_w)
-    tau = control.feedback_linearize(u, q, omega_w, dp, fp, model)
-    rate = plant.dynamics_rate(x, tau, dp, fp, model, Fidelity.PAPER_APPROX)
+    tau = control.feedback_linearize(u, q, omega_w, DP, fp, model)
+    rate = plant.dynamics_rate(x, tau, DP, fp, model, Fidelity.PAPER_APPROX)
     assert abs(rate[3] - u) < 1e-12
 
 

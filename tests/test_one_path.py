@@ -29,7 +29,7 @@ from cubli.plant import CubliParams, Fidelity, FrictionParams, GravityModel, sta
 # no deadline: the host's speed varies too much for per-example timing
 one_path = settings(deadline=None, max_examples=150)
 
-DP = {model: plant.derive(CubliParams(), FrictionParams(), model) for model in GravityModel}
+DP = plant.derive(CubliParams(), FrictionParams())
 REFERENCE = cli.build_scenario(cli.Config())
 
 finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
@@ -76,10 +76,10 @@ def assert_bitwise(alone, stacked_column):
 def test_dynamics_rate_columns_are_bitwise_alone(x, data, fp, model, fidelity):
     tau = per_column_tau(data.draw, x.shape[1])
     tau_ext = data.draw(st.floats(-1.0, 1.0))
-    out = plant.dynamics_rate(x, tau, DP[model], fp, model, fidelity, tau_ext)
+    out = plant.dynamics_rate(x, tau, DP, fp, model, fidelity, tau_ext)
     assert out.shape == x.shape
     for j in range(x.shape[1]):
-        alone = plant.dynamics_rate(x[:, j], column(tau, j), DP[model], fp, model, fidelity, tau_ext)
+        alone = plant.dynamics_rate(x[:, j], column(tau, j), DP, fp, model, fidelity, tau_ext)
         assert_bitwise(alone, out[:, j])
 
 
@@ -87,10 +87,10 @@ def test_dynamics_rate_columns_are_bitwise_alone(x, data, fp, model, fidelity):
 @given(stacked(4), st.data(), friction, models, fidelities)
 def test_angle_dynamics_rate_columns_are_bitwise_alone(x, data, fp, model, fidelity):
     tau = per_column_tau(data.draw, x.shape[1])
-    out = plant.angle_dynamics_rate(x, tau, DP[model], fp, model, fidelity)
+    out = plant.angle_dynamics_rate(x, tau, DP, fp, model, fidelity)
     assert out.shape == x.shape
     for j in range(x.shape[1]):
-        alone = plant.angle_dynamics_rate(x[:, j], column(tau, j), DP[model], fp, model, fidelity)
+        alone = plant.angle_dynamics_rate(x[:, j], column(tau, j), DP, fp, model, fidelity)
         assert_bitwise(alone, out[:, j])
 
 
@@ -116,7 +116,7 @@ def test_rk4_step_columns_are_bitwise_alone(x, data, fp, model, fidelity, dt):
 
     def integrate(x, tau):
         for _ in range(20):
-            x = sim.rk4_step(x, tau, dt, DP[model], fp, model, fidelity)
+            x = sim.rk4_step(x, tau, dt, DP, fp, model, fidelity)
         return x
 
     out = integrate(x, tau)
@@ -130,7 +130,7 @@ def test_rk4_step_never_mutates_its_input(x, tau, single):
     if single:
         x = x[:, 0].copy()
     before = x.copy()
-    out = sim.rk4_step(x, tau, 1e-3, DP[GravityModel.CONSISTENT], FrictionParams())
+    out = sim.rk4_step(x, tau, 1e-3, DP, FrictionParams())
     assert out is not x
     assert x.tobytes() == before.tobytes()
 
@@ -149,7 +149,7 @@ def out_of_place_rk4(rate, x, dt):
 @given(plant_states(), st.data(), friction, models, fidelities, st.sampled_from([1e-4, 1e-3, 1e-2]))
 def test_in_place_step_equals_an_out_of_place_rk4(x, data, fp, model, fidelity, dt):
     tau = per_column_tau(data.draw, x.shape[1])
-    args = (tau, DP[model], fp, model, fidelity, data.draw(st.floats(-1.0, 1.0)))
+    args = (tau, DP, fp, model, fidelity, data.draw(st.floats(-1.0, 1.0)))
     expected = out_of_place_rk4(lambda y: plant.dynamics_rate(y, *args), x, dt)
     expected[:2] = expected[:2] / np.sqrt(expected[0] * expected[0] + expected[1] * expected[1])
     out = sim.rk4_step(x, tau, dt, *args[1:])
@@ -174,7 +174,7 @@ def test_one_trajectory_step_equals_an_out_of_place_rk4(x, data, fp, model, fide
     # textbook formula on whole (5,) arrays
     x = x[:, 0].copy()
     tau_ext = data.draw(st.floats(-1.0, 1.0).filter(lambda v: v != 0.0))
-    args = (data.draw(st.floats(-1.0, 1.0)), DP[model], fp, model, fidelity, tau_ext)
+    args = (data.draw(st.floats(-1.0, 1.0)), DP, fp, model, fidelity, tau_ext)
     expected = out_of_place_rk4(lambda y: plant.dynamics_rate(y, *args), x, dt)
     expected[:2] = expected[:2] / np.sqrt(expected[0] * expected[0] + expected[1] * expected[1])
     for one in (x, tuple(x.tolist())):
@@ -198,7 +198,7 @@ def test_float_path_matches_array_path_at_edge_wheel_rates(omega_w, fp):
     xa = np.array([0.3, 0.1, 0.2, omega_w])
     for model in GravityModel:
         for fidelity in Fidelity:
-            args = (DP[model], fp, model, fidelity)
+            args = (DP, fp, model, fidelity)
             assert_bitwise(plant.dynamics_rate(x, 0.5, *args), plant.dynamics_rate(stacked, 0.5, *args)[:, 1])
             assert_bitwise(plant.angle_dynamics_rate(xa, 0.5, *args), plant.angle_dynamics_rate(xa[:, None], 0.5, *args)[:, 0])
             alone = sim.rk4_step(x, 0.5, 1e-3, *args)
@@ -211,7 +211,7 @@ def test_float_path_keeps_a_nan_wheel_rate_and_diverges(fp):
     # A -NaN wheel rate stays NaN on every path, but numpy scalars and arrays
     # may give its NaN rates different sign bits, so only +NaN is compared bit
     # for bit (plant's docstring states the exception).
-    args = (DP[GravityModel.CONSISTENT], fp, GravityModel.CONSISTENT, Fidelity.EXACT)
+    args = (DP, fp, GravityModel.CONSISTENT, Fidelity.EXACT)
     for nan in (math.nan, -math.nan):
         assert math.isnan(plant.friction_torque(nan, fp))
         x = np.array([0.6, 0.8, 0.1, 0.2, nan])
@@ -266,7 +266,7 @@ def test_rotor_functions_on_a_tuple_equal_them_on_an_array(v):
 def array_loop(sc):
     """sim.run's loop on numpy arrays: the logged (x, u, tau_cmd, tau_applied)
     rows as a (8, steps + 1) array."""
-    dp = plant.derive(sc.params, sc.friction, sc.plant_gravity)
+    dp = plant.derive(sc.params, sc.friction)
     gains = control.gains_for_mode(sc.mode, sc.design, dp)
     q_bias = rotor.from_angle(sc.sensor_bias)
     n_steps = round(sc.t_end / sc.dt)

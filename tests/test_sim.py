@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 from cubli import cli, plant, rotor, sim
 from cubli.control import Mode
 from cubli.errors import DivergenceError, IdentificationError, SingularityError, ValidationError
-from cubli.plant import CubliParams, FrictionParams, state
+from cubli.plant import CubliParams, FrictionParams, GravityModel, state
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +64,7 @@ def test_small_oscillation_period_near_hanging_pose(dp):
         prev = dev
     assert len(crossings) >= 3
     measured = np.mean(np.diff(crossings))
-    expected = 2.0 * math.pi / dp.omega_0
+    expected = 2.0 * math.pi / plant.pendulum_frequency(dp, GravityModel.CONSISTENT)
     assert abs(measured - expected) / expected < 1e-3
 
 
