@@ -124,9 +124,10 @@ CONFIG_SCHEMA = _schema()
 
 
 def _read_lines(path: str) -> list:
-    """(lineno, stripped line) of each non-blank, non-comment line of a UTF-8 text file."""
+    """(lineno, stripped line) of each non-blank, non-comment line of a UTF-8
+    text file; a byte-order mark is not part of line 1."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             lines = enumerate(map(str.strip, handle.read().split("\n")), start=1)
     except UnicodeDecodeError as err:
         lineno = err.object.count(b"\n", 0, err.start) + 1
@@ -278,8 +279,7 @@ def cmd_params(cfg: Config, json_out: bool = False) -> int:
 
 
 def cmd_gains(sc: sim.Scenario) -> int:
-    dp = plant.derive(sc.params, sc.friction)
-    spec, gains, poles, eigs, error = verify.pole_placement(sc, dp)
+    spec, gains, poles, eigs, error = verify.pole_placement(sc, sc.dp)
     _print_kv(
         [
             ("mode", sc.mode.value),
@@ -345,14 +345,14 @@ def cmd_verify(sc: sim.Scenario, negative_control: bool = False) -> int:
 
 
 def read_steady_state_csv(path: str) -> list:
-    """Parse (tau, omega_ss) rows; tolerant of comments and of a header line:
-    line 1 when it does not parse as numbers (3e-3 and inf do)."""
+    """Parse (tau, omega_ss) rows; tolerant of comments and of a header: the
+    first non-comment line, when it does not parse as numbers (3e-3 and inf do)."""
     points = []
-    for lineno, line in _read_lines(path):
+    for i, (lineno, line) in enumerate(_read_lines(path)):
         try:
             values = [float(part) for part in line.split(",")]
         except ValueError:
-            if lineno == 1:
+            if i == 0:
                 continue  # header
             raise ValidationError(f"{path}:{lineno}: non-numeric row {line!r}") from None
         if len(values) != 2:

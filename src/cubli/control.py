@@ -10,7 +10,8 @@ frequency omega_n, and wheel-pole scaling alpha.
 The three laws share one signature, (x, q_r, gains), and each is one
 expression in the components of the state vector x = (q0, q1, theta_w,
 omega_c, omega_w).  Given x and q_r as tuples of Python floats, as sim.run
-passes them, a law computes on floats; given arrays, on numpy values.
+passes them, a law computes on floats; given arrays, on numpy values.  step
+is the closed loop's one control sample: measure, regulate, linearize, clamp.
 """
 
 from __future__ import annotations
@@ -118,14 +119,8 @@ REGULATORS = {
 }
 
 
-def feedback_linearize(
-    u,
-    q,
-    omega_w,
-    dp: DerivedParams,
-    fp: FrictionParams,
-    model: GravityModel = GravityModel.CONSISTENT,
-):
+def feedback_linearize(u, q, omega_w, dp: DerivedParams, fp: FrictionParams,
+                       model: GravityModel = GravityModel.CONSISTENT):
     """Motor torque realizing the commanded body acceleration u.
 
     tau = -tau_g(q) + tau_f(omega_w) - I_cO_bar * u cancels gravity and
@@ -136,7 +131,13 @@ def feedback_linearize(
     return -gravity + friction_torque(omega_w, fp) - dp.I_cO_bar * u
 
 
-def saturate(tau, tau_max: float):
-    """Clamp the commanded torque to the actuator range [-tau_max, tau_max];
-    sim.Scenario has already checked that tau_max is positive."""
-    return min(max(tau, -tau_max), tau_max)
+def step(x, q_bias, q_r, regulator, gains: Gains, dp: DerivedParams, fp: FrictionParams,
+         model: GravityModel, tau_max: float):
+    """(u, tau_cmd, tau_applied) of one trajectory x, a tuple of Python floats
+    (sim.run) or a (5,) array, in the same bits: a REGULATORS law acts on x as
+    measured through the sensor bias q_bias, feedback_linearize under model gives
+    tau_cmd, clamped to [-tau_max, tau_max]; a NaN passes through to the integrator."""
+    q_meas = rotor.product(x[:2], q_bias)
+    u = regulator((*q_meas, *x[2:]), q_r, gains)
+    tau_cmd = feedback_linearize(u, q_meas, x[4], dp, fp, model)
+    return u, tau_cmd, min(max(tau_cmd, -tau_max), tau_max)

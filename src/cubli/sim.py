@@ -11,13 +11,14 @@ five Python floats, with the RK4 stages written out per component, which
 skips numpy's per-call cost at N = 1; a stacked (5, N) state is stepped as
 its array by rk4, in place.  Both round alike, so they agree bit for bit.  A
 scenario's initial state is the (5,) vector of plant.state; run carries its
-trajectory as the tuple, so the per-step controller runs on Python floats too.
+trajectory as the tuple, so the per-step controller, control.step, runs on
+Python floats too, with the plant and gains its Scenario derived (dp, gains).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -46,8 +47,9 @@ class Disturbance:
 class Scenario:
     """Everything one closed-loop experiment needs; no field has a default.
     The reference experiment is cli.build_scenario(cli.Config()).  A scenario
-    that constructs is one that runs (its plant derives, its mode's gains are
-    finite); dataclasses.replace varies it and runs these checks again.
+    that constructs is one that runs: its plant derives, once, into dp, and
+    its mode's gains into gains, finite (control.gains_for_mode), for every
+    consumer to read; dataclasses.replace varies it and derives them again.
 
     The plant and the controller each get their own gravity model
     (controller_gravity) so model-mismatch studies need no code changes; the
@@ -68,6 +70,8 @@ class Scenario:
     t_end: float
     sensor_bias: float                # attitude measurement offset [rad]
     disturbances: tuple[Disturbance, ...]
+    dp: plant.DerivedParams = field(init=False, repr=False, compare=False)
+    gains: control.Gains = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.tau_max > 0.0:
@@ -94,7 +98,8 @@ class Scenario:
         if initial.shape != (5,) or not (np.isfinite(initial).all() and rotor.is_unit(initial[:2])):
             raise ValidationError(f"initial must be a finite (5,) state with a unit complex q, got {self.initial!r}")
         self.initial = initial
-        control.gains_for_mode(self.mode, self.design, plant.derive(self.params, self.friction))
+        self.dp = plant.derive(self.params, self.friction)
+        self.gains = control.gains_for_mode(self.mode, self.design, self.dp)
 
 
 @dataclass
@@ -197,19 +202,17 @@ def run(scenario: Scenario) -> TimeSeries:
     The mode's regulator is picked once, before the loop.  Each step after
     the first integrates the true plant over the previous one, under the
     torque applied there plus that step's disturbance torque.  Every step
-    then rotates the true attitude by the sensor bias to get the measured
-    state, evaluates the regulator and the feedback linearization on it,
-    saturates, and logs (*x, u, tau_cmd, tau_applied) as one row.  The
-    trajectory is a tuple of five Python floats, so the controller and
-    rk4_step run on floats.  A SingularityError or DivergenceError carries
+    then runs control.step on the scenario's dp and gains (measure through
+    the sensor bias, regulate, linearize, saturate) and logs one row (*x, u,
+    tau_cmd, tau_applied); x is a tuple of five Python floats, so control.step
+    and rk4_step run on floats.  A SingularityError or DivergenceError carries
     the grid time t[k], the step k and the state at which the run failed.
     """
     sc = scenario
-    dp = plant.derive(sc.params, sc.friction)
-    gains = control.gains_for_mode(sc.mode, sc.design, dp)
     # looked up on the module when the run starts, so a wrapper installed there is the one called
     regulator = getattr(control, control.REGULATORS[sc.mode])
     q_bias, q_r = tuple(rotor.from_angle(sc.sensor_bias).tolist()), tuple(sc.q_r.tolist())
+    controller = (q_bias, q_r, regulator, sc.gains, sc.dp, sc.friction, sc.controller_gravity, sc.tau_max)
     n_steps = int(_steps(sc.t_end, sc.dt))
     tau_ext = disturbance_torque(sc.disturbances, sc.dt, n_steps).tolist()
 
@@ -220,14 +223,11 @@ def run(scenario: Scenario) -> TimeSeries:
     for k in range(n_steps + 1):
         try:
             if k:
-                x = rk4_step(x, applied, sc.dt, dp, sc.friction, sc.plant_gravity, sc.fidelity, tau_ext[k - 1])
-            q_meas = rotor.product(x[:2], q_bias)
-            u = regulator(q_meas + x[2:], q_r, gains)
+                x = rk4_step(x, applied, sc.dt, sc.dp, sc.friction, sc.plant_gravity, sc.fidelity, tau_ext[k - 1])
+            u, cmd, applied = control.step(x, *controller)
         except SimulationError as err:
             state = np.array(x) if err.state is None else err.state
             raise type(err)(f"{err} at t = {t[k]:.4f} s", t=float(t[k]), step=k, state=state) from None
-        cmd = control.feedback_linearize(u, q_meas, x[4], dp, sc.friction, sc.controller_gravity)
-        applied = control.saturate(cmd, sc.tau_max)
         log[k] = (*x, u, cmd, applied)
 
     log = np.ascontiguousarray(log.T)  # rows q0, q1, theta_w, omega_c, omega_w, u, tau_cmd, tau_applied
@@ -235,7 +235,7 @@ def run(scenario: Scenario) -> TimeSeries:
     angles = (math.degrees(math.atan2(q1, q0)) for q0, q1 in zip(log[0], log[1]))
     theta_c_deg = np.fromiter(angles, float, len(t))
     tau_f = plant.friction_torque(log[4], sc.friction)
-    energy = plant.energies(log[:5], dp, sc.plant_gravity)[2]
+    energy = plant.energies(log[:5], sc.dp, sc.plant_gravity)[2]
     return TimeSeries(t, *log[:2], theta_c_deg, *log[2:], tau_f, energy)
 
 

@@ -2,8 +2,8 @@
 
 `cubli verify` runs the list and prints a line per check; the acceptance
 suite runs each check as a test of its own.  A check takes a sim.Scenario and
-its one plant.DerivedParams, which no gravity model enters, and returns (ok,
-metric text); a check that covers both gravity models loops over them.
+its one plant.DerivedParams, sc.dp, which no gravity model enters, and returns
+(ok, metric text); a check that covers both gravity models loops over them.
 Its inputs, seeds, sample sizes and tolerances are stated here and nowhere
 else.
 """
@@ -72,18 +72,17 @@ def gain_synthesis(sc, dp):
 
 
 def pole_placement(sc: sim.Scenario, dp):
-    """The scenario mode's design (control.spec_for_mode), its gains, the designed
-    poles, the closed-loop eigenvalues, and the coefficient error of the
-    eigenvalues' polynomial against the design polynomial.
+    """The scenario mode's design (control.spec_for_mode), its gains sc.gains,
+    the designed poles, the closed-loop eigenvalues, and the coefficient error
+    of the eigenvalues' polynomial against the design polynomial.
 
     The eigensolver path stays apart from gain_synthesis's Faddeev-LeVerrier
     one, so the two checks do not share a fault.
     """
     spec = control.spec_for_mode(sc.mode, sc.design)
-    gains = control.full_gains(spec, dp)
-    eigs = np.linalg.eigvals(analysis.closed_loop_matrix(gains, dp))
+    eigs = np.linalg.eigvals(analysis.closed_loop_matrix(sc.gains, dp))
     error = analysis.coefficient_error(np.poly(eigs), analysis.design_poly(spec))
-    return spec, gains, analysis.designed_poles(spec), eigs, error
+    return spec, sc.gains, analysis.designed_poles(spec), eigs, error
 
 
 def pole_gate(error):
@@ -160,7 +159,6 @@ def run(sc: sim.Scenario, negative_control: bool = False):
     The negative control tampers the oracle's gravity constant, so
     oracle_equivalence must then fail.
     """
-    dp = plant.derive(sc.params, sc.friction)
     for check in CHECKS:
         tamper = {"tamper": negative_control} if check is oracle_equivalence else {}
-        yield (check.__name__, *check(sc, dp, **tamper))
+        yield (check.__name__, *check(sc, sc.dp, **tamper))

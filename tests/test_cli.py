@@ -85,6 +85,13 @@ def test_non_utf8_file_names_its_path(command, flag, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {path}:2: not UTF-8 text (invalid start byte)\n"
 
 
+def test_config_file_with_a_byte_order_mark_reads_its_first_key(tmp_path, capsys):
+    path = tmp_path / "bom.cfg"
+    path.write_bytes("\ufeffphysics.l = 0.3\n".encode("utf-8"))
+    assert run_cli("params", str(path)) == 0
+    assert "0.212132" in capsys.readouterr().out  # d of l = 0.3
+
+
 def test_config_option_is_gone(capsys):
     # the config file is the positional argument only
     with pytest.raises(SystemExit) as exc:
@@ -521,6 +528,23 @@ def test_fit_friction_reads_a_headerless_first_row(tmp_path, capsys):
     path.write_text("inf,100\n" + rows)
     assert run_cli("fit-friction", "--input", str(path)) == cli.EXIT_VALIDATION
     assert ":1:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "prefix",
+    ["\ufeff", "\ufefftau,omega_ss\n", "# bench run\ntau,omega_ss\n", "\n# bench run\n\ntau,omega_ss\n"],
+    ids=["bom", "bom-header", "comment-header", "blank-comment-header"],
+)
+def test_fit_friction_reads_every_row_after_a_bom_comments_and_a_header(prefix, tmp_path, capsys):
+    # the header is the first non-blank, non-comment line, and a byte-order mark is not part of line 1
+    rows = "3e-3,100\n5e-3,200\n7e-3,300\n9e-3,400\n"
+    path = tmp_path / "sweep.csv"
+    outs = []
+    for text in (rows, prefix + rows):
+        path.write_bytes(text.encode("utf-8"))
+        assert run_cli("fit-friction", "--input", str(path)) == 0
+        outs.append(capsys.readouterr().out)
+    assert "(4 rows)" in outs[1] and outs[0] == outs[1]
 
 
 def test_fit_friction_rank_deficiency_exit(tmp_path, capsys):

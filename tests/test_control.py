@@ -229,15 +229,32 @@ def test_feedback_linearization_cancels_exactly(model, theta, theta_w, omega_c, 
     assert abs(rate[3] - u) < 1e-12
 
 
-def test_saturate():
-    assert control.saturate(0.1, 0.5) == 0.1
-    assert control.saturate(0.9, 0.5) == 0.5
-    assert control.saturate(-0.9, 0.5) == -0.5
+def step_torques(u, tau_max=0.5):
+    """control.step's (tau_cmd, tau_applied) under a stub regulator commanding
+    u, on a friction-free plant at rest at UPRIGHT, where the consistent
+    gravity torque is exactly 0, so that tau_cmd = -I_cO_bar * u."""
+
+    def stub(x, q_r, gains):
+        return u
+
+    x = tuple(state(rotor.UPRIGHT).tolist())
+    args = (DP, plant.FRICTION_FREE, GravityModel.CONSISTENT, tau_max)
+    return control.step(x, (1.0, 0.0), rotor.UPRIGHT, stub, None, *args)[1:]
+
+
+def test_step_saturates_the_applied_torque():
+    def applied(tau):  # the applied torque of a command tau
+        return step_torques(-tau / DP.I_cO_bar)[1]
+
+    u = -0.1 / DP.I_cO_bar
+    assert step_torques(u) == (-DP.I_cO_bar * u,) * 2  # in range: passed through
+    assert applied(0.9) == 0.5
+    assert applied(-0.9) == -0.5
     rng = np.random.default_rng(3)
     for tau in rng.uniform(-2, 2, 50):
-        assert control.saturate(-tau, 0.5) == -control.saturate(tau, 0.5)
+        assert applied(-tau) == -applied(tau)
     # a non-finite command passes through, for the integrator to report
-    assert math.isnan(control.saturate(math.nan, 0.5))
+    assert all(map(math.isnan, step_torques(math.nan)))
 
 
 def test_closed_loop_is_hurwitz_for_valid_specs(dp):

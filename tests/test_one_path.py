@@ -242,11 +242,14 @@ def test_rotor_functions_on_a_tuple_equal_them_on_an_array(v):
         assert type(tuple_out) is tuple and all(type(c) is float for c in tuple_out)
         assert_bitwise(np.array(tuple_out), array_out)
     assert_bitwise(rotor.to_angle(qt), rotor.to_angle(q))
-    # the regulators on a state tuple and a (5,) state array, against q_r = r
-    x, gains = v[:5], control.Gains(*v[7:].tolist())
-    xt = tuple(x.tolist())
+    # the regulators, and control.step under each, on a state tuple and a
+    # (5,) state array, against q_r = r, with the sensor bias b = v[5:7]
+    x, b, gains = v[:5], v[5:7], control.Gains(*v[7:].tolist())
+    xt, bt = tuple(x.tolist()), tuple(b.tolist())
+    loop = (DP, FrictionParams(), GravityModel.CONSISTENT, 0.5)
     calls = [(rotor.error_tangent, (q,), (qt,))]
     calls += [(f, (x, r, gains), (xt, rt, gains)) for f in REGULATORS]
+    calls += [(control.step, (x, b, r, f, gains, *loop), (xt, bt, rt, f, gains, *loop)) for f in REGULATORS]
     for f, array_args, tuple_args in calls:
         try:
             expected = f(*array_args)
@@ -255,9 +258,9 @@ def test_rotor_functions_on_a_tuple_equal_them_on_an_array(v):
                 f(*tuple_args)
         else:
             got = f(*tuple_args)
-            if f in REGULATORS:
-                assert type(got) is float
-            assert_bitwise(got, expected)
+            if f is not rotor.error_tangent:  # a law's u, and step's (u, tau_cmd, tau_applied), on Python floats
+                assert all(type(c) is float for c in (got if f is control.step else (got,)))
+            assert_bitwise(got, np.asarray(expected))
 
 
 # sim.run carries one trajectory as a tuple of Python floats.  Its oracle is
@@ -288,7 +291,7 @@ def array_loop(sc):
             except SingularityError as err:
                 raise SingularityError(f"{err} at t = {t[k]:.4f} s", t=float(t[k]), step=k, state=x) from None
             cmd = control.feedback_linearize(u, q_meas, measured[4], dp, sc.friction, sc.controller_gravity)
-            applied = control.saturate(cmd, sc.tau_max)
+            applied = min(max(cmd, -sc.tau_max), sc.tau_max)
             rows.append((*x, u, cmd, applied))
             if k < n_steps:
                 try:

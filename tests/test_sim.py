@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from cubli import cli, plant, rotor, sim
+from cubli import cli, control, plant, rotor, sim
 from cubli.control import Mode
 from cubli.errors import DivergenceError, IdentificationError, SingularityError, ValidationError
 from cubli.plant import CubliParams, FrictionParams, GravityModel, state
@@ -237,6 +237,19 @@ def test_scenario_validation():
         default_scenario(t_end=1e-4, dt=1e-3)
     with pytest.raises(ValidationError):
         sim.Disturbance(start=1.0, duration=0.0, torque=0.1)
+
+
+def test_scenario_derives_its_plant_and_gains_and_replace_derives_them_again():
+    sc = cli.build_scenario(cli.Config())
+    assert sc.dp == plant.derive(sc.params, sc.friction)
+    assert sc.gains == control.gains_for_mode(sc.mode, sc.design, sc.dp)
+    assert "dp=" not in repr(sc) and "gains=" not in repr(sc)
+    draggier = dataclasses.replace(sc, friction=FrictionParams(b_w=2.0 * sc.friction.b_w))
+    assert draggier.dp == plant.derive(sc.params, draggier.friction) and draggier.dp.omega_1 != sc.dp.omega_1
+    attitude_only = dataclasses.replace(sc, mode=Mode.ATTITUDE_ONLY)
+    assert attitude_only.gains == control.gains_for_mode(Mode.ATTITUDE_ONLY, sc.design, sc.dp) != sc.gains
+    with pytest.raises(ValueError):  # derived, never given
+        dataclasses.replace(sc, dp=sc.dp)
 
 
 def test_settling_time():
