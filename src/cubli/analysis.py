@@ -60,7 +60,11 @@ def controllability_matrix(a, b) -> np.ndarray:
 
 def controllability_rank(a, b) -> int:
     """Rank of [B AB ... A^(n-1)B], singular values below 1e-9 * s_max dropped."""
-    s = np.linalg.svd(controllability_matrix(a, b), compute_uv=False)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below, as in char_poly
+        c = controllability_matrix(a, b)
+    if not np.isfinite(c).all():
+        raise ValidationError("controllability matrix entries must be finite")
+    s = np.linalg.svd(c, compute_uv=False)
     if len(s) == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > 1e-9 * s[0]))

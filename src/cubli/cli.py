@@ -255,8 +255,8 @@ def _print_kv(pairs):
 # commands
 
 
-def cmd_params(cfg: Config, json_out: bool = False) -> int:
-    dp = plant.derive(cfg.params, cfg.friction)
+def cmd_params(sc: sim.Scenario, json_out: bool = False) -> int:
+    dp = sc.dp
     entries = [
         ("d", f"{dp.d:.6f} m"),
         ("m_c", f"{dp.m_c:.6g} kg"),
@@ -279,23 +279,23 @@ def cmd_params(cfg: Config, json_out: bool = False) -> int:
 
 
 def cmd_gains(sc: sim.Scenario) -> int:
-    spec, gains, poles, eigs, error = verify.pole_placement(sc, sc.dp)
+    spec, poles, eigs, error = verify.pole_placement(sc)
     _print_kv(
         [
             ("mode", sc.mode.value),
             ("zeta", f"{spec.zeta:.6f}"),
             ("omega_n", f"{spec.omega_n:.6f} rad/s"),
             ("alpha", f"{spec.alpha:.6g}"),
-            ("k_p", f"{gains.k_p:.6f}"),
-            ("k_d", f"{gains.k_d:.6f}"),
-            ("k_pw", f"{gains.k_pw:.6e}"),
-            ("k_dw", f"{gains.k_dw:.6e}"),
+            ("k_p", f"{sc.gains.k_p:.6f}"),
+            ("k_d", f"{sc.gains.k_d:.6f}"),
+            ("k_pw", f"{sc.gains.k_pw:.6e}"),
+            ("k_dw", f"{sc.gains.k_dw:.6e}"),
             ("designed poles", "  ".join(f"{p:.4f}" for p in poles)),
             ("closed-loop eigenvalues", "  ".join(f"{e:.4f}" for e in np.sort_complex(eigs))),
             ("coefficient error", f"{error:.3e}"),
         ]
     )
-    ok, metric = verify.pole_gate(error)
+    ok, metric = verify.closed_loop_poles(sc)
     if not ok:
         print(f"closed_loop_poles: {metric} FAIL")
         return EXIT_VERIFICATION
@@ -405,7 +405,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("params", help="print derived physical parameters")
     _add_common(p)
     p.add_argument("--json", action="store_true", help="emit JSON instead of aligned text")
-    p.set_defaults(run=lambda cfg, args: cmd_params(cfg, json_out=args.json))
+    p.set_defaults(run=lambda cfg, args: cmd_params(build_scenario(cfg), json_out=args.json))
 
     p = sub.add_parser("simulate", help="run a closed-loop scenario and write a CSV log")
     _add_common(p)

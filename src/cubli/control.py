@@ -68,13 +68,15 @@ def full_gains(spec: DesignSpec, dp: DerivedParams) -> Gains:
     exactly: the attitude-only law.
     """
     z, wn, a = spec.zeta, spec.omega_n, spec.alpha
-    try:  # a float power raises where a float64 one went to inf
+    try:  # a float power raises OverflowError; a float product goes to inf
         k_pw = a**2 * z**2 * wn**4 / dp.delta
         k_dw = 2.0 * a * z * wn**3 * (1.0 + a * z**2) / dp.delta
+        k_p = wn**2 * (1.0 + a * z**2 * (4.0 + a)) + dp.gamma * k_pw
+        k_d = 2.0 * z * wn * (1.0 + a) + dp.gamma * k_dw
+        if not all(map(math.isfinite, (k_p, k_d, k_pw, k_dw))):
+            raise OverflowError
     except OverflowError:
-        raise ValidationError(f"omega_n = {wn:.3g} rad/s is too large: the gains overflow") from None
-    k_p = wn**2 * (1.0 + a * z**2 * (4.0 + a)) + dp.gamma * k_pw
-    k_d = 2.0 * z * wn * (1.0 + a) + dp.gamma * k_dw
+        raise ValidationError(f"omega_n = {wn:.3g} rad/s with alpha = {a:.3g}: the gains overflow") from None
     return Gains(k_p=k_p, k_d=k_d, k_pw=k_pw, k_dw=k_dw)
 
 

@@ -68,9 +68,17 @@ def test_01_parameter_derivation():
 def test_verify_check(check):
     # the checks `cubli verify` runs, on the default config
     started = time.perf_counter()
-    ok, metric = check(SCENARIO, plant.derive(SCENARIO.params, SCENARIO.friction))
+    ok, metric = check(SCENARIO)
     assert ok, metric
     report("V", check.__name__, metric, started)
+
+
+@pytest.mark.parametrize("tol", ["1e-12", "1e-9", "1e-8", "1e-6"])
+def test_gate_passes_strictly_below_its_printed_tolerance(tol):
+    assert verify.gate(math.nextafter(float(tol), 0.0), tol=tol)[0]
+    assert not verify.gate(float(tol), tol=tol)[0]
+    ok, metric = verify.gate(math.nan, tol=tol)
+    assert not ok and metric == f"coefficient error = nan relative (tol {tol})"
 
 
 # the checks whose claims hold for any rig, not only the default one; the oracle
@@ -83,8 +91,7 @@ RIG_CHECKS = (
 
 def rig_check_failures(sc):
     """{check name: metric text} of each check in RIG_CHECKS that fails on sc."""
-    dp = plant.derive(sc.params, sc.friction)
-    results = {check.__name__: check(sc, dp) for check in RIG_CHECKS}
+    results = {check.__name__: check(sc) for check in RIG_CHECKS}
     return {name: metric for name, (ok, metric) in results.items() if not ok}
 
 

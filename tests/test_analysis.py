@@ -14,7 +14,7 @@ from cubli.plant import CubliParams, Fidelity, FrictionParams, GravityModel
 
 def passes(error):
     """The one gate of every pole claim, as cubli verify applies it."""
-    return verify.coefficient_gate(error)[0]
+    return verify.gate(error)[0]
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +61,13 @@ def test_controllability_trivial_cases():
     a = np.array([[0.0, 1.0], [0.0, 0.0]])
     b = np.array([[0.0], [1.0]])
     assert analysis.controllability_rank(a, b) == 2
+
+
+@pytest.mark.parametrize("a", [np.diag([1e300, 1.0, 1.0]), np.diag([np.inf, 1.0, 1.0]), np.diag([np.nan, 1.0, 1.0])])
+def test_controllability_rank_rejects_a_matrix_that_is_not_finite(a):
+    # A^2 B overflows (1e600) without a RuntimeWarning, which this suite turns into an error
+    with pytest.raises(ValidationError, match="controllability matrix entries must be finite"):
+        analysis.controllability_rank(a, np.ones((3, 1)))
 
 
 @pytest.mark.parametrize("model", list(GravityModel))

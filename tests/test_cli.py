@@ -99,16 +99,16 @@ def test_config_option_is_gone(capsys):
     assert exc.value.code == cli.EXIT_VALIDATION
 
 
-def passes_coefficient_gate(out):
+def passes_pole_gate(out):
     """The printed coefficient error of cubli gains passes the pole gate."""
-    return verify.coefficient_gate(float(out.split("coefficient error")[1].split()[0]))[0]
+    return verify.gate(float(out.split("coefficient error")[1].split()[0]))[0]
 
 
 def test_gains_default(capsys):
     assert run_cli("gains") == 0
     out = capsys.readouterr().out
     assert "k_pw" in out and "designed poles" in out
-    assert passes_coefficient_gate(out)
+    assert passes_pole_gate(out)
 
 
 def test_gains_alpha_zero(capsys):
@@ -124,7 +124,7 @@ def test_gains_attitude_only_places_the_alpha_zero_design(capsys):
     out = capsys.readouterr().out
     assert float(out.split("alpha")[1].split()[0]) == 0.0
     assert float(out.split("k_pw")[1].split()[0]) == 0.0
-    assert passes_coefficient_gate(out)
+    assert passes_pole_gate(out)
 
 
 def test_gains_close_double_poles_pass(capsys):
@@ -135,7 +135,7 @@ def test_gains_close_double_poles_pass(capsys):
         "--set", "control.alpha=0.999",
     )
     assert code == 0
-    assert passes_coefficient_gate(capsys.readouterr().out)
+    assert passes_pole_gate(capsys.readouterr().out)
 
 
 def test_gains_near_coalescent_poles_pass(capsys):
@@ -148,7 +148,7 @@ def test_gains_near_coalescent_poles_pass(capsys):
         "--set", "control.alpha=0.999",
     )
     assert code == 0
-    assert passes_coefficient_gate(capsys.readouterr().out)
+    assert passes_pole_gate(capsys.readouterr().out)
 
 
 def test_simulate_writes_csv_and_summary(tmp_path, capsys):
@@ -209,14 +209,24 @@ def test_simulate_divergence_exit_code(tmp_path, capsys):
     assert "t =" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["gains", "simulate"])
-def test_overflowing_gains_rejected(command, tmp_path, capsys):
-    # Python-float gains raise OverflowError where float64 ones went to inf
-    args = ["--set", "control.omega_n_factor=1e100"]
+# a float power raises OverflowError (omega_n = 1e100 omega_0), and a float
+# product goes to inf without one (alpha^2 omega_n^4 at alpha = 1e153)
+GAIN_OVERFLOWS = [
+    ("control.omega_n_factor=1e100", "omega_n = 8.15e+100 rad/s with alpha = 0.1"),
+    ("control.alpha=1e153", "omega_n = 12.2 rad/s with alpha = 1e+153"),
+]
+
+
+@pytest.mark.parametrize("command", ["gains", "simulate", "verify"])
+@pytest.mark.parametrize("item, design", GAIN_OVERFLOWS, ids=[item for item, _ in GAIN_OVERFLOWS])
+def test_overflowing_gains_rejected(command, item, design, tmp_path, capsys):
+    args = ["--set", item]
     if command == "simulate":
         args += ["--set", "scenario.t_end=0.01", "--out", str(tmp_path / "x.csv")]
     assert run_cli(command, *args) == cli.EXIT_VALIDATION
-    assert "the gains overflow" in capsys.readouterr().err
+    key = item.partition("=")[0]
+    assert capsys.readouterr().err == f"error: {key}: {design}: the gains overflow\n"
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_simulate_zero_t_end_rejected(capsys):
@@ -448,15 +458,63 @@ def test_simulate_summary_ignores_a_pulse_that_ends_by_the_start(tmp_path, capsy
         assert summary == quiet
 
 
+# a printed value and the tolerance it is gated by, as perfbench/workloads.py reads them
+VALUE_TOL = re.compile(r"= (\S+?)(?: relative)? \(tol ([^,)]+)")
+
+
+def assert_each_line_is_its_gates(out):
+    """Each check's line PASSes exactly when every printed value is below its printed tolerance."""
+    for line in out.splitlines()[:-1]:
+        name, _, rest = line.partition(": ")
+        pairs = VALUE_TOL.findall(rest)
+        assert pairs or name == "controllability_rank", line
+        assert rest.endswith(" PASS") == all(float(value) < float(tol) for value, tol in pairs), line
+
+
 def test_verify_passes_and_negative_control_fails(capsys):
     assert run_cli("verify") == 0
     out = capsys.readouterr().out
     assert "controllability_rank: rank = 4/5 PASS" in out
     assert "energy_drift" in out and "FAIL" not in out
+    assert_each_line_is_its_gates(out)
 
     assert run_cli("verify", "--negative-control") == cli.EXIT_VERIFICATION
     out = capsys.readouterr().out
     assert "oracle_equivalence" in out and "FAIL" in out
+    assert_each_line_is_its_gates(out)
+
+
+# a check that raises exits with its error's code, and the error names the check
+CHECK_ERRORS = [
+    # omega_1 = b_w / I_wG near 1e304 builds, but A^2 B overflows
+    pytest.param(
+        ["friction.b_w=1e300"], cli.EXIT_VALIDATION,
+        "error: controllability_rank: controllability matrix entries must be finite\n",
+        id="controllability_rank",
+    ),
+    pytest.param(
+        ["friction.b_w=1e300", "physics.g=1e5"], cli.EXIT_VALIDATION,
+        "error: open_loop_poles: characteristic polynomial coefficient overflows\n",
+        id="open_loop_poles",
+    ),
+    # the stacked oracle overflows on its way to the non-finite state it reports
+    pytest.param(
+        ["friction.tau_c=1e300"], cli.EXIT_SIMULATION,
+        "simulation error: oracle_equivalence: integration produced a non-finite state\n",
+        id="oracle_equivalence",
+        marks=pytest.mark.filterwarnings(
+            "ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning"
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("sets, code, error", CHECK_ERRORS)
+def test_verify_error_names_the_check_that_raised_it(sets, code, error, capsys):
+    assert run_cli("verify", *(arg for item in sets for arg in ("--set", item))) == code
+    captured = capsys.readouterr()
+    assert captured.err == error
+    assert all(line.endswith(("PASS", "FAIL")) for line in captured.out.splitlines())
 
 
 def test_fit_friction_synthetic(capsys):

@@ -109,7 +109,7 @@ def test_full_gains_reference_values(paper_spec, dp):
 def test_full_gains_match_design_polynomial(zeta, omega_n, alpha):
     spec = DesignSpec(zeta=zeta, omega_n=omega_n, alpha=alpha)
     coeffs = analysis.char_poly(analysis.closed_loop_matrix(control.full_gains(spec, DP), DP))
-    assert verify.coefficient_gate(analysis.coefficient_error(coeffs, analysis.design_poly(spec)))[0]
+    assert verify.gate(analysis.coefficient_error(coeffs, analysis.design_poly(spec)))[0]
 
 
 @prop
@@ -127,12 +127,12 @@ def test_closed_loop_eigenvalues_are_designed_poles(zeta, omega_n_factor, alpha,
     # from 0.1 to 7 omega_0, where the poles may nearly coalesce
     spec = DesignSpec(zeta=zeta, omega_n=omega_n_factor * plant.pendulum_frequency(DP, model), alpha=alpha)
     eigs = np.linalg.eigvals(analysis.closed_loop_matrix(control.full_gains(spec, DP), DP))
-    assert verify.coefficient_gate(analysis.coefficient_error(np.poly(eigs), analysis.design_poly(spec)))[0]
+    assert verify.gate(analysis.coefficient_error(np.poly(eigs), analysis.design_poly(spec)))[0]
 
 
 def test_design_poly_roots_are_designed_poles(paper_spec):
     error = analysis.coefficient_error(np.poly(analysis.designed_poles(paper_spec)), analysis.design_poly(paper_spec))
-    assert verify.coefficient_gate(error)[0]
+    assert verify.gate(error)[0]
 
 
 def test_regulator_attitude(paper_spec):
