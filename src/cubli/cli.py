@@ -366,14 +366,12 @@ def read_steady_state_csv(path: str) -> list:
 
 def cmd_fit_friction(cfg: Config, input_path: str | None, synthetic: bool) -> int:
     if synthetic:
-        levels = [p.tau for p in sim.exact_steady_points(cfg.friction, np.linspace(60.0, 600.0, 20))]
+        levels = plant.friction_torque(np.linspace(60.0, 600.0, 20), cfg.friction)
         points = sim.steady_state_sweep(levels, cfg.params, cfg.friction)
         source = f"synthetic sweep ({len(points)} levels)"
-    elif input_path:
+    else:
         points = read_steady_state_csv(input_path)
         source = f"{input_path} ({len(points)} rows)"
-    else:
-        raise ValidationError("fit-friction needs an input CSV or --synthetic")
     fit = sim.fit_friction(points)
     fitted = fit.params
     _print_kv(
@@ -429,8 +427,9 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("fit-friction", help="identify friction parameters from steady-state data")
     _add_common(p)
-    p.add_argument("--input", help="CSV of tau,omega_ss rows")
-    p.add_argument("--synthetic", action="store_true", help="generate the sweep by simulation first")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--input", help="CSV of tau,omega_ss rows")
+    source.add_argument("--synthetic", action="store_true", help="generate the sweep by simulation first")
     p.set_defaults(run=lambda cfg, args: cmd_fit_friction(cfg, input_path=args.input, synthetic=args.synthetic))
 
     args = parser.parse_args(argv)

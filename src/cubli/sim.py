@@ -296,11 +296,11 @@ def steady_state_sweep(
     steps of dt = 10 ms for at most 200 s per level, and a level is accepted
     once |omega_w_dot| < 1e-6 rad/s^2.  A non-finite level, and one at or
     below the Coulomb torque (it never spins up), is rejected; so is a level
-    whose wheel speed turns non-finite, at the step where it does.  A level
-    out of budget is stepped once more, and the error says so when omega_w
-    has stalled: a step that leaves it unchanged while |omega_w_dot| is above
-    the tolerance is a fixed point of the RK4 map, not of the wheel (stiff
-    friction, where the stages cancel to below half an ulp of omega_w).
+    whose wheel speed turns non-finite, at the step where it does, and one
+    whose step stalls, at that step: a step that leaves omega_w unchanged
+    while |omega_w_dot| is above the tolerance is a fixed point of the RK4
+    map, not of the wheel (stiff friction, where the stages cancel to below
+    half an ulp of omega_w), and the map would stay there to the budget.
 
     Each stage at omega_w > 0 is plant.friction_torque's expression written
     out, in the same IEEE operations; any other stage point (the start at
@@ -310,7 +310,7 @@ def steady_state_sweep(
     half, sixth, inv_iwg = 0.5 * dt, dt / 6.0, 1.0 / params.I_wG
     tc, bw, cd = fp.tau_c, fp.b_w, fp.c_d
 
-    def accel(w: float, tau: float) -> float:  # a stage off the fast path (omega_w <= 0 or NaN), or past the budget
+    def accel(w: float, tau: float) -> float:  # a stage off the fast path (omega_w <= 0 or NaN)
         return (tau - plant._friction(w, plant._sign, tc, bw, cd)) * inv_iwg
 
     points = []
@@ -320,9 +320,7 @@ def steady_state_sweep(
         if not math.isfinite(tau):
             raise IdentificationError(f"input torque {tau} N m is not finite")
         if abs(tau) <= tc:
-            raise IdentificationError(
-                f"input torque {tau:.3e} N m cannot overcome Coulomb friction {tc:.3e} N m"
-            )
+            raise IdentificationError(f"input torque {tau:.3e} N m cannot overcome Coulomb friction {tc:.3e} N m")
         w = 0.0
         for step in range(1, max_steps + 1):
             k1 = (tau - (tc + bw * w + cd * w * w)) * inv_iwg if w > 0.0 else accel(w, tau)
@@ -334,23 +332,20 @@ def steady_state_sweep(
             k3 = (tau - (tc + bw * s + cd * s * s)) * inv_iwg if s > 0.0 else accel(s, tau)
             s = w + dt * k3
             k4 = (tau - (tc + bw * s + cd * s * s)) * inv_iwg if s > 0.0 else accel(s, tau)
-            w += sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            w_next = w + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if w_next == w:  # stalled: the RK4 map is deterministic, so it stays here to the budget
+                raise IdentificationError(
+                    f"wheel did not reach steady state within {budget:.0f} s at tau = {tau:.3e} N m: omega_w = {w!r}"
+                    f" rad/s is a fixed point of the {dt * 1e3:.0f} ms RK4 step, not of the wheel"
+                    f" (|omega_w_dot| = {abs(k1):.3e} rad/s^2)"
+                )
+            w = w_next
             if not math.isfinite(w):
                 raise IdentificationError(
                     f"wheel speed diverged to {w} rad/s at step {step} (t = {step * dt:.2f} s) at tau = {tau:.3e} N m"
                 )
         else:
-            # out of budget: one more step, off the loop, tells a stalled RK4 map from a slow wheel
-            k1 = accel(w, tau)
-            k2 = accel(w + half * k1, tau)
-            k3 = accel(w + half * k2, tau)
-            k4 = accel(w + dt * k3, tau)
-            stalled = abs(k1) >= accel_tol and w + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4) == w
-            raise IdentificationError(
-                f"wheel did not reach steady state within {budget:.0f} s at tau = {tau:.3e} N m"
-                + (f": omega_w = {w!r} rad/s is a fixed point of the {dt * 1e3:.0f} ms RK4 step, not of the wheel"
-                   f" (|omega_w_dot| = {abs(k1):.3e} rad/s^2)" if stalled else "")
-            )
+            raise IdentificationError(f"wheel did not reach steady state within {budget:.0f} s at tau = {tau:.3e} N m")
         points.append(SteadyStatePoint(tau=tau, omega_ss=w))
     return points
 

@@ -497,14 +497,18 @@ CHECK_ERRORS = [
         "error: open_loop_poles: characteristic polynomial coefficient overflows\n",
         id="open_loop_poles",
     ),
-    # the stacked oracle overflows on its way to the non-finite state it reports
+    # the stacked oracle overflows on its way to the non-finite state it reports, and prints no
+    # numpy warning on the way (the suite turns a warning into an error)
     pytest.param(
         ["friction.tau_c=1e300"], cli.EXIT_SIMULATION,
         "simulation error: oracle_equivalence: integration produced a non-finite state\n",
         id="oracle_equivalence",
-        marks=pytest.mark.filterwarnings(
-            "ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning"
-        ),
+    ),
+    # fbl_cancellation's float friction overflows too, on the np.float64 wheel speed it reads from the state
+    pytest.param(
+        ["friction.c_d=1e304"], cli.EXIT_SIMULATION,
+        "simulation error: oracle_equivalence: integration produced a non-finite state\n",
+        id="oracle_equivalence_after_fbl_overflow",
     ),
 ]
 
@@ -613,7 +617,14 @@ def test_fit_friction_rank_deficiency_exit(tmp_path, capsys):
 
 
 def test_fit_friction_requires_source(capsys):
-    assert run_cli("fit-friction") == cli.EXIT_VALIDATION
+    with pytest.raises(SystemExit) as exc:
+        run_cli("fit-friction")
+    assert exc.value.code == cli.EXIT_VALIDATION
+    # exactly one: with both, the --synthetic sweep would leave the CSV unread
+    with pytest.raises(SystemExit) as exc:
+        run_cli("fit-friction", "--input", "sweep.csv", "--synthetic")
+    assert exc.value.code == cli.EXIT_VALIDATION
+    assert "not allowed with argument --input" in capsys.readouterr().err
 
 
 def test_build_config_defaults_match_reference_experiment():

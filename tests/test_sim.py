@@ -389,6 +389,9 @@ def test_fit_friction_rank_deficiency():
     with pytest.raises(IdentificationError):
         # three samples but only two distinct speeds
         sim.fit_friction(sim.exact_steady_points(fp, [100.0, 100.0, 200.0]))
+    with pytest.raises(IdentificationError, match="regressor matrix is rank deficient"):
+        # three distinct speeds whose columns [1, w, w^2] are numerically dependent
+        sim.fit_friction(sim.exact_steady_points(fp, [1e8, 1e8 + 1, 1e8 + 2]))
 
 
 def test_fit_friction_under_noise_smoke():
