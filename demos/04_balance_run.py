@@ -15,7 +15,7 @@ import numpy as np
 from cubli import cli, sim
 
 cfg = cli.Config()
-ts = sim.run(cli.build_scenario(cfg))
+ts = sim.run(cfg.scenario)
 
 out = pathlib.Path(__file__).with_name("balance_run.csv")
 cli.write_csv(ts, str(out))

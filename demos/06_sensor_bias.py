@@ -20,7 +20,7 @@ biased = dataclasses.replace(cli.Config(), initial_angle_deg=45.0, sensor_bias_d
 
 
 def biased_run(mode, t_end):
-    return sim.run(cli.build_scenario(dataclasses.replace(biased, mode=mode, t_end=t_end)))
+    return sim.run(dataclasses.replace(biased, mode=mode, t_end=t_end).scenario)
 
 
 print("full regulator (attitude + wheel feedback), 25 s:")

@@ -80,11 +80,12 @@ def _section(section, cls):
     return dataclasses.field(default_factory=cls, metadata={"key": section, "parser": _parse_float})
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class Config:
     """One experiment, and the one declaration of each config key: every field
     names its key, parser and default.  Config() is the reference experiment.
-    The parsers only read text: build_config checks the values by the dataclasses' rules."""
+    The parsers only read text; constructing a Config checks the whole
+    experiment, since it builds the scenario every command reads, once."""
 
     params: CubliParams = _section("physics", CubliParams)
     friction: FrictionParams = _section("friction", FrictionParams)
@@ -105,18 +106,38 @@ class Config:
         "scenario.disturbances", _disturbances, (sim.Disturbance(9.0, 0.1, 0.05), sim.Disturbance(16.0, 0.1, 0.05))
     )
     output_path: str = _key("output.path", _path, "cubli_run.csv")
+    scenario: sim.Scenario = dataclasses.field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        scenario = sim.Scenario(
+            params=self.params,
+            friction=self.friction,
+            plant_gravity=self.plant_gravity,
+            controller_gravity=self.controller_gravity,
+            fidelity=self.fidelity,
+            design=design_spec(self),
+            mode=self.mode,
+            tau_max=self.tau_max,
+            q_r=rotor.from_angle(math.radians(self.reference_angle_deg)),
+            initial=plant.state(rotor.from_angle(math.radians(self.initial_angle_deg))),
+            dt=self.dt,
+            t_end=self.t_end,
+            sensor_bias=math.radians(self.sensor_bias_deg),
+            disturbances=self.disturbances,
+        )
+        object.__setattr__(self, "scenario", scenario)
 
 
 def _schema() -> dict:
-    """key -> (parser, Config field, parameter field or None), in field order."""
+    """key -> (parser, Config field, parameter field name or None), in field order."""
     schema = {}
-    for f in dataclasses.fields(Config):
+    for f in (f for f in dataclasses.fields(Config) if f.init):  # no key sets the scenario: it is built
         key, parser = f.metadata["key"], f.metadata["parser"]
         if f.default_factory is dataclasses.MISSING:
-            schema[key] = (parser, f.name, None)
+            schema[key] = (parser, f, None)
         else:
             for p in dataclasses.fields(f.default_factory):
-                schema[f"{key}.{p.name}"] = (parser, f.name, p.name)
+                schema[f"{key}.{p.name}"] = (parser, f, p.name)
     return schema
 
 
@@ -148,48 +169,48 @@ def read_config_file(path: str) -> dict:
     return raw
 
 
-def _parse(raw: dict) -> Config:
-    """The Config raw sets.  An error names the key whose text, or whose
-    parameter dataclass's rule on that one field, rejects it."""
-    cfg = Config()
-    for key, (parser, name, param) in CONFIG_SCHEMA.items():
+def _parse(raw: dict) -> dict:
+    """The Config field values raw sets, a section's from its default_factory.  An error names
+    the key whose text, or whose parameter dataclass's rule on that one field, rejects it."""
+    values = {}
+    for key, (parser, f, param) in CONFIG_SCHEMA.items():
         if key in raw:
             try:
                 value = parser(raw[key])
                 if param is not None:
-                    value = dataclasses.replace(getattr(cfg, name), **{param: value})
+                    value = dataclasses.replace(values.get(f.name) or f.default_factory(), **{param: value})
             except ValidationError as err:
                 raise ValidationError(f"{key}: {err}") from None
-            setattr(cfg, name, value)
-    return cfg
+            values[f.name] = value
+    return values
 
 
-def _build_error(cfg: Config) -> str | None:
-    """Why cfg's experiment cannot be built, or None.  Building the scenario
-    runs the rules across fields, from the inertia ratio to the grid and the gains."""
+def _build_error(values: dict) -> str | None:
+    """Why the Config of these field values cannot be constructed, or None."""
     try:
-        build_scenario(cfg)
+        Config(**values)
     except ValidationError as err:
         return str(err)
     return None
 
 
 def build_config(raw: dict) -> Config:
-    """Parse raw key/value strings and check the whole experiment they make;
-    unset keys keep Config()'s values.  An experiment that cannot be built is
-    blamed on each set key whose removal would remove or change its error, or
-    on every set key when no one removal would; output.* keys are not part of
-    the experiment and are never blamed."""
+    """Parse raw key/value strings into the Config they make; unset keys keep
+    Config()'s values.  A Config that cannot be constructed is blamed on each
+    set key whose removal would remove or change its error, or on every set
+    key when no one removal would; output.* keys are not part of the
+    experiment and are never blamed."""
     for key in raw:
         if key not in CONFIG_SCHEMA:
             raise ValidationError(f"unknown config key: {key}")
-    cfg = _parse(raw)
-    error = _build_error(cfg)
-    if error is not None:
-        keys = [key for key in raw if not key.startswith("output.")]
-        blamed = [key for key in keys if _build_error(_parse({k: v for k, v in raw.items() if k != key})) != error]
-        raise ValidationError(f"{', '.join(blamed or keys)}: {error}")
-    return cfg
+    values = _parse(raw)  # a key its own rule rejects is named alone, outside the blame below
+    try:
+        return Config(**values)
+    except ValidationError as err:
+        error = str(err)
+    keys = [key for key in raw if not key.startswith("output.")]
+    blamed = [key for key in keys if _build_error(_parse({k: v for k, v in raw.items() if k != key})) != error]
+    raise ValidationError(f"{', '.join(blamed or keys)}: {error}")
 
 
 def load_config(args) -> Config:
@@ -207,25 +228,6 @@ def design_spec(cfg: Config) -> DesignSpec:
     natural frequency under the controller's gravity model."""
     omega_0 = plant.pendulum_frequency(plant.derive(cfg.params, cfg.friction), cfg.controller_gravity)
     return DesignSpec(zeta=cfg.zeta, omega_n=cfg.omega_n_factor * omega_0, alpha=cfg.alpha)
-
-
-def build_scenario(cfg: Config) -> sim.Scenario:
-    return sim.Scenario(
-        params=cfg.params,
-        friction=cfg.friction,
-        plant_gravity=cfg.plant_gravity,
-        controller_gravity=cfg.controller_gravity,
-        fidelity=cfg.fidelity,
-        design=design_spec(cfg),
-        mode=cfg.mode,
-        tau_max=cfg.tau_max,
-        q_r=rotor.from_angle(math.radians(cfg.reference_angle_deg)),
-        initial=plant.state(rotor.from_angle(math.radians(cfg.initial_angle_deg))),
-        dt=cfg.dt,
-        t_end=cfg.t_end,
-        sensor_bias=math.radians(cfg.sensor_bias_deg),
-        disturbances=cfg.disturbances,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -303,19 +305,20 @@ def cmd_gains(sc: sim.Scenario) -> int:
 
 
 def cmd_simulate(cfg: Config) -> int:
-    ts = sim.run(build_scenario(cfg))
+    sc = cfg.scenario
+    ts = sim.run(sc)
     write_csv(ts, cfg.output_path)
 
     # settling is measured before the first disturbance that acts, which would restart it
-    first = min((d.start for d in cfg.disturbances if d.start + d.duration > 0.0), default=math.inf)
+    first = min((d.start for d in sc.disturbances if d.start + d.duration > 0.0), default=math.inf)
     calm = ts.t < first
-    ref = cfg.reference_angle_deg
     att = wheel = converged = "n/a"
     if calm.any():
-        att_settle = sim.settling_time(ts.t[calm], ts.theta_c_deg[calm] - ref, 0.5)
+        error = rotor.orientation_error((ts.q0[calm], ts.q1[calm]), sc.q_r)  # the controller's, on the circle
+        att_settle = sim.settling_time(ts.t[calm], np.degrees(rotor.to_angle(error)), 0.5)
         peak_wheel = float(np.max(np.abs(ts.omega_w[calm])))
         wheel_settle = sim.settling_time(ts.t[calm], ts.omega_w[calm], 0.02 * peak_wheel)
-        att = f"{att_settle:.3f} s (within 0.5 deg of {ref:g} deg)"
+        att = f"{att_settle:.3f} s (within 0.5 deg of {math.degrees(rotor.to_angle(sc.q_r)):g} deg)"
         wheel = f"{wheel_settle:.3f} s (within 2% of peak {peak_wheel:.1f} rad/s)"
         converged = "converged" if wheel_settle < math.inf else "NOT converged (did not settle)"
     pairs = [
@@ -327,8 +330,8 @@ def cmd_simulate(cfg: Config) -> int:
         ("peak |tau|", f"{np.max(np.abs(ts.tau_applied)):.4f} N m"),
         ("final attitude (true)", f"{ts.theta_c_deg[-1]:.4f} deg"),
     ]
-    if cfg.sensor_bias_deg != 0.0:  # the measured attitude, decoded on the circle like the true one
-        q0, q1 = rotor.product((ts.q0[-1], ts.q1[-1]), rotor.from_angle(math.radians(cfg.sensor_bias_deg)))
+    if sc.sensor_bias != 0.0:  # the measured attitude, decoded on the circle like the true one
+        q0, q1 = rotor.product((ts.q0[-1], ts.q1[-1]), rotor.from_angle(sc.sensor_bias))
         pairs.append(("final attitude (sensor)", f"{math.degrees(math.atan2(q1, q0)):.4f} deg"))
     pairs += [("final |omega_w|", f"{abs(float(ts.omega_w[-1])):.4f} rad/s"), ("wheel velocity", converged)]
     _print_kv(pairs)
@@ -403,7 +406,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("params", help="print derived physical parameters")
     _add_common(p)
     p.add_argument("--json", action="store_true", help="emit JSON instead of aligned text")
-    p.set_defaults(run=lambda cfg, args: cmd_params(build_scenario(cfg), json_out=args.json))
+    p.set_defaults(run=lambda cfg, args: cmd_params(cfg.scenario, json_out=args.json))
 
     p = sub.add_parser("simulate", help="run a closed-loop scenario and write a CSV log")
     _add_common(p)
@@ -414,7 +417,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("gains", help="print synthesized gains and verified poles")
     _add_common(p)
-    p.set_defaults(run=lambda cfg, args: cmd_gains(build_scenario(cfg)))
+    p.set_defaults(run=lambda cfg, args: cmd_gains(cfg.scenario))
 
     p = sub.add_parser("verify", help="run the verification suite")
     _add_common(p)
@@ -423,7 +426,7 @@ def main(argv=None) -> int:
         action="store_true",
         help="tamper the oracle gravity constant; the suite must then FAIL",
     )
-    p.set_defaults(run=lambda cfg, args: cmd_verify(build_scenario(cfg), negative_control=args.negative_control))
+    p.set_defaults(run=lambda cfg, args: cmd_verify(cfg.scenario, negative_control=args.negative_control))
 
     p = sub.add_parser("fit-friction", help="identify friction parameters from steady-state data")
     _add_common(p)

@@ -350,16 +350,13 @@ def energies(x, dp: DerivedParams, model: GravityModel = GravityModel.CONSISTENT
 
     The wheel term uses the absolute wheel rate omega_c + omega_w.  The
     potential is the one whose negative gradient is the model's gravity
-    torque (_gravity): mgd sin(theta_c + 45 deg), which vanishes when the
-    centre of mass is level with the pivot, or mgd q1 = mgd sin(theta_c)
-    under PAPER_LITERAL.
+    torque (_gravity): mgd (q0 + q1) sqrt(2)/2 = mgd sin(theta_c + 45 deg),
+    which vanishes when the centre of mass is level with the pivot, or
+    mgd q1 = mgd sin(theta_c) under PAPER_LITERAL.
     """
     q0, q1, _theta_w, omega_c, omega_w = x
     kinetic = 0.5 * dp.I_cO_bar * omega_c**2 + 0.5 * dp.I_wG * (omega_c + omega_w) ** 2
-    if model is GravityModel.PAPER_LITERAL:
-        potential = dp.mgd * q1
-    else:
-        potential = dp.mgd * np.sin(rotor.to_angle((q0, q1)) + np.pi / 4.0)
+    potential = dp.mgd * q1 if model is GravityModel.PAPER_LITERAL else dp.mgd * _HALF_SQRT2 * (q0 + q1)
     return kinetic, potential, kinetic + potential
 
 

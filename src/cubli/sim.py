@@ -46,10 +46,10 @@ class Disturbance:
 @dataclass
 class Scenario:
     """Everything one closed-loop experiment needs; no field has a default.
-    The reference experiment is cli.build_scenario(cli.Config()).  A scenario
-    that constructs is one that runs: its plant derives, once, into dp, and
-    its mode's gains into gains, finite (control.gains_for_mode), for every
-    consumer to read; dataclasses.replace varies it and derives them again.
+    A cli.Config builds one, once; cli.Config().scenario is the reference
+    experiment.  A scenario that constructs is one that runs: its plant derives,
+    once, into dp, and its mode's gains into gains, finite (control.gains_for_mode),
+    for every consumer to read; dataclasses.replace varies it and derives them again.
 
     The plant and the controller each get their own gravity model
     (controller_gravity) so model-mismatch studies need no code changes; the

@@ -23,7 +23,7 @@ PARAMS = CubliParams()
 FRICTION = FrictionParams()
 DP_CON = plant.derive(PARAMS, FRICTION)
 CONFIG = cli.build_config({})
-SCENARIO = cli.build_scenario(CONFIG)
+SCENARIO = CONFIG.scenario
 
 
 def report(number, name, metric, started):
@@ -33,7 +33,7 @@ def report(number, name, metric, started):
 
 def reference_scenario(**overrides):
     """The reference experiment, varied by Config fields."""
-    return cli.build_scenario(dataclasses.replace(CONFIG, **overrides))
+    return dataclasses.replace(CONFIG, **overrides).scenario
 
 
 def test_01_parameter_derivation():

@@ -153,7 +153,7 @@ def test_closed_loop_matrix_matches_end_to_end_finite_differences(dp):
     # drive control.step (no sensor bias, no actuator limit) + reduced plant
     # through the (sigma_e, theta_w, omega_c, omega_w) coordinates and differentiate
     fp = FrictionParams()
-    reference = cli.build_scenario(cli.Config())
+    reference = cli.Config().scenario
     gains = control.full_gains(reference.design, dp)
     q_r = reference.q_r
     theta_r = rotor.to_angle(q_r)

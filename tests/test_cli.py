@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cubli import cli, sim, verify
+from cubli import cli, plant, sim, verify
 from cubli.errors import ValidationError
 from cubli.plant import CubliParams, FrictionParams
 
@@ -291,6 +292,7 @@ def test_every_command_rejects_a_config_alike_naming_its_keys(sets, keys, tmp_pa
         assert run_cli(*command, *(arg for item in sets for arg in ("--set", item))) == cli.EXIT_VALIDATION
         errors.append(capsys.readouterr().err)
     assert errors[0].startswith(f"error: {keys}: ")
+    assert errors[0].count(f"{keys}: ") == 1
     assert errors == errors[:1] * len(commands)
     assert not csv.exists()
 
@@ -440,6 +442,13 @@ def test_simulate_summary_measures_settling_before_the_first_disturbance(tmp_pat
     summary = summary_of("scenario.t_end=8", tmp_path=tmp_path, capsys=capsys)
     assert summary["settling window"] == "whole run"
     assert summary["attitude settling"].startswith("0.651 s")
+
+
+@pytest.mark.parametrize("reference", ["45", "405", "-315"])
+def test_simulate_summary_measures_attitude_settling_on_the_circle(reference, tmp_path, capsys):
+    # 405 and -315 deg are the 45 deg pose: the controller's error, and so its settling, is the same
+    summary = summary_of(f"scenario.reference_angle_deg={reference}", "scenario.t_end=2", tmp_path=tmp_path, capsys=capsys)
+    assert summary["attitude settling"] == "0.651 s (within 0.5 deg of 45 deg)"
 
 
 @pytest.mark.parametrize("start", ["0", "-1"])
@@ -645,6 +654,38 @@ def test_sample_config_and_defaults_are_the_config_declaration():
     sample = Path(__file__).resolve().parent.parent / "demos" / "experiment.cfg"
     assert cli.build_config(cli.read_config_file(str(sample))) == cli.Config()
     assert cli.build_config({}) == cli.Config()
+
+
+COMMANDS = [["params"], ["gains"], ["verify"], ["simulate", "--set", "scenario.t_end=0.01"], ["fit-friction", "--synthetic"]]
+
+
+def counted(fn, calls):
+    """fn, appending each call's result to calls."""
+
+    def wrapper(*args):
+        calls.append(fn(*args))
+        return calls[-1]
+
+    return wrapper
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=[c[0] for c in COMMANDS])
+def test_every_command_builds_its_experiment_once(command, tmp_path, monkeypatch, capsys):
+    built, derived = [], []
+    monkeypatch.setattr(sim.Scenario, "__post_init__", counted(sim.Scenario.__post_init__, built))
+    monkeypatch.setattr(plant, "derive", counted(plant.derive, derived))
+    monkeypatch.chdir(tmp_path)  # simulate writes its CSV to the default output.path
+    assert run_cli(*command) == cli.EXIT_OK
+    # one derive for the design's omega_0, one for the scenario's plant
+    assert (len(built), len(derived)) == (1, 2)
+
+
+def test_config_is_frozen_and_checked_when_constructed():
+    cfg = cli.Config()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.dt = 0.01
+    with pytest.raises(ValidationError, match="not a whole number of dt"):
+        dataclasses.replace(cfg, dt=0.01, t_end=0.0105)
 
 
 def test_disturbance_parse_errors():

@@ -15,7 +15,7 @@ from cubli.plant import CubliParams, Fidelity, FrictionParams, GravityModel, sta
 SQ2 = math.sqrt(2.0) / 2.0
 
 DP = plant.derive(CubliParams(), FrictionParams())
-REFERENCE = cli.build_scenario(cli.Config())
+REFERENCE = cli.Config().scenario
 
 # no deadline: the host's speed varies too much for per-example timing
 prop = settings(deadline=None, max_examples=300)

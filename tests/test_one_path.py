@@ -30,7 +30,7 @@ from cubli.plant import CubliParams, Fidelity, FrictionParams, GravityModel, sta
 one_path = settings(deadline=None, max_examples=150)
 
 DP = plant.derive(CubliParams(), FrictionParams())
-REFERENCE = cli.build_scenario(cli.Config())
+REFERENCE = cli.Config().scenario
 
 finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 friction = st.sampled_from([FrictionParams(), plant.FRICTION_FREE, FrictionParams(1e-2, 1e-4, 1e-7)])

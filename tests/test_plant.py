@@ -28,7 +28,7 @@ OMEGA_0_LITERAL = math.sqrt(MGD * math.sqrt(2.0) / 2.0 / I_CO_BAR)   # 6.854011
 OMEGA_0_CONSISTENT = math.sqrt(MGD / I_CO_BAR)                       # 8.150838
 OMEGA_1 = 1.06e-5 / 1.25e-4                          # 0.0848
 
-REFERENCE = cli.build_scenario(cli.Config())
+REFERENCE = cli.Config().scenario
 
 SQ2 = math.sqrt(2.0) / 2.0
 

@@ -21,7 +21,7 @@ def dp():
 
 def default_scenario(**overrides):
     """The reference experiment cut to 8 s without its pulses, varied by Config fields."""
-    return cli.build_scenario(dataclasses.replace(cli.Config(), **{"t_end": 8.0, "disturbances": (), **overrides}))
+    return dataclasses.replace(cli.Config(), **{"t_end": 8.0, "disturbances": (), **overrides}).scenario
 
 
 def test_rk4_step_fixed_point(dp):
@@ -240,7 +240,7 @@ def test_scenario_validation():
 
 
 def test_scenario_derives_its_plant_and_gains_and_replace_derives_them_again():
-    sc = cli.build_scenario(cli.Config())
+    sc = cli.Config().scenario
     assert sc.dp == plant.derive(sc.params, sc.friction)
     assert sc.gains == control.gains_for_mode(sc.mode, sc.design, sc.dp)
     assert "dp=" not in repr(sc) and "gains=" not in repr(sc)
