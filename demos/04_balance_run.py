@@ -22,11 +22,8 @@ cli.write_csv(ts, str(out))
 print("wrote", out)
 
 # settling is measured on the window before the first poke
-ref = cfg.reference_angle_deg
-quiet = ts.t < cfg.disturbances[0].start
-att_settle = sim.settling_time(ts.t[quiet], ts.theta_c_deg[quiet] - ref, 0.5)
-peak_wheel = float(np.max(np.abs(ts.omega_w)))
-wheel_settle = sim.settling_time(ts.t[quiet], ts.omega_w[quiet], 0.02 * peak_wheel)
+q_r = cfg.scenario.q_r
+att_settle, wheel_settle, peak_wheel = sim.settling(ts, q_r, 0.0, cfg.disturbances[0].start)
 print(f"\nattitude settling (0.5 deg band): {att_settle:.3f} s")
 print(f"wheel settling (2% of {peak_wheel:.0f} rad/s peak): {wheel_settle:.3f} s")
 print(f"wheel-to-attitude settling ratio: {wheel_settle / att_settle:.1f} (alpha = {cfg.alpha} -> ~10)")
@@ -34,9 +31,9 @@ print(f"peak applied torque: {np.max(np.abs(ts.tau_applied)):.3f} N m (limit {cf
 
 for poke in cfg.disturbances:
     end = poke.start + poke.duration
-    window = (ts.t >= end) & (ts.t <= poke.start + 4.0)
-    dev = ts.theta_c_deg[window] - ref
-    resettle = sim.settling_time(ts.t[window], dev, 0.5)
+    window = (ts.t >= end) & (ts.t < poke.start + 4.0)
+    dev = ts.theta_c_deg[window] - cfg.reference_angle_deg
+    resettle, _, _ = sim.settling(ts, q_r, end, poke.start + 4.0)
     print(f"poke at {poke.start:.0f} s: peak deviation {np.max(np.abs(dev)):.2f} deg, "
           f"re-settled {resettle - end:.2f} s after pulse end")
 

@@ -311,13 +311,10 @@ def cmd_simulate(cfg: Config) -> int:
 
     # settling is measured before the first disturbance that acts, which would restart it
     first = min((d.start for d in sc.disturbances if d.start + d.duration > 0.0), default=math.inf)
-    calm = ts.t < first
+    settling = sim.settling(ts, sc.q_r, 0.0, first)
     att = wheel = converged = "n/a"
-    if calm.any():
-        error = rotor.orientation_error((ts.q0[calm], ts.q1[calm]), sc.q_r)  # the controller's, on the circle
-        att_settle = sim.settling_time(ts.t[calm], np.degrees(rotor.to_angle(error)), 0.5)
-        peak_wheel = float(np.max(np.abs(ts.omega_w[calm])))
-        wheel_settle = sim.settling_time(ts.t[calm], ts.omega_w[calm], 0.02 * peak_wheel)
+    if settling:
+        att_settle, wheel_settle, peak_wheel = settling
         att = f"{att_settle:.3f} s (within 0.5 deg of {math.degrees(rotor.to_angle(sc.q_r)):g} deg)"
         wheel = f"{wheel_settle:.3f} s (within 2% of peak {peak_wheel:.1f} rad/s)"
         converged = "converged" if wheel_settle < math.inf else "NOT converged (did not settle)"
@@ -347,10 +344,10 @@ def cmd_verify(sc: sim.Scenario, negative_control: bool = False) -> int:
     return EXIT_OK if all_ok else EXIT_VERIFICATION
 
 
-def read_steady_state_csv(path: str) -> list:
-    """Parse (tau, omega_ss) rows; tolerant of comments and of a header: the
-    first non-comment line, when it does not parse as numbers (3e-3 and inf do)."""
-    points = []
+def read_steady_state_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """Parse tau,omega_ss rows into (taus, omegas); tolerant of comments and of a
+    header: the first non-comment line, when it does not parse as numbers (3e-3 and inf do)."""
+    rows = []
     for i, (lineno, line) in enumerate(_read_lines(path)):
         try:
             values = [float(part) for part in line.split(",")]
@@ -360,30 +357,28 @@ def read_steady_state_csv(path: str) -> list:
             raise ValidationError(f"{path}:{lineno}: non-numeric row {line!r}") from None
         if len(values) != 2:
             raise ValidationError(f"{path}:{lineno}: expected 'tau,omega_ss', got {line!r}")
-        tau, omega = values
-        if not (math.isfinite(tau) and math.isfinite(omega)):
+        if not all(map(math.isfinite, values)):
             raise ValidationError(f"{path}:{lineno}: non-finite row {line!r}")
-        points.append(sim.SteadyStatePoint(tau=tau, omega_ss=omega))
-    return points
+        rows.append(values)
+    return tuple(np.array(rows, dtype=float).reshape(-1, 2).T)
 
 
 def cmd_fit_friction(cfg: Config, input_path: str | None, synthetic: bool) -> int:
     if synthetic:
-        levels = plant.friction_torque(np.linspace(60.0, 600.0, 20), cfg.friction)
-        points = sim.steady_state_sweep(levels, cfg.params, cfg.friction)
-        source = f"synthetic sweep ({len(points)} levels)"
+        taus = plant.friction_torque(np.linspace(60.0, 600.0, 20), cfg.friction)
+        omegas = sim.steady_state_sweep(taus, cfg.params, cfg.friction)
+        source = f"synthetic sweep ({len(omegas)} levels)"
     else:
-        points = read_steady_state_csv(input_path)
-        source = f"{input_path} ({len(points)} rows)"
-    fit = sim.fit_friction(points)
-    fitted = fit.params
+        taus, omegas = read_steady_state_csv(input_path)
+        source = f"{input_path} ({len(omegas)} rows)"
+    fitted, residual_rms = sim.fit_friction(taus, omegas)
     _print_kv(
         [
             ("source", source),
             ("tau_c", f"{fitted.tau_c:.6e} N m"),
             ("b_w", f"{fitted.b_w:.6e} N m s/rad"),
             ("c_d", f"{fitted.c_d:.6e} N m s^2/rad^2"),
-            ("residual rms", f"{fit.residual_rms:.3e} N m"),
+            ("residual rms", f"{residual_rms:.3e} N m"),
             ("model at 300 rad/s", f"{plant.friction_torque(300.0, fitted):.4e} N m"),
         ]
     )

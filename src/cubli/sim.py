@@ -214,10 +214,13 @@ def run(scenario: Scenario) -> TimeSeries:
     q_bias, q_r = tuple(rotor.from_angle(sc.sensor_bias).tolist()), tuple(sc.q_r.tolist())
     controller = (q_bias, q_r, regulator, sc.gains, sc.dp, sc.friction, sc.controller_gravity, sc.tau_max)
     n_steps = int(_steps(sc.t_end, sc.dt))
-    tau_ext = disturbance_torque(sc.disturbances, sc.dt, n_steps).tolist()
-
-    t = np.arange(n_steps + 1) * sc.dt
-    log = np.empty((n_steps + 1, 8))
+    try:
+        tau_ext = disturbance_torque(sc.disturbances, sc.dt, n_steps).tolist()
+        t = np.arange(n_steps + 1) * sc.dt
+        log = np.empty((n_steps + 1, 8))
+    except MemoryError:  # a grid within the 2**53 rule can still be more than memory holds
+        steps = f"t_end = {sc.t_end!r} s is {n_steps} steps of dt = {sc.dt!r} s"
+        raise ValidationError(f"{steps}, too many to allocate") from None
     x = tuple(sc.initial.tolist())
 
     for k in range(n_steps + 1):
@@ -267,29 +270,33 @@ def disturbance_torque(disturbances, dt: float, n_steps: int) -> np.ndarray:
     return tau
 
 
-def settling_time(t, y, band: float) -> float:
-    """Earliest logged time after which |y| stays within the band; inf if
-    never, or if nothing was logged."""
-    outside = np.nonzero(np.abs(np.asarray(y)) > band)[0]
-    after = outside[-1] + 1 if outside.size else 0
-    return float(t[after]) if after < len(t) else math.inf
+def settling(ts: TimeSeries, q_r, start: float, end: float) -> tuple[float, float, float] | None:
+    """(attitude_s, wheel_s, peak_wheel) over the logged window start <= t < end,
+    or None if it logs nothing.  Each time is the earliest logged one after which
+    the quantity stays settled, inf if never: the attitude within 0.5 deg of q_r,
+    measured on the controller's error (rotor.orientation_error), so 405 deg
+    settles as 45 deg does; the wheel within 2% of the window's peak |omega_w|."""
+    window = (ts.t >= start) & (ts.t < end)
+    if not window.any():
+        return None
+    t, wheel = ts.t[window], np.abs(ts.omega_w[window])
+    error = np.degrees(rotor.to_angle(rotor.orientation_error((ts.q0[window], ts.q1[window]), q_r)))
+    peak = float(np.max(wheel))
 
+    def settled_from(outside):
+        after = np.flatnonzero(outside)[-1] + 1 if outside.any() else 0
+        return float(t[after]) if after < len(t) else math.inf
 
-@dataclass(frozen=True)
-class SteadyStatePoint:
-    """One identification sample: constant input torque and the wheel speed
-    at which it balances the friction torque."""
-
-    tau: float
-    omega_ss: float
+    return settled_from(np.abs(error) > 0.5), settled_from(wheel > 0.02 * peak), peak
 
 
 def steady_state_sweep(
     tau_levels,
     params: CubliParams = CubliParams(),
     fp: FrictionParams = FrictionParams(),
-) -> list[SteadyStatePoint]:
-    """Spin the wheel alone at each torque level until it stops accelerating.
+) -> np.ndarray:
+    """Spin the wheel alone at each torque level until it stops accelerating,
+    and return the steady wheel speeds, one per level.
 
     The structure is held fixed, mirroring a bench identification: only
     omega_w_dot = (tau - tau_f(omega_w)) / I_wG is integrated by RK4, in
@@ -313,7 +320,7 @@ def steady_state_sweep(
     def accel(w: float, tau: float) -> float:  # a stage off the fast path (omega_w <= 0 or NaN)
         return (tau - plant._friction(w, plant._sign, tc, bw, cd)) * inv_iwg
 
-    points = []
+    speeds = []
     max_steps = int(round(budget / dt))
     for tau in tau_levels:
         tau = float(tau)
@@ -346,31 +353,23 @@ def steady_state_sweep(
                 )
         else:
             raise IdentificationError(f"wheel did not reach steady state within {budget:.0f} s at tau = {tau:.3e} N m")
-        points.append(SteadyStatePoint(tau=tau, omega_ss=w))
-    return points
+        speeds.append(w)
+    return np.array(speeds, dtype=float)
 
 
-def exact_steady_points(fp: FrictionParams, omegas) -> list[SteadyStatePoint]:
-    """Noise-free identification samples straight from the friction curve."""
-    return [SteadyStatePoint(tau=float(plant.friction_torque(w, fp)), omega_ss=float(w)) for w in omegas]
-
-
-@dataclass(frozen=True)
-class FrictionFit:
-    params: FrictionParams
-    residual_rms: float
-
-
-def fit_friction(points) -> FrictionFit:
-    """Least-squares friction coefficients from steady-state samples.
+def fit_friction(taus, omegas) -> tuple[FrictionParams, float]:
+    """Least-squares friction coefficients from steady-state samples: the input
+    torques taus and the wheel speeds omegas they balance, 1-D and of one length.
+    Returns the fitted FrictionParams and the residual rms [N m].
 
     Solves |tau| = tau_c + b_w |omega| + c_d omega^2 over regressors
     [1, |omega|, omega^2]; coefficients are clipped at zero (each term is a
     dissipation and cannot be negative).  Needs at least three samples at
     distinct nonzero speeds, otherwise the regressor matrix is rank deficient.
     """
-    speeds = np.array([abs(p.omega_ss) for p in points])
-    torques = np.array([abs(p.tau) for p in points])
+    torques, speeds = np.abs(np.asarray(taus, dtype=float)), np.abs(np.asarray(omegas, dtype=float))
+    if torques.ndim != 1 or torques.shape != speeds.shape:
+        raise IdentificationError(f"need 1-D taus and omegas of one length, got {torques.shape} and {speeds.shape}")
     if len(set(np.round(speeds, 12))) < 3 or np.any(speeds == 0.0):
         raise IdentificationError("need at least 3 samples at distinct nonzero wheel speeds")
     regressors = np.column_stack([np.ones_like(speeds), speeds, speeds**2])
@@ -380,4 +379,4 @@ def fit_friction(points) -> FrictionFit:
     coef = np.clip(coef, 0.0, None)
     residual = torques - regressors @ coef
     fitted = FrictionParams(tau_c=float(coef[0]), b_w=float(coef[1]), c_d=float(coef[2]))
-    return FrictionFit(params=fitted, residual_rms=float(np.sqrt(np.mean(residual**2))))
+    return fitted, float(np.sqrt(np.mean(residual**2)))

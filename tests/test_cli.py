@@ -359,6 +359,18 @@ def test_simulate_grid_beyond_2_53_steps_rejected(capsys):
     assert "t_end" in capsys.readouterr().err
 
 
+def test_simulate_grid_too_large_to_allocate_exits_2_in_one_line(tmp_path, capsys):
+    # 2e13 steps pass the 2**53 rule, but one float per step is 160 TB, past the
+    # 128 TiB address space, so the first allocation fails at once on any host
+    grid = ("--set", "scenario.t_end=2e10")
+    assert run_cli("simulate", *grid, "--out", str(tmp_path / "x.csv")) == cli.EXIT_VALIDATION
+    error = "error: t_end = 20000000000.0 s is 20000000000000 steps of dt = 0.001 s, too many to allocate\n"
+    assert capsys.readouterr().err == error
+    assert not (tmp_path / "x.csv").exists()
+    for command in ("params", "gains"):  # they never allocate the grid
+        assert run_cli(command, *grid) == cli.EXIT_OK
+
+
 @pytest.mark.parametrize("start", ["30", "1e308", "-1e308"])
 def test_simulate_pulse_outside_the_run_has_no_effect(start, tmp_path, capsys):
     # start / dt overflows to +/-inf at 1e308 s; such a pulse overlaps no step

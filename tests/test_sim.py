@@ -125,11 +125,12 @@ def test_run_time_grid_and_unit_norm():
 
 
 def test_run_stabilizes_from_offset():
-    ts = sim.run(default_scenario())
+    sc = default_scenario()
+    ts = sim.run(sc)
     assert abs(ts.theta_c_deg[-1] - 45.0) < 0.05
     assert abs(ts.omega_w[-1]) < 5.0
-    settle = sim.settling_time(ts.t, ts.theta_c_deg - 45.0, 0.5)
-    assert settle < 1.0
+    attitude_s, _, _ = sim.settling(ts, sc.q_r, 0.0, math.inf)
+    assert attitude_s < 1.0
 
 
 def test_run_modes_differ():
@@ -226,7 +227,7 @@ def test_disturbance_pulse_is_rejected():
     i_end = np.searchsorted(ts.t, 4.1)
     deviation = np.abs(ts.theta_c_deg[i_end:] - 45.0)
     assert deviation.max() > 0.2  # the pulse is visible
-    resettle = sim.settling_time(ts.t[i_end:], ts.theta_c_deg[i_end:] - 45.0, 0.5)
+    resettle, _, _ = sim.settling(ts, scenario.q_r, 4.1, math.inf)
     assert resettle - 4.1 < 2.0
 
 
@@ -252,19 +253,42 @@ def test_scenario_derives_its_plant_and_gains_and_replace_derives_them_again():
         dataclasses.replace(sc, dp=sc.dp)
 
 
-def test_settling_time():
-    t = np.arange(6, dtype=float)
-    y = np.array([3.0, 1.5, 0.4, 0.3, 0.1, 0.2])
-    assert sim.settling_time(t, y, 0.5) == 2.0
-    assert sim.settling_time(t, y, 5.0) == 0.0
-    assert sim.settling_time(t, y, 0.15) == math.inf
+def logged(error_deg, omega_w):
+    """A TimeSeries at t = 0, 1, 2, ... s whose attitude is error_deg off 45 deg;
+    the columns settling does not read are zero."""
+    t = np.arange(len(omega_w), dtype=float)
+    q = rotor.from_angle(np.radians(45.0 + np.asarray(error_deg)))
+    columns = {name: np.zeros_like(t) for name in sim.TimeSeries.COLUMNS}
+    return sim.TimeSeries(**{**columns, "t": t, "q0": q[0], "q1": q[1], "omega_w": np.asarray(omega_w, float)})
+
+
+def test_settling():
+    error = np.array([3.0, 1.5, 0.4, 0.3, 0.1, 0.2])  # deg
+    omega_w = [100.0, -50.0, 3.0, 1.0, -1.5, 0.5]  # 2% of the peak is 2 rad/s
+    upright = rotor.from_angle(math.radians(45.0))
+    assert sim.settling(logged(error, omega_w), upright, 0.0, math.inf) == (2.0, 3.0, 100.0)
+    # within 0.5 deg from the start, and never (it ends 0.6 deg off)
+    assert sim.settling(logged(0.1 * error, omega_w), upright, 0.0, math.inf)[0] == 0.0
+    assert sim.settling(logged(3.0 * error, omega_w), upright, 0.0, math.inf)[0] == math.inf
+    # the window is start <= t < end, and its own peak sets the wheel's band
+    assert sim.settling(logged(error, omega_w), upright, 1.0, 4.0) == (2.0, 3.0, 50.0)
+    assert sim.settling(logged(error, omega_w), upright, 6.0, math.inf) is None
+    assert sim.settling(logged(error, omega_w), upright, 0.0, 0.0) is None
+
+
+@pytest.mark.parametrize("reference", [45.0, 405.0, -315.0])
+def test_settling_is_measured_on_the_circle(reference):
+    # one pose: the controller's error, and so the settling, is 45 deg's
+    sc = default_scenario(reference_angle_deg=reference, initial_angle_deg=reference - 5.0, t_end=2.0)
+    attitude_s, _, _ = sim.settling(sim.run(sc), sc.q_r, 0.0, math.inf)
+    assert f"{attitude_s:.3f}" == "0.651"
 
 
 def test_steady_state_sweep_fixed_point():
     fp = FrictionParams()
     tau = float(plant.friction_torque(100.0, fp))
-    [point] = sim.steady_state_sweep([tau])
-    assert point.omega_ss == pytest.approx(100.0, rel=1e-3)
+    [omega] = sim.steady_state_sweep([tau])
+    assert omega == pytest.approx(100.0, rel=1e-3)
 
 
 def test_steady_state_sweep_rejects_subcoulomb_torque():
@@ -274,10 +298,8 @@ def test_steady_state_sweep_rejects_subcoulomb_torque():
 
 def test_steady_state_sweep_monotone():
     fp = FrictionParams()
-    levels = [float(plant.friction_torque(w, fp)) for w in np.linspace(50, 600, 20)]
-    points = sim.steady_state_sweep(levels)
-    speeds = [p.omega_ss for p in points]
-    assert all(a < b for a, b in zip(speeds, speeds[1:]))
+    speeds = sim.steady_state_sweep(plant.friction_torque(np.linspace(50, 600, 20), fp))
+    assert speeds.dtype == np.float64 and np.all(np.diff(speeds) > 0.0)
 
 
 def reference_sweep_level(level, I_wG, fp):
@@ -328,21 +350,21 @@ def test_steady_state_sweep_is_the_reference_loop_bit_for_bit(tau_c, b_w, c_d, I
     level = (-1.0 if negative else 1.0) * (tau_c + b_w * w + c_d * w * w)
     converged, expected, _ = reference_sweep_level(level, I_wG, fp)
     assume(converged)
-    [point, mirrored] = sim.steady_state_sweep([level, -level], params, fp)
-    assert point.omega_ss.hex() == expected.hex()
-    assert mirrored.omega_ss.hex() == (-expected).hex()
+    [omega, mirrored] = sim.steady_state_sweep([level, -level], params, fp)
+    assert omega.hex() == expected.hex()
+    assert mirrored.hex() == (-expected).hex()
 
 
 @pytest.mark.parametrize("fp", [FrictionParams(), FrictionParams(tau_c=1e-4, b_w=0.03)], ids=["rig", "steep_viscous"])
 def test_steady_state_sweep_on_the_cli_levels_is_the_reference_loop_and_mirrors(fp):
-    levels = [p.tau for p in sim.exact_steady_points(fp, np.linspace(60.0, 600.0, 20))]
-    points = sim.steady_state_sweep(levels + [-tau for tau in levels], fp=fp)
+    levels = plant.friction_torque(np.linspace(60.0, 600.0, 20), fp)
+    omegas = sim.steady_state_sweep(np.concatenate([levels, -levels]), fp=fp)
     below_zero = []
-    for point, mirrored, level in zip(points, points[len(levels):], levels):
+    for omega, mirrored, level in zip(omegas, omegas[len(levels):], levels.tolist()):
         converged, expected, not_positive = reference_sweep_level(level, CubliParams().I_wG, fp)
-        assert converged and point.omega_ss.hex() == expected.hex()
-        assert mirrored.tau == -level and mirrored.omega_ss.hex() == (-expected).hex()
-        assert reference_sweep_level(-level, CubliParams().I_wG, fp)[1].hex() == mirrored.omega_ss.hex()
+        assert converged and omega.hex() == expected.hex()
+        assert mirrored.hex() == (-expected).hex()
+        assert reference_sweep_level(-level, CubliParams().I_wG, fp)[1].hex() == mirrored.hex()
         below_zero += not_positive
     # the steep viscous term overshoots: its first steps swing omega_w below zero
     assert (min(below_zero, default=0.0) < 0.0) == (fp.b_w == 0.03)
@@ -354,8 +376,8 @@ def test_steady_state_sweep_at_rest_is_positive_zero_on_both_signs():
     for level in (1e-12, -1e-12):
         converged, expected, _ = reference_sweep_level(level, CubliParams().I_wG, fp)
         assert converged and expected.hex() == (0.0).hex()
-        [point] = sim.steady_state_sweep([level], fp=fp)
-        assert point.omega_ss.hex() == (0.0).hex()
+        [omega] = sim.steady_state_sweep([level], fp=fp)
+        assert omega.hex() == (0.0).hex()
 
 
 @pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
@@ -374,24 +396,45 @@ def test_steady_state_sweep_names_the_step_where_the_wheel_diverges(level, speed
 
 def test_fit_friction_exact_recovery():
     fp = FrictionParams()
-    points = sim.exact_steady_points(fp, np.linspace(50, 600, 20))
-    fit = sim.fit_friction(points)
-    assert fit.params.tau_c == pytest.approx(fp.tau_c, rel=1e-9)
-    assert fit.params.b_w == pytest.approx(fp.b_w, rel=1e-9)
-    assert fit.params.c_d == pytest.approx(fp.c_d, rel=1e-9)
-    assert fit.residual_rms < 1e-12
+    omegas = np.linspace(50, 600, 20)
+    fitted, residual_rms = sim.fit_friction(plant.friction_torque(omegas, fp), omegas)
+    assert fitted.tau_c == pytest.approx(fp.tau_c, rel=1e-9)
+    assert fitted.b_w == pytest.approx(fp.b_w, rel=1e-9)
+    assert fitted.c_d == pytest.approx(fp.c_d, rel=1e-9)
+    assert residual_rms < 1e-12
+
+
+def exact_fit(omegas):
+    """fit_friction on noise-free samples straight from the rig's friction curve."""
+    omegas = np.array(omegas)
+    return sim.fit_friction(plant.friction_torque(omegas, FrictionParams()), omegas)
 
 
 def test_fit_friction_rank_deficiency():
-    fp = FrictionParams()
     with pytest.raises(IdentificationError):
-        sim.fit_friction(sim.exact_steady_points(fp, [100.0, 200.0]))
+        exact_fit([100.0, 200.0])
     with pytest.raises(IdentificationError):
         # three samples but only two distinct speeds
-        sim.fit_friction(sim.exact_steady_points(fp, [100.0, 100.0, 200.0]))
+        exact_fit([100.0, 100.0, 200.0])
     with pytest.raises(IdentificationError, match="regressor matrix is rank deficient"):
         # three distinct speeds whose columns [1, w, w^2] are numerically dependent
-        sim.fit_friction(sim.exact_steady_points(fp, [1e8, 1e8 + 1, 1e8 + 2]))
+        exact_fit([1e8, 1e8 + 1, 1e8 + 2])
+
+
+@pytest.mark.parametrize(
+    "taus, omegas",
+    [
+        (np.ones(4), np.arange(1.0, 4.0)),  # one torque too many
+        (np.ones(3), np.arange(1.0, 5.0)),  # one speed too many
+        (np.ones((2, 3)), np.arange(1.0, 7.0).reshape(2, 3)),  # one length, but 2-D
+        (np.ones(6), np.arange(1.0, 7.0).reshape(2, 3)),  # as many values, but not one shape
+        (1.0, 2.0),  # 0-D
+    ],
+    ids=["longer-taus", "longer-omegas", "2-d", "1-d-and-2-d", "0-d"],
+)
+def test_fit_friction_rejects_samples_that_do_not_pair(taus, omegas):
+    with pytest.raises(IdentificationError, match=r"need 1-D taus and omegas of one length, got \("):
+        sim.fit_friction(taus, omegas)
 
 
 def test_fit_friction_under_noise_smoke():
@@ -400,11 +443,8 @@ def test_fit_friction_under_noise_smoke():
     rng = np.random.default_rng(0)
     errors = []
     for _ in range(20):
-        noisy = [
-            sim.SteadyStatePoint(tau=float(plant.friction_torque(w, fp)) * (1 + 0.01 * rng.standard_normal()), omega_ss=float(w))
-            for w in omegas
-        ]
-        fitted = sim.fit_friction(noisy).params
+        taus = plant.friction_torque(omegas, fp) * (1 + 0.01 * rng.standard_normal(omegas.size))
+        fitted, _ = sim.fit_friction(taus, omegas)
         errors.append(abs(fitted.b_w - fp.b_w) / fp.b_w)
     assert np.median(errors) < 0.05
 
@@ -424,9 +464,9 @@ def test_steady_state_sweep_tells_a_stalled_step_from_a_slow_wheel():
     # so the 10 ms step stops moving it far from the wheel's steady speed of
     # 173.7 rad/s, and the error says so.
     fp = FrictionParams(c_d=1e-4)
-    [point] = sim.exact_steady_points(fp, np.linspace(60.0, 600.0, 20)[4:5])
+    level = plant.friction_torque(np.linspace(60.0, 600.0, 20)[4:5], fp)
     with pytest.raises(IdentificationError) as err:
-        sim.steady_state_sweep([point.tau], fp=fp)
+        sim.steady_state_sweep(level, fp=fp)
     assert str(err.value) == (
         "wheel did not reach steady state within 200 s at tau = 3.021e+00 N m: omega_w = 134.9963194730358 rad/s"
         " is a fixed point of the 10 ms RK4 step, not of the wheel (|omega_w_dot| = 9.557e+03 rad/s^2)"
