@@ -240,11 +240,18 @@ CSV_BLOCK_ROWS = 1024  # rows turned into Python floats at a time, so memory sta
 def write_csv(ts: sim.TimeSeries, path: str) -> None:
     """Write a run log with full double precision (shortest round-trip repr)."""
     columns = [getattr(ts, name) for name in sim.TimeSeries.COLUMNS]
+    # repr'd a column at a time; a tau_applied cell with its tau_cmd's bits reuses that string
+    cmd, applied = sim.TimeSeries.COLUMNS.index("tau_cmd"), sim.TimeSeries.COLUMNS.index("tau_applied")
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(CSV_HEADER + "\n")
         for lo in range(0, len(ts.t), CSV_BLOCK_ROWS):
-            rows = np.column_stack([c[lo : lo + CSV_BLOCK_ROWS] for c in columns]).tolist()
-            handle.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+            block = [c[lo : lo + CSV_BLOCK_ROWS] for c in columns]
+            equal = (block[cmd].view(np.int64) == block[applied].view(np.int64)).tolist()
+            values = [c.tolist() for c in block]
+            cells = [map(repr, v) for v in values]  # lazy, so a block's strings are never all alive
+            cells[cmd] = list(map(repr, values[cmd]))
+            cells[applied] = (text if eq else repr(v) for text, eq, v in zip(cells[cmd], equal, values[applied]))
+            handle.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 def _print_kv(pairs):

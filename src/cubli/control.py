@@ -10,8 +10,9 @@ frequency omega_n, and wheel-pole scaling alpha.
 The three laws share one signature, (x, q_r, gains), and each is one
 expression in the components of the state vector x = (q0, q1, theta_w,
 omega_c, omega_w).  Given x and q_r as tuples of Python floats, as sim.run
-passes them, a law computes on floats; given arrays, on numpy values.  step
-is the closed loop's one control sample: measure, regulate, linearize, clamp.
+passes them, a law computes on floats; given arrays, on numpy values.  The
+closed loop's one control sample (measure, regulate, linearize, clamp) is the
+closure that controller binds once per run; step is one call of it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from enum import Enum
 
 from . import rotor
 from .errors import ValidationError
-from .plant import DerivedParams, FrictionParams, GravityModel, _gravity, friction_torque
+from .plant import _HALF_SQRT2, DerivedParams, FrictionParams, GravityModel, _sign, friction_torque
 
 
 class Mode(Enum):
@@ -129,17 +130,35 @@ def feedback_linearize(u, q, omega_w, dp: DerivedParams, fp: FrictionParams,
     friction in the body equation (where the motor enters negatively), leaving
     omega_c_dot = u exactly under the reduced wheel dynamics.
     """
-    gravity = _gravity(q[0], q[1], dp.mgd, model is GravityModel.PAPER_LITERAL)
+    gravity = dp.mgd * q[0] if model is GravityModel.PAPER_LITERAL else dp.mgd * _HALF_SQRT2 * (q[0] - q[1])
     return -gravity + friction_torque(omega_w, fp) - dp.I_cO_bar * u
 
 
-def step(x, q_bias, q_r, regulator, gains: Gains, dp: DerivedParams, fp: FrictionParams,
-         model: GravityModel, tau_max: float):
-    """(u, tau_cmd, tau_applied) of one trajectory x, a tuple of Python floats
-    (sim.run) or a (5,) array, in the same bits: a REGULATORS law acts on x as
-    measured through the sensor bias q_bias, feedback_linearize under model gives
-    tau_cmd, clamped to [-tau_max, tau_max]; a NaN passes through to the integrator."""
-    q_meas = rotor.product(x[:2], q_bias)
-    u = regulator((*q_meas, *x[2:]), q_r, gains)
-    tau_cmd = feedback_linearize(u, q_meas, x[4], dp, fp, model)
-    return u, tau_cmd, min(max(tau_cmd, -tau_max), tau_max)
+def controller(q_bias, q_r, regulator, gains: Gains, dp: DerivedParams, fp: FrictionParams,
+               model: GravityModel, tau_max: float):
+    """The control sample bound once: sample(x) -> (u, tau_cmd, tau_applied) of one
+    trajectory x, a tuple of Python floats (sim.run) or a (5,) array, in the same
+    bits: a REGULATORS law acts on x measured through the sensor bias q_bias,
+    feedback_linearize under model gives tau_cmd, clamped to [-tau_max, tau_max];
+    a NaN passes through.  rotor.product and feedback_linearize are written out."""
+    b0, b1 = q_bias
+    I_cO_bar, tau_c, b_w, c_d = dp.I_cO_bar, fp.tau_c, fp.b_w, fp.c_d
+    literal = model is GravityModel.PAPER_LITERAL
+    mgd = dp.mgd if literal else dp.mgd * _HALF_SQRT2
+
+    def sample(x):
+        q0, q1, theta_w, omega_c, omega_w = x
+        m0, m1 = q0 * b0 - q1 * b1, q0 * b1 + q1 * b0
+        u = regulator((m0, m1, theta_w, omega_c, omega_w), q_r, gains)
+        a = abs(omega_w)
+        tf = tau_c + b_w * a + c_d * a * a
+        tau_f = tf if omega_w > 0.0 else -1.0 * tf if omega_w < 0.0 else _sign(omega_w) * tf
+        tau_cmd = -(mgd * m0 if literal else mgd * (m0 - m1)) + tau_f - I_cO_bar * u
+        return u, tau_cmd, min(max(tau_cmd, -tau_max), tau_max)
+
+    return sample
+
+
+def step(x, q_bias, q_r, regulator, gains, dp, fp, model, tau_max):
+    """One control sample of x (see controller)."""
+    return controller(q_bias, q_r, regulator, gains, dp, fp, model, tau_max)(x)

@@ -15,12 +15,13 @@ equation.
 Each rate serves one trajectory and many: a stacked state of shape (5, N) (or
 (4, N) for the angle form) integrates N trajectories at once.  dynamics_rate
 has two bodies in the same IEEE operations and order.  One trajectory, a (5,)
-vector or the five Python floats that sim.rk4_step carries, takes _rates on
-Python floats (on the constants that _constants reads once per step); stacked
-rows are computed by ufuncs that write into the rows of out, with no (N,)
-temporary.  Python floats and float64 arrays round alike, and
-tests/test_one_path.py holds the two bodies bit-identical; the one exception
-is a -NaN wheel rate, whose NaN rates may differ in sign bit.
+vector or the five Python floats that sim.rk4_step carries, takes the rates
+that float_rates binds on Python floats, once per run, with every constant
+read and the gravity and fidelity branches picked; stacked rows are computed
+by ufuncs that write into the rows of out, with no (N,) temporary.  Python
+floats and float64 arrays round alike, and tests/test_one_path.py holds the
+two bodies bit-identical; the one exception is a -NaN wheel rate, whose NaN
+rates may differ in sign bit.
 """
 
 from __future__ import annotations
@@ -188,7 +189,8 @@ def friction_torque(omega_w, fp: FrictionParams):
 
 
 def _friction(w, sign, tau_c, b_w, c_d):
-    """friction_torque on fp's coefficients given one by one, as _rates has them."""
+    """friction_torque on fp's coefficients given one by one, as
+    sim.steady_state_sweep has them."""
     a = abs(w)
     return sign(w) * (tau_c + b_w * a + c_d * a * a)
 
@@ -203,16 +205,6 @@ def _sign(w: float) -> float:
 
 
 _HALF_SQRT2 = math.sqrt(2.0) / 2.0  # cos 45 deg
-
-
-def _gravity(q0, q1, mgd: float, literal: bool):
-    """Gravity torque about the pivot for orientation (q0, q1), under the
-    PAPER_LITERAL model if literal, else the CONSISTENT one.  Private, like
-    _friction, so that the benchmark's traced run does not wrap a function
-    that runs four times per integration step."""
-    if literal:
-        return mgd * q0
-    return mgd * _HALF_SQRT2 * (q0 - q1)
 
 
 def dynamics_rate(
@@ -237,8 +229,8 @@ def dynamics_rate(
     """
     if x.ndim == 1:
         q0, q1, _theta_w, omega_c, omega_w = x.tolist()
-        consts = _constants(dp, fp, model, fidelity)
-        dq0, dq1, omega_c_dot, omega_w_dot = _rates(q0, q1, omega_c, omega_w, tau, tau_ext, consts)
+        rates = float_rates(dp, fp, model, fidelity)
+        dq0, dq1, omega_c_dot, omega_w_dot = rates(q0, q1, omega_c, omega_w, tau, tau_ext)
         return _rows((dq0, dq1, omega_w, omega_c_dot, omega_w_dot), out)
     if out is None:
         out = np.empty(x.shape)
@@ -248,7 +240,7 @@ def dynamics_rate(
     r0, r1, r2, r3, r4 = out
     tau_c, b_w, c_d = fp._operands
     I_cO_bar, I_wG, mgd, mgd_half_sqrt2 = dp._operands
-    # _rates' operations in its order, each written into a row of out, which goes in
+    # float_rates' operations in its order, each written into a row of out, which goes in
     # positionally (numpy parses that faster than out=)
     np.abs(omega_w, r0)
     np.multiply(b_w, r0, r1)
@@ -296,25 +288,23 @@ def _rows(rows, out):
     return out
 
 
-def _constants(dp: DerivedParams, fp: FrictionParams, model: GravityModel, fidelity: Fidelity):
-    """The plant's constants as _rates reads them, with the gravity and
-    fidelity branches picked."""
+def float_rates(dp: DerivedParams, fp: FrictionParams, model: GravityModel, fidelity: Fidelity):
+    """The plant bound once: rates(q0, q1, omega_c, omega_w, tau, tau_ext) ->
+    (q0', q1', omega_c', omega_w') on Python floats, theta_w' being omega_w, with
+    friction_torque's sign written out (-1.0 * tf keeps np.sign's NaN bits)."""
+    I_cO_bar, I_wG, tau_c, b_w, c_d = dp.I_cO_bar, dp.I_wG, fp.tau_c, fp.b_w, fp.c_d
     literal, exact = model is GravityModel.PAPER_LITERAL, fidelity is Fidelity.EXACT
-    return dp.I_cO_bar, dp.I_wG, dp.mgd, literal, exact, fp.tau_c, fp.b_w, fp.c_d
+    mgd = dp.mgd if literal else dp.mgd * _HALF_SQRT2  # the gravity torque's first product
 
+    def rates(q0, q1, omega_c, omega_w, tau, tau_ext):
+        a = abs(omega_w)
+        tf = tau_c + b_w * a + c_d * a * a
+        tau_f = tf if omega_w > 0.0 else -1.0 * tf if omega_w < 0.0 else _sign(omega_w) * tf
+        omega_c_dot = (tau_f - (mgd * q0 if literal else mgd * (q0 - q1)) - tau + tau_ext) / I_cO_bar
+        omega_w_dot = (tau - tau_f) / I_wG
+        return -q1 * omega_c, q0 * omega_c, omega_c_dot, omega_w_dot - omega_c_dot if exact else omega_w_dot
 
-def _rates(q0, q1, omega_c, omega_w, tau, tau_ext, consts):
-    """(q0', q1', omega_c', omega_w') of one trajectory, on Python floats, under
-    the plant's constants consts (see _constants); theta_w' is omega_w.
-    sim.rk4_step steps on four such calls, and dynamics_rate of a (5,) vector
-    makes one."""
-    I_cO_bar, I_wG, mgd, literal, exact, tau_c, b_w, c_d = consts
-    tau_f = _friction(omega_w, _sign, tau_c, b_w, c_d)
-    omega_c_dot = (tau_f - _gravity(q0, q1, mgd, literal) - tau + tau_ext) / I_cO_bar
-    omega_w_dot = (tau - tau_f) / I_wG
-    if exact:
-        omega_w_dot = omega_w_dot - omega_c_dot
-    return -q1 * omega_c, q0 * omega_c, omega_c_dot, omega_w_dot
+    return rates
 
 
 def angle_dynamics_rate(
@@ -350,7 +340,7 @@ def energies(x, dp: DerivedParams, model: GravityModel = GravityModel.CONSISTENT
 
     The wheel term uses the absolute wheel rate omega_c + omega_w.  The
     potential is the one whose negative gradient is the model's gravity
-    torque (_gravity): mgd (q0 + q1) sqrt(2)/2 = mgd sin(theta_c + 45 deg),
+    torque (dynamics_rate): mgd (q0 + q1) sqrt(2)/2 = mgd sin(theta_c + 45 deg),
     which vanishes when the centre of mass is level with the pivot, or
     mgd q1 = mgd sin(theta_c) under PAPER_LITERAL.
     """

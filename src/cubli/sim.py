@@ -7,12 +7,13 @@ independent runs can execute in parallel.
 
 rk4_step picks the representation from the state's type and shape: one
 trajectory (a tuple of five Python floats, or a (5,) array) is stepped on
-five Python floats, with the RK4 stages written out per component, which
-skips numpy's per-call cost at N = 1; a stacked (5, N) state is stepped as
-its array by rk4, in place.  Both round alike, so they agree bit for bit.  A
-scenario's initial state is the (5,) vector of plant.state; run carries its
-trajectory as the tuple, so the per-step controller, control.step, runs on
-Python floats too, with the plant and gains its Scenario derived (dp, gains).
+five Python floats by the step float_stepper binds, which skips numpy's
+per-call cost at N = 1; a stacked (5, N) state is stepped as its array by
+rk4, in place.  Both round alike, so they agree bit for bit.  A scenario's
+initial state is the (5,) vector of plant.state; run carries its trajectory
+as the tuple and binds the step and the controller (control.controller) once,
+on the plant and gains its Scenario derived (dp, gains), with every branch
+picked before the first step.
 """
 
 from __future__ import annotations
@@ -164,29 +165,8 @@ def rk4_step(
     renormalization changes neither the decoded angle nor the energy.
     """
     if isinstance(x, tuple) or x.ndim == 1:
-        # rk4's stages and sums on the five components: k1 = (a0, a1, omega_w, a3, a4), k2 = (b0, ...)
-        consts, tau, tau_ext = plant._constants(dp, fp, model, fidelity), float(tau), float(tau_ext)
-        rates, half, h = plant._rates, 0.5 * dt, dt / 6.0
-        q0, q1, theta_w, omega_c, omega_w = x if isinstance(x, tuple) else x.tolist()
-        a0, a1, a3, a4 = rates(q0, q1, omega_c, omega_w, tau, tau_ext, consts)
-        w2 = omega_w + half * a4
-        b0, b1, b3, b4 = rates(q0 + half * a0, q1 + half * a1, omega_c + half * a3, w2, tau, tau_ext, consts)
-        w3 = omega_w + half * b4
-        c0, c1, c3, c4 = rates(q0 + half * b0, q1 + half * b1, omega_c + half * b3, w3, tau, tau_ext, consts)
-        w4 = omega_w + dt * c4
-        d0, d1, d3, d4 = rates(q0 + dt * c0, q1 + dt * c1, omega_c + dt * c3, w4, tau, tau_ext, consts)
-        # b + b is 2.0 * b bit for bit, as rk4's k += k
-        q0 += h * (a0 + (b0 + b0) + (c0 + c0) + d0)
-        q1 += h * (a1 + (b1 + b1) + (c1 + c1) + d1)
-        theta_w += h * (omega_w + (w2 + w2) + (w3 + w3) + w4)
-        omega_c += h * (a3 + (b3 + b3) + (c3 + c3) + d3)
-        omega_w += h * (a4 + (b4 + b4) + (c4 + c4) + d4)
-        n = math.sqrt(q0 * q0 + q1 * q1)
-        if n > 0.0:  # q = 0 (or NaN) has no direction; the array path divides it into NaN
-            q0, q1 = q0 / n, q1 / n
-        out = (q0, q1, theta_w, omega_c, omega_w)
-        if not (n > 0.0 and all(map(math.isfinite, out))):
-            raise DivergenceError("integration produced a non-finite state", state=np.array(out))
+        step = float_stepper(dp, fp, model, fidelity, dt)  # bound per call; a loop binds it once
+        out = step(x if isinstance(x, tuple) else x.tolist(), float(tau), float(tau_ext))
         return out if isinstance(x, tuple) else np.array(out)
     tau, tau_ext = np.asarray(tau, float), np.asarray(tau_ext, float)  # a 0-d operand is the faster one
     out = rk4(lambda s, k: plant.dynamics_rate(s, tau, dp, fp, model, fidelity, tau_ext, k), x, dt)
@@ -196,23 +176,52 @@ def rk4_step(
     return out
 
 
+def float_stepper(dp: plant.DerivedParams, fp: FrictionParams, model: GravityModel, fidelity: Fidelity, dt: float):
+    """rk4_step of one trajectory bound once to the plant and dt: step(x, tau,
+    tau_ext) maps five Python floats to a tuple of them, summing as rk4 does (a
+    weight 2.0 * k is k + k bit for bit, 1.0 * k is k), one stage per pass."""
+    rates, sixth = plant.float_rates(dp, fp, model, fidelity), dt / 6.0
+    stages = ((0.5 * dt, 2.0), (0.5 * dt, 2.0), (dt, 1.0))  # each stage's step from the last k, and its weight
+
+    def step(x, tau, tau_ext):
+        q0, q1, theta_w, omega_c, omega_w = x
+        k0, k1, k3, k4 = rates(q0, q1, omega_c, omega_w, tau, tau_ext)
+        s0, s1, s2, s3, s4 = k0, k1, omega_w, k3, k4  # rk4's acc, k1 so far
+        for h, weight in stages:
+            k2 = omega_w + h * k4
+            k0, k1, k3, k4 = rates(q0 + h * k0, q1 + h * k1, omega_c + h * k3, k2, tau, tau_ext)
+            s0, s1, s2 = s0 + weight * k0, s1 + weight * k1, s2 + weight * k2
+            s3, s4 = s3 + weight * k3, s4 + weight * k4
+        q0, q1 = q0 + sixth * s0, q1 + sixth * s1
+        n = math.sqrt(q0 * q0 + q1 * q1)
+        if n > 0.0:  # q = 0 (or NaN) has no direction; the array path divides it into NaN
+            q0, q1 = q0 / n, q1 / n
+        out = (q0, q1, theta_w + sixth * s2, omega_c + sixth * s3, omega_w + sixth * s4)
+        if not (n > 0.0 and all(map(math.isfinite, out))):
+            raise DivergenceError("integration produced a non-finite state", state=np.array(out))
+        return out
+
+    return step
+
+
 def run(scenario: Scenario) -> TimeSeries:
     """Execute a closed-loop scenario and log every step.
 
-    The mode's regulator is picked once, before the loop.  Each step after
-    the first integrates the true plant over the previous one, under the
-    torque applied there plus that step's disturbance torque.  Every step
-    then runs control.step on the scenario's dp and gains (measure through
-    the sensor bias, regulate, linearize, saturate) and logs one row (*x, u,
-    tau_cmd, tau_applied); x is a tuple of five Python floats, so control.step
-    and rk4_step run on floats.  A SingularityError or DivergenceError carries
+    The mode's regulator is picked, and the step and the control sample are
+    bound, once, before the loop.  Each step after the first integrates the
+    true plant over the previous one, under the torque applied there plus that
+    step's disturbance torque.  Every step then takes the control sample on
+    the scenario's dp and gains (measure through the sensor bias, regulate,
+    linearize, saturate) and logs one row (*x, u, tau_cmd, tau_applied); x is
+    a tuple of five Python floats, so both run on floats.  A SingularityError or DivergenceError carries
     the grid time t[k], the step k and the state at which the run failed.
     """
     sc = scenario
     # looked up on the module when the run starts, so a wrapper installed there is the one called
     regulator = getattr(control, control.REGULATORS[sc.mode])
     q_bias, q_r = tuple(rotor.from_angle(sc.sensor_bias).tolist()), tuple(sc.q_r.tolist())
-    controller = (q_bias, q_r, regulator, sc.gains, sc.dp, sc.friction, sc.controller_gravity, sc.tau_max)
+    sample = control.controller(q_bias, q_r, regulator, sc.gains, sc.dp, sc.friction, sc.controller_gravity, sc.tau_max)
+    step = float_stepper(sc.dp, sc.friction, sc.plant_gravity, sc.fidelity, sc.dt)
     n_steps = int(_steps(sc.t_end, sc.dt))
     try:
         tau_ext = disturbance_torque(sc.disturbances, sc.dt, n_steps).tolist()
@@ -226,8 +235,8 @@ def run(scenario: Scenario) -> TimeSeries:
     for k in range(n_steps + 1):
         try:
             if k:
-                x = rk4_step(x, applied, sc.dt, sc.dp, sc.friction, sc.plant_gravity, sc.fidelity, tau_ext[k - 1])
-            u, cmd, applied = control.step(x, *controller)
+                x = step(x, applied, tau_ext[k - 1])
+            u, cmd, applied = sample(x)
         except SimulationError as err:
             state = np.array(x) if err.state is None else err.state
             raise type(err)(f"{err} at t = {t[k]:.4f} s", t=float(t[k]), step=k, state=state) from None

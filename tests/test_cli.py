@@ -181,6 +181,14 @@ def test_write_csv_matches_per_value_repr(tmp_path, monkeypatch):
     columns = {
         name: np.roll(np.array(special), shift) for shift, name in enumerate(sim.TimeSeries.COLUMNS)
     }
+    # tau_applied has tau_cmd's bits (the writer reuses its string) but on two
+    # rows and on the zeros, where 0.0 meets -0.0; the NaN row keeps its NaN
+    cmd = columns["tau_cmd"]
+    applied = cmd.copy()
+    applied[[0, 5]] = (0.25, -7.5)
+    applied[cmd == 0.0] = -cmd[cmd == 0.0]
+    assert np.isnan(cmd).sum() == 1 and (cmd == 0.0).sum() == 2
+    columns["tau_applied"] = applied
     ts = sim.TimeSeries(**columns)
     path = tmp_path / "special.csv"
     cli.write_csv(ts, str(path))

@@ -2,13 +2,14 @@
 
 Every rate, rotor and integrator function takes one trajectory as a (k,)
 vector or N trajectories stacked as (k, N).  plant.dynamics_rate rates one
-trajectory on Python floats and a stack by ufuncs that write into the rows
-of out, in the same operations.  sim.rk4_step steps a (5,) state or a tuple
-on five Python floats, the RK4 stages written out per component, and a
-stacked one as its array through sim.rk4's in-place step, chosen by the
-state's type and shape.  Column j of a stacked call must then equal, bit for
-bit, the call on column j alone, and each of the two RK4 forms must equal
-the textbook formula on whole arrays (out_of_place_rk4).
+trajectory on Python floats (the rates plant.float_rates binds) and a stack
+by ufuncs that write into the rows of out, in the same operations.
+sim.rk4_step steps a (5,) state or a tuple on five Python floats (the step
+sim.float_stepper binds), and a stacked one as its array through sim.rk4's
+in-place step, chosen by the state's type and shape.  Column j of a stacked
+call must then equal, bit for bit, the call on column j alone, and each of
+the two RK4 forms must equal the textbook formula on whole arrays
+(out_of_place_rk4).
 """
 
 import dataclasses
@@ -170,8 +171,8 @@ def test_in_place_step_equals_an_out_of_place_rk4(x, data, fp, model, fidelity, 
 @one_path
 @given(plant_states(), st.data(), friction, models, fidelities, st.sampled_from([1e-4, 1e-3, 1e-2]))
 def test_one_trajectory_step_equals_an_out_of_place_rk4(x, data, fp, model, fidelity, dt):
-    # the per-component float step of a tuple or a (5,) state against the
-    # textbook formula on whole (5,) arrays
+    # the float step of a tuple or a (5,) state, and the bound stepper on the
+    # tuple, against the textbook formula on whole (5,) arrays
     x = x[:, 0].copy()
     tau_ext = data.draw(st.floats(-1.0, 1.0).filter(lambda v: v != 0.0))
     args = (data.draw(st.floats(-1.0, 1.0)), DP, fp, model, fidelity, tau_ext)
@@ -180,6 +181,9 @@ def test_one_trajectory_step_equals_an_out_of_place_rk4(x, data, fp, model, fide
     for one in (x, tuple(x.tolist())):
         out = sim.rk4_step(one, args[0], dt, *args[1:])
         assert type(out) is type(one) and np.array(out).tobytes() == expected.tobytes()
+    out = sim.float_stepper(DP, fp, model, fidelity, dt)(tuple(x.tolist()), args[0], tau_ext)
+    assert type(out) is tuple and all(type(c) is float for c in out)
+    assert np.array(out).tobytes() == expected.tobytes()
 
 
 # Explicit cases where the float path of one trajectory could part from the
@@ -202,6 +206,7 @@ def test_float_path_matches_array_path_at_edge_wheel_rates(omega_w, fp):
             assert_bitwise(plant.dynamics_rate(x, 0.5, *args), plant.dynamics_rate(stacked, 0.5, *args)[:, 1])
             assert_bitwise(plant.angle_dynamics_rate(xa, 0.5, *args), plant.angle_dynamics_rate(xa[:, None], 0.5, *args)[:, 0])
             alone = sim.rk4_step(x, 0.5, 1e-3, *args)
+            assert_bitwise(np.array(sim.float_stepper(*args, 1e-3)(tuple(x.tolist()), 0.5, 0.0)), alone)
             assert_bitwise(alone, sim.rk4_step(x[:, None].copy(), 0.5, 1e-3, *args)[:, 0])
             assert_bitwise(alone, sim.rk4_step(stacked, 0.5, 1e-3, *args)[:, 1])
 
@@ -220,10 +225,28 @@ def test_float_path_keeps_a_nan_wheel_rate_and_diverges(fp):
         assert np.isnan(rate[3:]).all() and np.isnan(stacked_rate[3:]).all()
         if math.copysign(1.0, nan) > 0.0:
             assert_bitwise(rate, stacked_rate)
-        for state in (x, x[:, None].copy(), tuple(x.tolist())):
+        one, bound = tuple(x.tolist()), sim.float_stepper(*args, 1e-3)
+        steps = [(state, lambda s: sim.rk4_step(s, 0.5, 1e-3, *args)) for state in (x, x[:, None].copy(), one)]
+        for state, step in steps + [(one, lambda s: bound(s, 0.5, 0.0))]:
             with pytest.raises(DivergenceError) as info:
-                sim.rk4_step(state, 0.5, 1e-3, *args)
+                step(state)
             assert info.value.state.shape == np.shape(state) and not np.isfinite(info.value.state).all()
+
+
+@EDGE_FRICTION
+@pytest.mark.parametrize("omega_w", [-math.inf, math.inf], ids=["-inf", "+inf"])
+def test_float_paths_match_at_an_infinite_wheel_rate(omega_w, fp):
+    # friction-free, 0 * inf makes the friction magnitude NaN; the bound rates and
+    # controller multiply it by its sign, as np.sign's path does, so the NaN bits
+    # match where a negation would flip them
+    x = np.array([0.6, 0.8, 0.1, 0.2, omega_w])
+    with np.errstate(invalid="ignore"):
+        for model in GravityModel:
+            sample = control.step(tuple(x.tolist()), (1.0, 0.0), rotor.UPRIGHT, lambda *_: 0.0, None, DP, fp, model, 0.5)
+            assert_bitwise(np.array(sample[1]), np.asarray(control.feedback_linearize(0.0, x[:2], x[4], DP, fp, model)))
+            for fidelity in Fidelity:
+                args = (DP, fp, model, fidelity)
+                assert_bitwise(plant.dynamics_rate(x, 0.5, *args), plant.dynamics_rate(x[:, None], 0.5, *args)[:, 0])
 
 
 REGULATORS = (control.regulator_attitude, control.regulator_full, control.regulator_small_angle)
@@ -330,7 +353,7 @@ def scenarios(draw):
     pulse = st.builds(sim.Disturbance, st.floats(0.0, t_end), st.floats(1e-4, 0.2), st.floats(-1.0, 1.0))
     return dataclasses.replace(
         REFERENCE,
-        friction=draw(st.sampled_from([FrictionParams(), plant.FRICTION_FREE])),
+        friction=draw(friction),
         mode=draw(st.sampled_from(list(Mode))),
         tau_max=draw(st.floats(0.01, 0.5)),
         controller_gravity=draw(models),
@@ -348,6 +371,19 @@ def scenarios(draw):
 @given(scenarios())
 def test_run_on_floats_equals_the_array_loop_bit_for_bit(sc):
     assert_run_matches_array_loop(sc)
+
+
+def test_run_calls_the_regulator_it_looks_up_on_control_once_per_row(monkeypatch):
+    # the traced benchmark times the regulator through this lookup
+    calls, regulator = [], control.regulator_full
+
+    def counting(x, q_r, gains):
+        calls.append(x)
+        return regulator(x, q_r, gains)
+
+    monkeypatch.setattr(control, "regulator_full", counting)
+    ts = sim.run(dataclasses.replace(REFERENCE, t_end=0.05))
+    assert len(calls) == len(ts.t) == 51
 
 
 def test_run_fails_like_the_array_loop():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
-from cubli import analysis, cli, plant, rotor, sim
+from cubli import analysis, cli, control, plant, rotor, sim
 from cubli.control import DesignSpec
 from cubli.errors import ValidationError
 from cubli.plant import CubliParams, Fidelity, FrictionParams, GravityModel, state
@@ -151,14 +151,14 @@ def test_friction_torque_values():
 
 
 def test_gravity_torque(dp):
+    # at u = 0 and rest without friction, feedback_linearize's torque is -tau_g(q)
+    def gravity(q, model):
+        return -control.feedback_linearize(0.0, q, 0.0, dp, plant.FRICTION_FREE, model)
+
     q_u = rotor.UPRIGHT
-    assert plant._gravity(*q_u, dp.mgd, literal=False) == pytest.approx(0.0, abs=1e-15)
-    assert plant._gravity(*q_u, dp.mgd, literal=True) == pytest.approx(
-        MGD * SQ2, rel=1e-12
-    )
-    assert plant._gravity(1.0, 0.0, dp.mgd, literal=False) == pytest.approx(
-        MGD * SQ2, rel=1e-12
-    )
+    assert gravity(q_u, GravityModel.CONSISTENT) == pytest.approx(0.0, abs=1e-15)
+    assert gravity(q_u, GravityModel.PAPER_LITERAL) == pytest.approx(MGD * SQ2, rel=1e-12)
+    assert gravity((1.0, 0.0), GravityModel.CONSISTENT) == pytest.approx(MGD * SQ2, rel=1e-12)
     assert MGD * SQ2 == pytest.approx(0.6254, rel=1e-3)
 
 
