@@ -6,12 +6,16 @@ metric text) on a sim.Scenario alone: it reads sc.dp, which no gravity model
 enters, and sc.gains, and loops over the gravity models it covers.  Each
 gated value goes through gate, which prints the tolerance it compares.  Its
 inputs, seeds, sample sizes and tolerances are stated here and nowhere else.
+run starts every check at once, each in a forked process of its own, and
+oracle_equivalence forks its oracle: a verify forks nine processes.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import os
+import pickle
 
 import numpy as np
 
@@ -55,7 +59,7 @@ def open_loop_poles(sc):
 
 def controllability_rank(sc):
     ranks = [analysis.controllability_rank(*plant.linearize(sc.dp, sc.friction, model)) for model in GravityModel]
-    return all(r == 4 for r in ranks), f"rank = {ranks[0]}/5"
+    return all(r == 4 for r in ranks), f"rank = {min(ranks)}/5"
 
 
 def gain_synthesis(sc):
@@ -105,6 +109,8 @@ def fbl_cancellation(sc):
 
 
 def oracle_equivalence(sc, tamper: bool = False):
+    """The circle form, stepped here, against the angle-form oracle, stepped in
+    a forked process, compared at every 1,000th of their 10,000 steps."""
     dp = sc.dp
     dp_oracle = dataclasses.replace(dp, mgd=dp.mgd * 1.01) if tamper else dp
     rng = np.random.default_rng(5)
@@ -117,12 +123,23 @@ def oracle_equivalence(sc, tamper: bool = False):
     def oracle_rate(x, out):
         return plant.angle_dynamics_rate(x, 0.0, dp_oracle, sc.friction, sc.plant_gravity, out=out)
 
+    def checkpoints(step, x):
+        states = []
+        for k in range(steps):
+            x = step(x)
+            if (k + 1) % 1000 == 0:
+                states.append(x)
+        return states
+
+    join = _forked(checkpoints, lambda x: sim.rk4(oracle_rate, x, dt), xa)
+    try:
+        circle = checkpoints(lambda x: sim.rk4_step(x, 0.0, dt, dp, sc.friction, sc.plant_gravity), xc)
+        angle = join()
+    finally:
+        join(kill=True)
     worst = 0.0
-    for k in range(steps):
-        xc = sim.rk4_step(xc, 0.0, dt, dp, sc.friction, sc.plant_gravity)
-        xa = sim.rk4(oracle_rate, xa, dt)
-        if (k + 1) % 1000 == 0:
-            worst = max(worst, float(np.max(np.abs(xc - np.vstack([rotor.from_angle(xa[0]), xa[1:]])))))
+    for xc, xa in zip(circle, angle):
+        worst = max(worst, float(np.max(np.abs(xc - np.vstack([rotor.from_angle(xa[0]), xa[1:]])))))
     ok, metric = gate(worst, "max trajectory deviation", ", 20 runs, 1 s", tol="1e-8", relative=False)
     return ok, metric + (" [tampered oracle gravity]" if tamper else "")
 
@@ -151,18 +168,90 @@ CHECKS = (
 )
 
 
-def run(sc: sim.Scenario, negative_control: bool = False):
-    """Run every check in order, yielding (name, ok, metric text); a check's
-    name prefixes a CubliError it raises, and numpy's float warnings are off
-    in it.  The negative control tampers the oracle's gravity constant, so
-    oracle_equivalence must then fail.
+_in_child = False  # True in a forked child, whose own children stay in its process group
+
+
+def _forked(fn, *args):
+    """Start fn(*args) in a forked child, which leads a process group unless it
+    is a child's child, and return join.  join() reads the child's pickled (ok,
+    value or exception), reaps the child, and returns the value or raises the
+    exception; a child that ends without a result raises a CubliError.
+    join(kill=True) kills the child's group first.  Once a child is reaped, its
+    join does nothing.  Without os.fork, join() calls fn(*args) itself.
     """
-    for check in CHECKS:
-        tamper = {"tamper": negative_control} if check is oracle_equivalence else {}
+    global _in_child
+    if not hasattr(os, "fork"):
+        return lambda kill=False: None if kill else fn(*args)
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child, which returns to no caller
+        code = 1
         try:
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                ok, metric = check(sc, **tamper)
-        except CubliError as err:
-            err.args = (f"{check.__name__}: {err}",)
-            raise
-        yield check.__name__, ok, metric
+            if not _in_child:
+                os.setpgid(0, 0)
+            _in_child = True
+            try:
+                outcome = True, fn(*args)
+            except BaseException as exc:
+                outcome = False, exc
+            with open(write, "wb") as out:
+                out.write(pickle.dumps(outcome))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+
+    def join(kill=False):
+        nonlocal pid
+        if pid is None:
+            return None
+        if kill:
+            from signal import SIGKILL  # imported here, since importing signal costs every command about 1 ms
+
+            try:
+                os.killpg(pid, SIGKILL)
+            except ProcessLookupError:  # no group: a child's child, or a child that has not made its group yet
+                os.kill(pid, SIGKILL)
+        with open(read, "rb") as src:
+            data = b"" if kill else src.read()
+        status, pid = os.waitpid(pid, 0)[1], None
+        if kill:
+            return None
+        if status:
+            raise CubliError(f"forked process ended without a result (exit status {os.waitstatus_to_exitcode(status)})")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        return value
+
+    return join
+
+
+def _run_check(check, sc, negative_control):
+    tamper = {"tamper": negative_control} if check is oracle_equivalence else {}
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return check(sc, **tamper)
+
+
+def run(sc: sim.Scenario, negative_control: bool = False):
+    """Start every check at once, each in a forked process of its own, and
+    yield (name, ok, metric text) in CHECKS order; a check's name prefixes a
+    CubliError it raises, and numpy's float warnings are off in it.  Every
+    process still running when the generator ends, raises or is closed is
+    killed and reaped.  The negative control tampers the oracle's gravity
+    constant, so oracle_equivalence must then fail.
+    """
+    joins = []
+    try:
+        for check in CHECKS:
+            joins.append(_forked(_run_check, check, sc, negative_control))
+        for check, join in zip(CHECKS, joins):
+            try:
+                ok, metric = join()
+            except CubliError as err:
+                err.args = (f"{check.__name__}: {err}",)
+                raise
+            yield check.__name__, ok, metric
+    finally:
+        for join in joins:
+            join(kill=True)
