@@ -12,7 +12,7 @@ expression in the components of the state vector x = (q0, q1, theta_w,
 omega_c, omega_w).  Given x and q_r as tuples of Python floats, as sim.run
 passes them, a law computes on floats; given arrays, on numpy values.  The
 closed loop's one control sample (measure, regulate, linearize, clamp) is the
-closure that controller binds once per run; step is one call of it.
+closure that controller binds once per run.
 """
 
 from __future__ import annotations
@@ -157,8 +157,3 @@ def controller(q_bias, q_r, regulator, gains: Gains, dp: DerivedParams, fp: Fric
         return u, tau_cmd, min(max(tau_cmd, -tau_max), tau_max)
 
     return sample
-
-
-def step(x, q_bias, q_r, regulator, gains, dp, fp, model, tau_max):
-    """One control sample of x (see controller)."""
-    return controller(q_bias, q_r, regulator, gains, dp, fp, model, tau_max)(x)

@@ -13,15 +13,13 @@ tau acts on the wheel; its reaction shows up with a minus sign in the body
 equation.
 
 Each rate serves one trajectory and many: a stacked state of shape (5, N) (or
-(4, N) for the angle form) integrates N trajectories at once.  dynamics_rate
-has two bodies in the same IEEE operations and order.  One trajectory, a (5,)
-vector or the five Python floats that sim.rk4_step carries, takes the rates
-that float_rates binds on Python floats, once per run, with every constant
-read and the gravity and fidelity branches picked; stacked rows are computed
-by ufuncs that write into the rows of out, with no (N,) temporary.  Python
-floats and float64 arrays round alike, and tests/test_one_path.py holds the
-two bodies bit-identical; the one exception is a -NaN wheel rate, whose NaN
-rates may differ in sign bit.
+(4, N) for the angle form) integrates N trajectories at once, and a (5,)
+vector is one column of it.  dynamics_rate computes an array's rows by
+ufuncs that write into the rows of out, with no (N,) temporary.  A loop over
+one trajectory on Python floats binds the same rates once instead
+(float_rates), with every constant read and the gravity and fidelity
+branches picked.  Python floats and float64 arrays round alike, and
+tests/test_one_path.py holds the two bit-identical.
 """
 
 from __future__ import annotations
@@ -181,11 +179,9 @@ def state(q, theta_w=0.0, omega_c=0.0, omega_w=0.0) -> np.ndarray:
 def friction_torque(omega_w, fp: FrictionParams):
     """Coulomb + viscous + quadratic drag torque opposing the wheel velocity.
 
-    sign(0) = 0 by convention so that rest is a fixed point.  One float
-    (np.float64 included) takes the float sign below, anything else np.sign;
-    the two agree bit for bit, so the expression is written once (_friction).
+    sign(0) = 0 by convention so that rest is a fixed point.
     """
-    return _friction(omega_w, _sign if isinstance(omega_w, float) else np.sign, fp.tau_c, fp.b_w, fp.c_d)
+    return _friction(omega_w, np.sign, fp.tau_c, fp.b_w, fp.c_d)
 
 
 def _friction(w, sign, tau_c, b_w, c_d):
@@ -223,21 +219,17 @@ def dynamics_rate(
     (disturbance channel).  EXACT fidelity integrates the wheel's relative
     acceleration; PAPER_APPROX drops the -omega_c_dot coupling term, which is
     the structure the controller design assumes.  Given out, an array of x's
-    shape, the rate is written into it and out is returned.  A stacked x uses
-    the rows of out as scratch, so out must not overlap x, tau or tau_ext; an
-    out that overlaps x raises ValueError.
+    shape, the rate is written into it and out is returned.  The rows of out
+    are scratch, so out must not overlap x, tau or tau_ext; an out that
+    overlaps x raises ValueError.
     """
-    if x.ndim == 1:
-        q0, q1, _theta_w, omega_c, omega_w = x.tolist()
-        rates = float_rates(dp, fp, model, fidelity)
-        dq0, dq1, omega_c_dot, omega_w_dot = rates(q0, q1, omega_c, omega_w, tau, tau_ext)
-        return _rows((dq0, dq1, omega_w, omega_c_dot, omega_w_dot), out)
     if out is None:
         out = np.empty(x.shape)
     elif np.shares_memory(out, x):
         raise ValueError("out overlaps x, and dynamics_rate uses its rows as scratch")
-    q0, q1, _theta_w, omega_c, omega_w = x
-    r0, r1, r2, r3, r4 = out
+    column = x.ndim == 1  # one trajectory runs as the (5, 1) column it views
+    q0, q1, _theta_w, omega_c, omega_w = x[:, None] if column else x
+    r0, r1, r2, r3, r4 = out[:, None] if column else out
     tau_c, b_w, c_d = fp._operands
     I_cO_bar, I_wG, mgd, mgd_half_sqrt2 = dp._operands
     # float_rates' operations in its order, each written into a row of out, which goes in
@@ -277,15 +269,6 @@ def _frozen_0d(*values):
     frozen = np.array(values)
     frozen.flags.writeable = False
     return tuple(frozen[i, ...] for i in range(len(values)))
-
-
-def _rows(rows, out):
-    """The rate rows as a new array, or written into out, which is returned."""
-    if out is None:
-        return np.array(rows)
-    for i, row in enumerate(rows):
-        out[i] = row
-    return out
 
 
 def float_rates(dp: DerivedParams, fp: FrictionParams, model: GravityModel, fidelity: Fidelity):
@@ -332,7 +315,10 @@ def angle_dynamics_rate(
     omega_w_dot = (tau - tau_f) / dp.I_wG
     if fidelity is Fidelity.EXACT:
         omega_w_dot = omega_w_dot - omega_c_dot
-    return _rows((omega_c, omega_w, omega_c_dot, omega_w_dot), out)
+    if out is None:
+        return np.array((omega_c, omega_w, omega_c_dot, omega_w_dot))
+    out[0], out[1], out[2], out[3] = omega_c, omega_w, omega_c_dot, omega_w_dot
+    return out
 
 
 def energies(x, dp: DerivedParams, model: GravityModel = GravityModel.CONSISTENT):

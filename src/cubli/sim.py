@@ -5,14 +5,14 @@ The controller runs at every integration step (control rate = 1/dt) with the
 torque held constant over the step.  Scenarios own their state exclusively, so
 independent runs can execute in parallel.
 
-rk4_step picks the representation from the state's type and shape: one
-trajectory (a tuple of five Python floats, or a (5,) array) is stepped on
-five Python floats by the step float_stepper binds, which skips numpy's
-per-call cost at N = 1; a stacked (5, N) state is stepped as its array by
-rk4, in place.  Both round alike, so they agree bit for bit.  A scenario's
-initial state is the (5,) vector of plant.state; run carries its trajectory
-as the tuple and binds the step and the controller (control.controller) once,
-on the plant and gains its Scenario derived (dp, gains), with every branch
+A trajectory's representation is picked by the caller that loops.  rk4_step
+steps an array, a stacked (5, N) state or a (5,) one, through rk4's in-place
+step.  A loop over one trajectory carries it as five Python floats instead,
+through the step float_stepper binds once, which skips numpy's per-call cost
+at N = 1; both round alike, so they agree bit for bit.  A scenario's initial
+state is the (5,) vector of plant.state; run carries its trajectory as the
+tuple and binds the step and the controller (control.controller) once, on
+the plant and gains its Scenario derived (dp, gains), with every branch
 picked before the first step.
 """
 
@@ -155,19 +155,13 @@ def rk4_step(
     fidelity: Fidelity = Fidelity.EXACT,
     tau_ext=0.0,
 ):
-    """One RK4 step of the plant with tau held constant (zero-order hold).
+    """One RK4 step of the plant with tau held constant (zero-order hold), on
+    a stacked (5, N) state or a (5,) one, whose result is new.
 
-    One trajectory, a tuple of five Python floats or a (5,) array, is stepped
-    on Python floats and returned in the representation it came in; a stacked
-    (5, N) state is stepped as its array.  Python floats and float64 arrays
-    round alike, so a column stepped alone equals its stacked twin bit for
-    bit.  The orientation is renormalized onto the unit circle afterwards; the
+    A column stepped alone equals its stacked twin bit for bit.  The
+    orientation is renormalized onto the unit circle afterwards; the
     renormalization changes neither the decoded angle nor the energy.
     """
-    if isinstance(x, tuple) or x.ndim == 1:
-        step = float_stepper(dp, fp, model, fidelity, dt)  # bound per call; a loop binds it once
-        out = step(x if isinstance(x, tuple) else x.tolist(), float(tau), float(tau_ext))
-        return out if isinstance(x, tuple) else np.array(out)
     tau, tau_ext = np.asarray(tau, float), np.asarray(tau_ext, float)  # a 0-d operand is the faster one
     out = rk4(lambda s, k: plant.dynamics_rate(s, tau, dp, fp, model, fidelity, tau_ext, k), x, dt)
     out[:2] /= np.sqrt(out[0] * out[0] + out[1] * out[1])
@@ -194,11 +188,15 @@ def float_stepper(dp: plant.DerivedParams, fp: FrictionParams, model: GravityMod
             s3, s4 = s3 + weight * k3, s4 + weight * k4
         q0, q1 = q0 + sixth * s0, q1 + sixth * s1
         n = math.sqrt(q0 * q0 + q1 * q1)
-        if n > 0.0:  # q = 0 (or NaN) has no direction; the array path divides it into NaN
+        if n > 0.0:  # q = 0 (or NaN) has no direction
             q0, q1 = q0 / n, q1 / n
         out = (q0, q1, theta_w + sixth * s2, omega_c + sixth * s3, omega_w + sixth * s4)
         if not (n > 0.0 and all(map(math.isfinite, out))):
-            raise DivergenceError("integration produced a non-finite state", state=np.array(out))
+            state = np.array(out)
+            if not n > 0.0:  # divided into NaN, in rk4_step's bits
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    state[:2] /= n
+            raise DivergenceError("integration produced a non-finite state", state=state)
         return out
 
     return step

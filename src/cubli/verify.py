@@ -27,13 +27,20 @@ from .plant import Fidelity, FrictionParams, GravityModel
 
 def gate(value, label="coefficient error", note="", tol="1e-9", relative=True):
     """(value < tol, "label = value[ relative] (tol X[note])"), tol compared as
-    printed.  The defaults gate every pole claim's relative coefficient_error."""
+    printed, so a NaN value fails.  The defaults gate every pole claim's
+    relative coefficient_error."""
     return value < float(tol), f"{label} = {value:.3e}{' relative' if relative else ''} (tol {tol}{note})"
+
+
+def worst(values) -> float:
+    """The largest of values, NaN if any is NaN, for gate to fail; max() would
+    drop it (max(0.0, nan) is 0.0)."""
+    return float(np.max(values))
 
 
 def linearization_fd(sc):
     fp_smooth = FrictionParams(0.0, sc.friction.b_w, 0.0)  # differentiable at rest
-    worst = 0.0
+    errors = []
     for model in GravityModel:
         a, b = plant.linearize(sc.dp, sc.friction, model)
         x0 = plant.state(rotor.UPRIGHT)
@@ -44,17 +51,17 @@ def linearization_fd(sc):
             lambda tau: plant.dynamics_rate(x0, tau[0], sc.dp, fp_smooth, model, Fidelity.PAPER_APPROX),
             np.zeros(1),
         )
-        worst = max(worst, float(np.max(np.abs(a - a_fd))), float(np.max(np.abs(b - b_fd))))
-    return gate(worst, "max |analytic - fd|", tol="1e-6", relative=False)
+        errors += [np.max(np.abs(a - a_fd)), np.max(np.abs(b - b_fd))]
+    return gate(worst(errors), "max |analytic - fd|", tol="1e-6", relative=False)
 
 
 def open_loop_poles(sc):
-    worst = 0.0
+    errors = []
     for model in GravityModel:
         a, _ = plant.linearize(sc.dp, sc.friction, model)
         target = np.convolve([1.0, sc.dp.omega_1, 0.0, 0.0], [1.0, 0.0, -plant.pendulum_frequency(sc.dp, model) ** 2])
-        worst = max(worst, analysis.coefficient_error(analysis.char_poly(a), target))
-    return gate(worst, "coefficient error vs s^2 (s+w1)(s^2-w0^2)")
+        errors.append(analysis.coefficient_error(analysis.char_poly(a), target))
+    return gate(worst(errors), "coefficient error vs s^2 (s+w1)(s^2-w0^2)")
 
 
 def controllability_rank(sc):
@@ -64,7 +71,7 @@ def controllability_rank(sc):
 
 def gain_synthesis(sc):
     rng = np.random.default_rng(2024)
-    worst = 0.0
+    errors = []
     for _ in range(100):
         spec = DesignSpec(
             zeta=rng.uniform(0.3, 1.0),
@@ -72,8 +79,8 @@ def gain_synthesis(sc):
             alpha=rng.uniform(0.0, 0.5),
         )
         coeffs = analysis.char_poly(analysis.closed_loop_matrix(control.full_gains(spec, sc.dp), sc.dp))
-        worst = max(worst, analysis.coefficient_error(coeffs, analysis.design_poly(spec)))
-    return gate(worst, note=", 100 specs")
+        errors.append(analysis.coefficient_error(coeffs, analysis.design_poly(spec)))
+    return gate(worst(errors), note=", 100 specs")
 
 
 def pole_placement(sc: sim.Scenario):
@@ -95,17 +102,19 @@ def closed_loop_poles(sc):
 
 
 def fbl_cancellation(sc):
+    """500 random states and commands per gravity model, one (5, 500) stack
+    each; a draw is (theta_c, theta_w, omega_c, omega_w, u)."""
     rng = np.random.default_rng(11)
-    worst = 0.0
+    high = np.array([np.pi, 20.0, 5.0, 300.0, 10.0])
+    errors = []
     for model in GravityModel:
-        for _ in range(500):
-            q = rotor.from_angle(rng.uniform(-np.pi, np.pi))
-            x = np.array([q[0], q[1], rng.uniform(-20, 20), rng.uniform(-5, 5), rng.uniform(-300, 300)])
-            u = rng.uniform(-10.0, 10.0)
-            tau = control.feedback_linearize(u, q, x[4], sc.dp, sc.friction, model)
-            rate = plant.dynamics_rate(x, tau, sc.dp, sc.friction, model, Fidelity.PAPER_APPROX)
-            worst = max(worst, abs(float(rate[3]) - u))
-    return gate(worst, "max |omega_c_dot - u|", ", 1000 states", tol="1e-12", relative=False)
+        theta, theta_w, omega_c, omega_w, u = rng.uniform(-high, high, (500, 5)).T
+        q = rotor.from_angle(theta)
+        x = np.stack([q[0], q[1], theta_w, omega_c, omega_w])
+        tau = control.feedback_linearize(u, q, omega_w, sc.dp, sc.friction, model)
+        rate = plant.dynamics_rate(x, tau, sc.dp, sc.friction, model, Fidelity.PAPER_APPROX)
+        errors.append(np.max(np.abs(rate[3] - u)))
+    return gate(worst(errors), "max |omega_c_dot - u|", ", 1000 states", tol="1e-12", relative=False)
 
 
 def oracle_equivalence(sc, tamper: bool = False):
@@ -137,10 +146,9 @@ def oracle_equivalence(sc, tamper: bool = False):
         angle = join()
     finally:
         join(kill=True)
-    worst = 0.0
-    for xc, xa in zip(circle, angle):
-        worst = max(worst, float(np.max(np.abs(xc - np.vstack([rotor.from_angle(xa[0]), xa[1:]])))))
-    ok, metric = gate(worst, "max trajectory deviation", ", 20 runs, 1 s", tol="1e-8", relative=False)
+    decoded = (np.vstack([rotor.from_angle(xa[0]), xa[1:]]) for xa in angle)
+    deviation = worst([np.max(np.abs(xc - xa)) for xc, xa in zip(circle, decoded)])
+    ok, metric = gate(deviation, "max trajectory deviation", ", 20 runs, 1 s", tol="1e-8", relative=False)
     return ok, metric + (" [tampered oracle gravity]" if tamper else "")
 
 
@@ -150,15 +158,14 @@ def energy_drift(sc):
     e0 = plant.energies(x, dp, sc.plant_gravity)[2]
     x = tuple(x.tolist())  # stepped as Python floats, by the stepper bound here once
     step = sim.float_stepper(dp, plant.FRICTION_FREE, sc.plant_gravity, Fidelity.EXACT, 1e-4)
-    drift = 0.0
-    norm_drift = 0.0
+    drifts, norms = [], []
     for k in range(100000):
         x = step(x, 0.0, 0.0)
-        norm_drift = max(norm_drift, abs(math.hypot(x[0], x[1]) - 1.0))
+        norms.append(math.hypot(x[0], x[1]))
         if (k + 1) % 2000 == 0:
-            drift = max(drift, abs(plant.energies(np.array(x), dp, sc.plant_gravity)[2] - e0))
-    energy_ok, energy = gate(drift / abs(e0), "relative drift", tol="1e-6", relative=False)
-    norm_ok, norm = gate(norm_drift, "unit-norm drift", tol="1e-9", relative=False)
+            drifts.append(abs(plant.energies(np.array(x), dp, sc.plant_gravity)[2] - e0))
+    energy_ok, energy = gate(worst(drifts) / abs(e0), "relative drift", tol="1e-6", relative=False)
+    norm_ok, norm = gate(worst(np.abs(np.array(norms) - 1.0)), "unit-norm drift", tol="1e-9", relative=False)
     return energy_ok and norm_ok, f"{energy}, {norm}"
 
 

@@ -150,20 +150,20 @@ def test_closed_loop_eigenvalues_reference_case(dp):
 
 
 def test_closed_loop_matrix_matches_end_to_end_finite_differences(dp):
-    # drive control.step (no sensor bias, no actuator limit) + reduced plant
+    # drive control.controller (no sensor bias, no actuator limit) + reduced plant
     # through the (sigma_e, theta_w, omega_c, omega_w) coordinates and differentiate
     fp = FrictionParams()
     reference = cli.Config().scenario
     gains = control.full_gains(reference.design, dp)
     q_r = reference.q_r
     theta_r = rotor.to_angle(q_r)
-    controller = ((1.0, 0.0), q_r, control.regulator_full, gains, dp, fp, GravityModel.CONSISTENT, math.inf)
+    sample = control.controller((1.0, 0.0), q_r, control.regulator_full, gains, dp, fp, GravityModel.CONSISTENT, math.inf)
 
     def closed_loop_rate(z):
         sigma_e, theta_w, omega_c, omega_w = z
         theta = theta_r - math.atan(sigma_e)
         x = plant.state(rotor.from_angle(theta), theta_w, omega_c, omega_w)
-        tau = control.step(x, *controller)[2]
+        tau = sample(x)[2]
         rate = plant.dynamics_rate(x, tau, dp, fp, GravityModel.CONSISTENT, Fidelity.PAPER_APPROX)
         sigma_dot = -(1.0 + sigma_e**2) * omega_c
         return np.array([sigma_dot, rate[2], rate[3], rate[4]])

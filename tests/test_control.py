@@ -230,7 +230,7 @@ def test_feedback_linearization_cancels_exactly(model, theta, theta_w, omega_c, 
 
 
 def step_torques(u, tau_max=0.5):
-    """control.step's (tau_cmd, tau_applied) under a stub regulator commanding
+    """control.controller's (tau_cmd, tau_applied) under a stub regulator commanding
     u, on a friction-free plant at rest at UPRIGHT, where the consistent
     gravity torque is exactly 0, so that tau_cmd = -I_cO_bar * u."""
 
@@ -239,7 +239,7 @@ def step_torques(u, tau_max=0.5):
 
     x = tuple(state(rotor.UPRIGHT).tolist())
     args = (DP, plant.FRICTION_FREE, GravityModel.CONSISTENT, tau_max)
-    return control.step(x, (1.0, 0.0), rotor.UPRIGHT, stub, None, *args)[1:]
+    return control.controller((1.0, 0.0), rotor.UPRIGHT, stub, None, *args)(x)[1:]
 
 
 def test_step_saturates_the_applied_torque():

@@ -1,15 +1,15 @@
 """Property tests of the one-path contract.
 
 Every rate, rotor and integrator function takes one trajectory as a (k,)
-vector or N trajectories stacked as (k, N).  plant.dynamics_rate rates one
-trajectory on Python floats (the rates plant.float_rates binds) and a stack
-by ufuncs that write into the rows of out, in the same operations.
-sim.rk4_step steps a (5,) state or a tuple on five Python floats (the step
-sim.float_stepper binds), and a stacked one as its array through sim.rk4's
-in-place step, chosen by the state's type and shape.  Column j of a stacked
-call must then equal, bit for bit, the call on column j alone, and each of
-the two RK4 forms must equal the textbook formula on whole arrays
-(out_of_place_rk4).
+vector or N trajectories stacked as (k, N).  plant.dynamics_rate rates either
+by ufuncs that write into the rows of out, a (5,) state as its (5, 1) view,
+and sim.rk4_step steps either through sim.rk4's in-place step.  Column j of a
+stacked call must equal, bit for bit, the call on column j alone, and each
+RK4 form must equal the textbook formula on whole arrays (out_of_place_rk4).
+A loop over one trajectory on Python floats binds the same rates
+(plant.float_rates) and step (sim.float_stepper) once, in the same
+operations, and sim.run, which loops so, must log the bits of the same loop
+on arrays (array_loop).
 """
 
 import dataclasses
@@ -171,23 +171,22 @@ def test_in_place_step_equals_an_out_of_place_rk4(x, data, fp, model, fidelity, 
 @one_path
 @given(plant_states(), st.data(), friction, models, fidelities, st.sampled_from([1e-4, 1e-3, 1e-2]))
 def test_one_trajectory_step_equals_an_out_of_place_rk4(x, data, fp, model, fidelity, dt):
-    # the float step of a tuple or a (5,) state, and the bound stepper on the
-    # tuple, against the textbook formula on whole (5,) arrays
+    # the step of a (5,) state, and the bound stepper on the tuple, against the
+    # textbook formula on whole (5,) arrays
     x = x[:, 0].copy()
     tau_ext = data.draw(st.floats(-1.0, 1.0).filter(lambda v: v != 0.0))
     args = (data.draw(st.floats(-1.0, 1.0)), DP, fp, model, fidelity, tau_ext)
     expected = out_of_place_rk4(lambda y: plant.dynamics_rate(y, *args), x, dt)
     expected[:2] = expected[:2] / np.sqrt(expected[0] * expected[0] + expected[1] * expected[1])
-    for one in (x, tuple(x.tolist())):
-        out = sim.rk4_step(one, args[0], dt, *args[1:])
-        assert type(out) is type(one) and np.array(out).tobytes() == expected.tobytes()
+    out = sim.rk4_step(x, args[0], dt, *args[1:])
+    assert type(out) is np.ndarray and out.tobytes() == expected.tobytes()
     out = sim.float_stepper(DP, fp, model, fidelity, dt)(tuple(x.tolist()), args[0], tau_ext)
     assert type(out) is tuple and all(type(c) is float for c in out)
     assert np.array(out).tobytes() == expected.tobytes()
 
 
-# Explicit cases where the float path of one trajectory could part from the
-# array path: the sign of a zero wheel rate (np.sign(-0.0) is +0.0),
+# Explicit cases where the float path of one trajectory (the bound rates and
+# step) could part from the array path: the sign of a zero wheel rate (np.sign(-0.0) is +0.0),
 # friction-free negative rates (the friction torque is -1 * 0.0 = -0.0), and
 # NaN, which must stay NaN.
 EDGE_FRICTION = pytest.mark.parametrize("fp", [FrictionParams(), plant.FRICTION_FREE], ids=["friction", "friction-free"])
@@ -203,7 +202,10 @@ def test_float_path_matches_array_path_at_edge_wheel_rates(omega_w, fp):
     for model in GravityModel:
         for fidelity in Fidelity:
             args = (DP, fp, model, fidelity)
-            assert_bitwise(plant.dynamics_rate(x, 0.5, *args), plant.dynamics_rate(stacked, 0.5, *args)[:, 1])
+            rate = plant.dynamics_rate(x, 0.5, *args)
+            assert_bitwise(rate, plant.dynamics_rate(stacked, 0.5, *args)[:, 1])
+            rates = plant.float_rates(*args)(*x[[0, 1, 3, 4]].tolist(), 0.5, 0.0)
+            assert_bitwise(np.array(rates), rate[[0, 1, 3, 4]])
             assert_bitwise(plant.angle_dynamics_rate(xa, 0.5, *args), plant.angle_dynamics_rate(xa[:, None], 0.5, *args)[:, 0])
             alone = sim.rk4_step(x, 0.5, 1e-3, *args)
             assert_bitwise(np.array(sim.float_stepper(*args, 1e-3)(tuple(x.tolist()), 0.5, 0.0)), alone)
@@ -213,24 +215,37 @@ def test_float_path_matches_array_path_at_edge_wheel_rates(omega_w, fp):
 
 @EDGE_FRICTION
 def test_float_path_keeps_a_nan_wheel_rate_and_diverges(fp):
-    # A -NaN wheel rate stays NaN on every path, but numpy scalars and arrays
-    # may give its NaN rates different sign bits, so only +NaN is compared bit
-    # for bit (plant's docstring states the exception).
+    # a NaN wheel rate of either sign stays NaN, and every step raises
     args = (DP, fp, GravityModel.CONSISTENT, Fidelity.EXACT)
     for nan in (math.nan, -math.nan):
         assert math.isnan(plant.friction_torque(nan, fp))
         x = np.array([0.6, 0.8, 0.1, 0.2, nan])
-        rate = plant.dynamics_rate(x, 0.5, *args)
-        stacked_rate = plant.dynamics_rate(x[:, None], 0.5, *args)[:, 0]
-        assert np.isnan(rate[3:]).all() and np.isnan(stacked_rate[3:]).all()
-        if math.copysign(1.0, nan) > 0.0:
-            assert_bitwise(rate, stacked_rate)
+        assert np.isnan(plant.dynamics_rate(x, 0.5, *args)[3:]).all()
+        assert all(map(math.isnan, plant.float_rates(*args)(0.6, 0.8, 0.2, nan, 0.5, 0.0)[2:]))
         one, bound = tuple(x.tolist()), sim.float_stepper(*args, 1e-3)
-        steps = [(state, lambda s: sim.rk4_step(s, 0.5, 1e-3, *args)) for state in (x, x[:, None].copy(), one)]
+        steps = [(state, lambda s: sim.rk4_step(s, 0.5, 1e-3, *args)) for state in (x, x[:, None].copy())]
         for state, step in steps + [(one, lambda s: bound(s, 0.5, 0.0))]:
             with pytest.raises(DivergenceError) as info:
                 step(state)
             assert info.value.state.shape == np.shape(state) and not np.isfinite(info.value.state).all()
+
+
+@EDGE_FRICTION
+@pytest.mark.parametrize("model", list(GravityModel))
+@pytest.mark.parametrize("fidelity", list(Fidelity))
+@pytest.mark.parametrize("nan", [math.nan, -math.nan], ids=["+nan", "-nan"])
+def test_a_column_alone_is_its_stack_at_a_nan_wheel_rate(nan, fp, model, fidelity):
+    # a (5,) state runs the stacked body on its (5, 1) view, so even the sign
+    # bits of the NaNs that a -NaN wheel rate spreads are the same
+    args = (DP, fp, model, fidelity)
+    x = np.array([0.6, 0.8, 0.1, 0.2, nan])
+    assert_bitwise(plant.dynamics_rate(x, 0.5, *args), plant.dynamics_rate(x[:, None], 0.5, *args)[:, 0])
+    states = []
+    for one in (x, x[:, None].copy()):
+        with pytest.raises(DivergenceError) as info:
+            sim.rk4_step(one, 0.5, 1e-3, *args)
+        states.append(info.value.state)
+    assert_bitwise(states[0], states[1][:, 0])
 
 
 @EDGE_FRICTION
@@ -242,11 +257,12 @@ def test_float_paths_match_at_an_infinite_wheel_rate(omega_w, fp):
     x = np.array([0.6, 0.8, 0.1, 0.2, omega_w])
     with np.errstate(invalid="ignore"):
         for model in GravityModel:
-            sample = control.step(tuple(x.tolist()), (1.0, 0.0), rotor.UPRIGHT, lambda *_: 0.0, None, DP, fp, model, 0.5)
-            assert_bitwise(np.array(sample[1]), np.asarray(control.feedback_linearize(0.0, x[:2], x[4], DP, fp, model)))
+            sample = control.controller((1.0, 0.0), rotor.UPRIGHT, lambda *_: 0.0, None, DP, fp, model, 0.5)
+            assert_bitwise(np.array(sample(tuple(x.tolist()))[1]), np.asarray(control.feedback_linearize(0.0, x[:2], x[4], DP, fp, model)))
             for fidelity in Fidelity:
                 args = (DP, fp, model, fidelity)
-                assert_bitwise(plant.dynamics_rate(x, 0.5, *args), plant.dynamics_rate(x[:, None], 0.5, *args)[:, 0])
+                rates = plant.float_rates(*args)(0.6, 0.8, 0.2, omega_w, 0.5, 0.0)
+                assert_bitwise(np.array(rates), plant.dynamics_rate(x, 0.5, *args)[[0, 1, 3, 4]])
 
 
 REGULATORS = (control.regulator_attitude, control.regulator_full, control.regulator_small_angle)
@@ -265,14 +281,18 @@ def test_rotor_functions_on_a_tuple_equal_them_on_an_array(v):
         assert type(tuple_out) is tuple and all(type(c) is float for c in tuple_out)
         assert_bitwise(np.array(tuple_out), array_out)
     assert_bitwise(rotor.to_angle(qt), rotor.to_angle(q))
-    # the regulators, and control.step under each, on a state tuple and a
-    # (5,) state array, against q_r = r, with the sensor bias b = v[5:7]
+    # the regulators, and the control sample under each, on a state tuple and
+    # a (5,) state array, against q_r = r, with the sensor bias b = v[5:7]
     x, b, gains = v[:5], v[5:7], control.Gains(*v[7:].tolist())
     xt, bt = tuple(x.tolist()), tuple(b.tolist())
     loop = (DP, FrictionParams(), GravityModel.CONSISTENT, 0.5)
+
+    def sample(x, b, r, law):
+        return control.controller(b, r, law, gains, *loop)(x)
+
     calls = [(rotor.error_tangent, (q,), (qt,))]
     calls += [(f, (x, r, gains), (xt, rt, gains)) for f in REGULATORS]
-    calls += [(control.step, (x, b, r, f, gains, *loop), (xt, bt, rt, f, gains, *loop)) for f in REGULATORS]
+    calls += [(sample, (x, b, r, f), (xt, bt, rt, f)) for f in REGULATORS]
     for f, array_args, tuple_args in calls:
         try:
             expected = f(*array_args)
@@ -281,8 +301,8 @@ def test_rotor_functions_on_a_tuple_equal_them_on_an_array(v):
                 f(*tuple_args)
         else:
             got = f(*tuple_args)
-            if f is not rotor.error_tangent:  # a law's u, and step's (u, tau_cmd, tau_applied), on Python floats
-                assert all(type(c) is float for c in (got if f is control.step else (got,)))
+            if f is not rotor.error_tangent:  # a law's u, and a sample's (u, tau_cmd, tau_applied), on Python floats
+                assert all(type(c) is float for c in (got if f is sample else (got,)))
             assert_bitwise(got, np.asarray(expected))
 
 

@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 from cubli import cli, control, plant, rotor, sim
 from cubli.control import Mode
 from cubli.errors import DivergenceError, IdentificationError, SingularityError, ValidationError
-from cubli.plant import CubliParams, FrictionParams, GravityModel, state
+from cubli.plant import CubliParams, Fidelity, FrictionParams, GravityModel, state
 
 
 @pytest.fixture(scope="module")
@@ -51,12 +51,13 @@ def test_stacked_step_allocates_only_its_three_work_arrays(dp):
 def test_small_oscillation_period_near_hanging_pose(dp):
     # 2 degrees off the stable bottom pose; frictionless, unforced.  The wheel
     # decouples, so the swing frequency is the pendulum natural frequency.
-    x = state(rotor.from_angle(math.radians(-135.0 + 2.0)))
+    x = tuple(state(rotor.from_angle(math.radians(-135.0 + 2.0))).tolist())
     dt = 1e-4
+    step = sim.float_stepper(dp, plant.FRICTION_FREE, GravityModel.CONSISTENT, Fidelity.EXACT, dt)
     crossings = []
     prev = rotor.to_angle(x[:2]) - math.radians(-135.0)
     for k in range(int(4.0 / dt)):
-        x = sim.rk4_step(x, 0.0, dt, dp, plant.FRICTION_FREE)
+        x = step(x, 0.0, 0.0)
         dev = rotor.to_angle(x[:2]) - math.radians(-135.0)
         if prev < 0.0 <= dev:
             # linear interpolation of the upward zero crossing
@@ -72,10 +73,11 @@ def test_rk4_fourth_order_convergence(dp):
     fp = FrictionParams()
 
     def integrate(dt):
-        x = state(rotor.from_angle(math.radians(30.0)), omega_w=20.0)
+        x = tuple(state(rotor.from_angle(math.radians(30.0)), omega_w=20.0).tolist())
+        step = sim.float_stepper(dp, fp, GravityModel.CONSISTENT, Fidelity.EXACT, dt)
         for _ in range(int(round(0.5 / dt))):
-            x = sim.rk4_step(x, 0.0, dt, dp, fp)
-        return x
+            x = step(x, 0.0, 0.0)
+        return np.array(x)
 
     ref = integrate(0.5e-3 / 64.0)
     err_coarse = np.max(np.abs(integrate(2e-3) - ref))
@@ -183,7 +185,7 @@ def test_run_failure_reports_the_grid_time():
 
 def test_rk4_step_divergence_carries_the_state_alone():
     x = state(rotor.from_angle(0.3), omega_w=math.inf)
-    with pytest.raises(DivergenceError) as info:
+    with pytest.raises(DivergenceError) as info, np.errstate(invalid="ignore"):
         sim.rk4_step(x, 0.0, 1e-3, plant.derive(CubliParams(), FrictionParams()), FrictionParams())
     err = info.value
     assert (err.t, err.step) == (None, None)

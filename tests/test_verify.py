@@ -1,6 +1,7 @@
 """verify.run's processes: each check runs in a forked process of its own, the
 lines are those of the checks run one after another in this process, and no
-process outlives a run that passes, raises or is closed early."""
+process outlives a run that passes, raises or is closed early.  And a NaN
+that a check meets reaches its gate, which fails it."""
 
 import dataclasses
 import os
@@ -8,9 +9,10 @@ import select
 import signal
 import time
 
+import numpy as np
 import pytest
 
-from cubli import analysis, cli, verify
+from cubli import analysis, cli, plant, verify
 from cubli.errors import CubliError, SimulationError
 from cubli.plant import GravityModel
 
@@ -104,3 +106,19 @@ def test_controllability_rank_prints_the_lowest_rank(monkeypatch):
     ranks = iter([4, 3])
     monkeypatch.setattr(analysis, "controllability_rank", lambda a, b: next(ranks))
     assert verify.controllability_rank(CONFIG.scenario) == (False, "rank = 3/5")
+
+
+def test_a_nan_jacobian_fails_linearization_fd(monkeypatch):
+    # max(0.0, nan) is 0.0, so a fold by max() would pass it at 0.000e+00
+    monkeypatch.setattr(analysis, "fd_jacobian", lambda f, x0: np.full((5, len(x0)), np.nan))
+    assert verify.linearization_fd(CONFIG.scenario) == (False, "max |analytic - fd| = nan (tol 1e-6)")
+
+
+def test_a_nan_oracle_fails_oracle_equivalence(monkeypatch):
+    def nan_rate(x, *args, out):
+        out.fill(np.nan)
+        return out
+
+    monkeypatch.setattr(plant, "angle_dynamics_rate", nan_rate)  # before the oracle's process forks
+    metric = "max trajectory deviation = nan (tol 1e-8, 20 runs, 1 s)"
+    assert verify.oracle_equivalence(CONFIG.scenario) == (False, metric)
