@@ -303,9 +303,11 @@ def angle_dynamics_rate(
     """Angle-coordinate twin of dynamics_rate on x = (theta_c, theta_w, omega_c, omega_w).
 
     Kept as an independent cross-check of the unit-circle formulation: the two
-    must agree through the angle codec.  out is as in dynamics_rate.
+    must agree through the angle codec.  out is as in dynamics_rate, and a
+    (4,) state runs as its (4, 1) view, as there.
     """
-    theta_c, _theta_w, omega_c, omega_w = x
+    column = x.ndim == 1
+    theta_c, _theta_w, omega_c, omega_w = x[:, None] if column else x
     if model is GravityModel.PAPER_LITERAL:
         grav = dp.mgd * np.cos(theta_c)
     else:
@@ -316,8 +318,10 @@ def angle_dynamics_rate(
     if fidelity is Fidelity.EXACT:
         omega_w_dot = omega_w_dot - omega_c_dot
     if out is None:
-        return np.array((omega_c, omega_w, omega_c_dot, omega_w_dot))
-    out[0], out[1], out[2], out[3] = omega_c, omega_w, omega_c_dot, omega_w_dot
+        rate = np.array((omega_c, omega_w, omega_c_dot, omega_w_dot))
+        return rate[:, 0] if column else rate
+    r = out[:, None] if column else out
+    r[0], r[1], r[2], r[3] = omega_c, omega_w, omega_c_dot, omega_w_dot
     return out
 
 

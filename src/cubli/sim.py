@@ -14,18 +14,23 @@ state is the (5,) vector of plant.state; run carries its trajectory as the
 tuple and binds the step and the controller (control.controller) once, on
 the plant and gains its Scenario derived (dp, gains), with every branch
 picked before the first step.
+
+_forked is the one fork helper: steady_state_sweep runs each chunk of its
+levels but the first in a forked child, and verify each check and its oracle.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import control, plant, rotor
 from .control import DesignSpec, Mode
-from .errors import DivergenceError, IdentificationError, SimulationError, ValidationError
+from .errors import CubliError, DivergenceError, IdentificationError, SimulationError, ValidationError
 from .plant import CubliParams, Fidelity, FrictionParams, GravityModel
 
 
@@ -297,6 +302,70 @@ def settling(ts: TimeSeries, q_r, start: float, end: float) -> tuple[float, floa
     return settled_from(np.abs(error) > 0.5), settled_from(wheel > 0.02 * peak), peak
 
 
+_in_child = False  # True in a forked child, whose own children stay in its process group
+
+
+def _forked(fn, *args):
+    """Start fn(*args) in a forked child, which leads a process group unless it
+    is a child's child, and return join.  join() reads the child's pickled (ok,
+    value or exception), reaps the child, and returns the value or raises the
+    exception; a child that ends without a result raises a CubliError.
+    join(kill=True) kills the child's group first.  Once a child is reaped, its
+    join does nothing.  Without os.fork, or when os.fork fails, join() calls
+    fn(*args) itself.
+    """
+    global _in_child
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except (AttributeError, OSError):  # no os.fork, or no process to be had (EAGAIN, ENOMEM)
+        os.close(read)
+        os.close(write)
+        return lambda kill=False: None if kill else fn(*args)
+    if pid == 0:  # the child, which returns to no caller
+        code = 1
+        try:
+            if not _in_child:
+                os.setpgid(0, 0)
+            _in_child = True
+            try:
+                outcome = True, fn(*args)
+            except BaseException as exc:
+                outcome = False, exc
+            with open(write, "wb") as out:
+                out.write(pickle.dumps(outcome))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    src = open(read, "rb")  # closed once the child is reaped, so an interrupted read leaves it to join(kill=True)
+
+    def join(kill=False):
+        nonlocal pid
+        if pid is None:
+            return None
+        if kill:
+            from signal import SIGKILL  # imported here, since importing signal costs every command about 1 ms
+
+            try:
+                os.killpg(pid, SIGKILL)
+            except ProcessLookupError:  # no group: a child's child, or a child that has not made its group yet
+                os.kill(pid, SIGKILL)
+        data = b"" if kill else src.read()
+        src.close()
+        status, pid = os.waitpid(pid, 0)[1], None
+        if kill:
+            return None
+        if status:
+            raise CubliError(f"forked process ended without a result (exit status {os.waitstatus_to_exitcode(status)})")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        return value
+
+    return join
+
+
 def steady_state_sweep(
     tau_levels,
     params: CubliParams = CubliParams(),
@@ -319,48 +388,70 @@ def steady_state_sweep(
     Each stage at omega_w > 0 is plant.friction_torque's expression written
     out, in the same IEEE operations; any other stage point (the start at
     rest, a swing below zero, a negative level) goes through plant._friction.
+
+    The levels run in contiguous chunks, one per usable core and at most one
+    per level, the first here and each other in a forked child; joined in
+    order, they give the speeds and the error (the lowest failing level's) of
+    one serial loop.  One chunk forks nothing.
     """
     dt, budget, accel_tol = 1e-2, 200.0, 1e-6
     half, sixth, inv_iwg = 0.5 * dt, dt / 6.0, 1.0 / params.I_wG
     tc, bw, cd = fp.tau_c, fp.b_w, fp.c_d
+    max_steps = int(round(budget / dt))
 
     def accel(w: float, tau: float) -> float:  # a stage off the fast path (omega_w <= 0 or NaN)
         return (tau - plant._friction(w, plant._sign, tc, bw, cd)) * inv_iwg
 
-    speeds = []
-    max_steps = int(round(budget / dt))
-    for tau in tau_levels:
-        tau = float(tau)
-        if not math.isfinite(tau):
-            raise IdentificationError(f"input torque {tau} N m is not finite")
-        if abs(tau) <= tc:
-            raise IdentificationError(f"input torque {tau:.3e} N m cannot overcome Coulomb friction {tc:.3e} N m")
-        w = 0.0
-        for step in range(1, max_steps + 1):
-            k1 = (tau - (tc + bw * w + cd * w * w)) * inv_iwg if w > 0.0 else accel(w, tau)
-            if abs(k1) < accel_tol:
-                break
-            s = w + half * k1
-            k2 = (tau - (tc + bw * s + cd * s * s)) * inv_iwg if s > 0.0 else accel(s, tau)
-            s = w + half * k2
-            k3 = (tau - (tc + bw * s + cd * s * s)) * inv_iwg if s > 0.0 else accel(s, tau)
-            s = w + dt * k3
-            k4 = (tau - (tc + bw * s + cd * s * s)) * inv_iwg if s > 0.0 else accel(s, tau)
-            w_next = w + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if w_next == w:  # stalled: the RK4 map is deterministic, so it stays here to the budget
-                raise IdentificationError(
-                    f"wheel did not reach steady state within {budget:.0f} s at tau = {tau:.3e} N m: omega_w = {w!r}"
-                    f" rad/s is a fixed point of the {dt * 1e3:.0f} ms RK4 step, not of the wheel"
-                    f" (|omega_w_dot| = {abs(k1):.3e} rad/s^2)"
-                )
-            w = w_next
-            if not math.isfinite(w):
-                raise IdentificationError(
-                    f"wheel speed diverged to {w} rad/s at step {step} (t = {step * dt:.2f} s) at tau = {tau:.3e} N m"
-                )
-        else:
-            raise IdentificationError(f"wheel did not reach steady state within {budget:.0f} s at tau = {tau:.3e} N m")
-        speeds.append(w)
+    def sweep(levels) -> list[float]:
+        speeds = []
+        for tau in levels:
+            tau = float(tau)
+            if not math.isfinite(tau):
+                raise IdentificationError(f"input torque {tau} N m is not finite")
+            if abs(tau) <= tc:
+                raise IdentificationError(f"input torque {tau:.3e} N m cannot overcome Coulomb friction {tc:.3e} N m")
+            w = 0.0
+            for step in range(1, max_steps + 1):
+                k1 = (tau - (tc + bw * w + cd * w * w)) * inv_iwg if w > 0.0 else accel(w, tau)
+                if abs(k1) < accel_tol:
+                    break
+                s = w + half * k1
+                k2 = (tau - (tc + bw * s + cd * s * s)) * inv_iwg if s > 0.0 else accel(s, tau)
+                s = w + half * k2
+                k3 = (tau - (tc + bw * s + cd * s * s)) * inv_iwg if s > 0.0 else accel(s, tau)
+                s = w + dt * k3
+                k4 = (tau - (tc + bw * s + cd * s * s)) * inv_iwg if s > 0.0 else accel(s, tau)
+                w_next = w + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                if w_next == w:  # stalled: the RK4 map is deterministic, so it stays here to the budget
+                    raise IdentificationError(
+                        f"wheel did not reach steady state within {budget:.0f} s at tau = {tau:.3e} N m: omega_w = {w!r}"
+                        f" rad/s is a fixed point of the {dt * 1e3:.0f} ms RK4 step, not of the wheel"
+                        f" (|omega_w_dot| = {abs(k1):.3e} rad/s^2)"
+                    )
+                w = w_next
+                if not math.isfinite(w):
+                    raise IdentificationError(
+                        f"wheel speed diverged to {w} rad/s at step {step} (t = {step * dt:.2f} s) at tau = {tau:.3e} N m"
+                    )
+            else:
+                raise IdentificationError(f"wheel did not reach steady state within {budget:.0f} s at tau = {tau:.3e} N m")
+            speeds.append(w)
+        return speeds
+
+    levels = list(tau_levels)
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    chunks = max(1, min(len(levels), cores))
+    bounds = [len(levels) * i // chunks for i in range(chunks + 1)]
+    joins = []
+    try:
+        for lo, hi in zip(bounds[1:], bounds[2:]):
+            joins.append(_forked(sweep, levels[lo:hi]))
+        speeds = sweep(levels[: bounds[1]])
+        for join in joins:
+            speeds += join()
+    finally:
+        for join in joins:
+            join(kill=True)
     return np.array(speeds, dtype=float)
 
 

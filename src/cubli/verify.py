@@ -7,15 +7,14 @@ enters, and sc.gains, and loops over the gravity models it covers.  Each
 gated value goes through gate, which prints the tolerance it compares.  Its
 inputs, seeds, sample sizes and tolerances are stated here and nowhere else.
 run starts every check at once, each in a forked process of its own, and
-oracle_equivalence forks its oracle: a verify forks nine processes.
+oracle_equivalence forks its oracle: a verify forks nine processes, through
+sim._forked, the one fork helper, which the friction sweep uses too.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import os
-import pickle
 
 import numpy as np
 
@@ -140,7 +139,7 @@ def oracle_equivalence(sc, tamper: bool = False):
                 states.append(x)
         return states
 
-    join = _forked(checkpoints, lambda x: sim.rk4(oracle_rate, x, dt), xa)
+    join = sim._forked(checkpoints, lambda x: sim.rk4(oracle_rate, x, dt), xa)
     try:
         circle = checkpoints(lambda x: sim.rk4_step(x, 0.0, dt, dp, sc.friction, sc.plant_gravity), xc)
         angle = join()
@@ -175,65 +174,6 @@ CHECKS = (
 )
 
 
-_in_child = False  # True in a forked child, whose own children stay in its process group
-
-
-def _forked(fn, *args):
-    """Start fn(*args) in a forked child, which leads a process group unless it
-    is a child's child, and return join.  join() reads the child's pickled (ok,
-    value or exception), reaps the child, and returns the value or raises the
-    exception; a child that ends without a result raises a CubliError.
-    join(kill=True) kills the child's group first.  Once a child is reaped, its
-    join does nothing.  Without os.fork, join() calls fn(*args) itself.
-    """
-    global _in_child
-    if not hasattr(os, "fork"):
-        return lambda kill=False: None if kill else fn(*args)
-    read, write = os.pipe()
-    pid = os.fork()
-    if pid == 0:  # the child, which returns to no caller
-        code = 1
-        try:
-            if not _in_child:
-                os.setpgid(0, 0)
-            _in_child = True
-            try:
-                outcome = True, fn(*args)
-            except BaseException as exc:
-                outcome = False, exc
-            with open(write, "wb") as out:
-                out.write(pickle.dumps(outcome))
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write)
-
-    def join(kill=False):
-        nonlocal pid
-        if pid is None:
-            return None
-        if kill:
-            from signal import SIGKILL  # imported here, since importing signal costs every command about 1 ms
-
-            try:
-                os.killpg(pid, SIGKILL)
-            except ProcessLookupError:  # no group: a child's child, or a child that has not made its group yet
-                os.kill(pid, SIGKILL)
-        with open(read, "rb") as src:
-            data = b"" if kill else src.read()
-        status, pid = os.waitpid(pid, 0)[1], None
-        if kill:
-            return None
-        if status:
-            raise CubliError(f"forked process ended without a result (exit status {os.waitstatus_to_exitcode(status)})")
-        ok, value = pickle.loads(data)
-        if not ok:
-            raise value
-        return value
-
-    return join
-
-
 def _run_check(check, sc, negative_control):
     tamper = {"tamper": negative_control} if check is oracle_equivalence else {}
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -251,7 +191,7 @@ def run(sc: sim.Scenario, negative_control: bool = False):
     joins = []
     try:
         for check in CHECKS:
-            joins.append(_forked(_run_check, check, sc, negative_control))
+            joins.append(sim._forked(_run_check, check, sc, negative_control))
         for check, join in zip(CHECKS, joins):
             try:
                 ok, metric = join()

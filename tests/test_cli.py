@@ -1,6 +1,8 @@
 import dataclasses
+import errno
 import json
 import math
+import os
 import re
 from pathlib import Path
 
@@ -576,6 +578,22 @@ def test_fit_friction_synthetic_names_a_stalled_level(capsys):
         "error: wheel did not reach steady state within 200 s at tau = 3.021e+00 N m: omega_w = 134.9963194730358"
         " rad/s is a fixed point of the 10 ms RK4 step, not of the wheel (|omega_w_dot| = 9.557e+03 rad/s^2)\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify"], ["fit-friction", "--synthetic"], ["fit-friction", "--synthetic", "--set", "friction.c_d=1e-4"]],
+    ids=["verify", "fit-friction", "fit-friction-stalled"],
+)
+def test_a_failed_fork_prints_what_a_forked_run_prints(argv, monkeypatch, capsys):
+    # a fork that fails (EAGAIN: no process to be had) runs the work in this process
+    forked = run_cli(*argv), capsys.readouterr()
+
+    def no_fork():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert (run_cli(*argv), capsys.readouterr()) == forked
 
 
 def test_fit_friction_from_csv(tmp_path, capsys):

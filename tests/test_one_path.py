@@ -240,6 +240,8 @@ def test_a_column_alone_is_its_stack_at_a_nan_wheel_rate(nan, fp, model, fidelit
     args = (DP, fp, model, fidelity)
     x = np.array([0.6, 0.8, 0.1, 0.2, nan])
     assert_bitwise(plant.dynamics_rate(x, 0.5, *args), plant.dynamics_rate(x[:, None], 0.5, *args)[:, 0])
+    xa = np.array([0.3, 1.0, 2.0, nan])  # the angle form runs a (4,) state on its (4, 1) view too
+    assert_bitwise(plant.angle_dynamics_rate(xa, 0.5, *args), plant.angle_dynamics_rate(xa[:, None], 0.5, *args)[:, 0])
     states = []
     for one in (x, x[:, None].copy()):
         with pytest.raises(DivergenceError) as info:

@@ -1,5 +1,9 @@
 import dataclasses
+import errno
 import math
+import os
+import signal
+import time
 import tracemalloc
 
 import numpy as np
@@ -477,3 +481,128 @@ def test_steady_state_sweep_tells_a_stalled_step_from_a_slow_wheel():
     with pytest.raises(IdentificationError) as err:
         sim.steady_state_sweep([1e-2], params=CubliParams(I_wG=10.0))
     assert str(err.value) == "wheel did not reach steady state within 200 s at tau = 1.000e-02 N m"
+
+
+# The split sweep: contiguous chunks of levels, one per usable core, the first
+# in this process and each other in a forked child.
+CLI_LEVELS = plant.friction_torque(np.linspace(60.0, 600.0, 20), FrictionParams())
+CHUNKS = pytest.mark.parametrize("chunks", [1, 2, 4], ids=["1-chunk", "2-chunks", "4-chunks"])
+
+
+def set_cores(monkeypatch, cores):
+    """The sweep's usable cores, and so its chunk count for enough levels."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def no_fork():
+    raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+
+@CHUNKS
+def test_split_sweep_is_the_inline_sweep_bit_for_bit(chunks, monkeypatch):
+    set_cores(monkeypatch, chunks)
+    levels = np.concatenate([CLI_LEVELS, -CLI_LEVELS])
+    forked = sim.steady_state_sweep(levels)
+    assert_no_child_left()
+    monkeypatch.delattr(os, "fork")  # every chunk runs in this process, in level order
+    assert forked.tobytes() == sim.steady_state_sweep(levels).tobytes()
+
+
+@CHUNKS
+def test_split_sweep_raises_the_lowest_failing_levels_error(chunks, monkeypatch):
+    # stiff drag: the first four CLI levels converge and the fifth stalls.  The
+    # stall at index 7 is in the first chunk of two and the second of four; the
+    # NaN at index 17, which fails at once, is in the last chunk of either
+    set_cores(monkeypatch, chunks)
+    fp = FrictionParams(c_d=1e-4)
+    levels = np.resize(plant.friction_torque(np.linspace(60.0, 600.0, 20)[:4], fp), 20)
+    levels[7] = plant.friction_torque(np.linspace(60.0, 600.0, 20)[4], fp)
+    levels[17] = math.nan
+    with pytest.raises(IdentificationError) as forked:
+        sim.steady_state_sweep(levels, fp=fp)
+    assert_no_child_left()
+    assert str(forked.value).startswith("wheel did not reach steady state within 200 s at tau = 3.021e+00 N m: ")
+    monkeypatch.delattr(os, "fork")
+    with pytest.raises(IdentificationError) as serial:
+        sim.steady_state_sweep(levels, fp=fp)
+    assert str(forked.value) == str(serial.value)
+
+
+@CHUNKS
+def test_split_sweep_raises_a_failure_in_the_last_chunk_with_its_text(chunks, monkeypatch):
+    set_cores(monkeypatch, chunks)
+    levels = CLI_LEVELS.copy()
+    levels[-1] = -math.nan
+    with pytest.raises(IdentificationError, match=r"^input torque nan N m is not finite$"):
+        sim.steady_state_sweep(levels)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize(
+    "cores, n_levels, forks",
+    [(1, 20, 0), (2, 20, 1), (4, 20, 3), (4, 3, 2), (4, 1, 0), (4, 0, 0)],
+)
+def test_split_sweep_forks_one_process_per_chunk_but_the_first(cores, n_levels, forks, monkeypatch):
+    set_cores(monkeypatch, cores)
+    calls, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: calls.append(None) or fork())
+    speeds = sim.steady_state_sweep(CLI_LEVELS[:n_levels])
+    assert len(calls) == forks and speeds.shape == (n_levels,)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize(
+    "chunks, where",
+    [(1, "own-chunk"), (2, "own-chunk"), (4, "own-chunk"), (2, "join"), (4, "join")],
+)
+def test_no_process_outlives_an_interrupted_sweep(chunks, where, monkeypatch):
+    # every child stops at its first stage, at rest, off the fast path; this
+    # process is interrupted there too, or 0.2 s into waiting for a child
+    set_cores(monkeypatch, chunks)
+    parent, friction = os.getpid(), plant._friction
+
+    def stage(*args):
+        if os.getpid() != parent:
+            time.sleep(30)
+        elif where == "own-chunk":
+            raise KeyboardInterrupt
+        return friction(*args)
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(plant, "_friction", stage)
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    start = time.monotonic()
+    try:
+        if where == "join":
+            signal.setitimer(signal.ITIMER_REAL, 0.2)
+        with pytest.raises(KeyboardInterrupt):
+            sim.steady_state_sweep(CLI_LEVELS)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert_no_child_left()
+    assert time.monotonic() - start < 10.0  # the children were killed, not waited for
+
+
+def test_a_failed_fork_runs_the_sweep_inline(monkeypatch):
+    set_cores(monkeypatch, 4)
+    failing = CLI_LEVELS.copy()
+    failing[-1] = math.nan
+    forked = sim.steady_state_sweep(CLI_LEVELS)
+    pipes, pipe = [], os.pipe
+    monkeypatch.setattr(os, "pipe", lambda: pipes.append(pipe()) or pipes[-1])
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert sim.steady_state_sweep(CLI_LEVELS).tobytes() == forked.tobytes()
+    with pytest.raises(IdentificationError, match=r"^input torque nan N m is not finite$"):
+        sim.steady_state_sweep(failing)
+    assert len(pipes) == 6
+    for fd in sum(pipes, ()):  # both ends closed
+        with pytest.raises(OSError):
+            os.fstat(fd)

@@ -4,6 +4,7 @@ process outlives a run that passes, raises or is closed early.  And a NaN
 that a check meets reaches its gate, which fails it."""
 
 import dataclasses
+import errno
 import os
 import select
 import signal
@@ -12,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from cubli import analysis, cli, plant, verify
+from cubli import analysis, cli, plant, sim, verify
 from cubli.errors import CubliError, SimulationError
 from cubli.plant import GravityModel
 
@@ -49,10 +50,23 @@ def assert_no_child_left():
 def test_forked_run_gives_the_lines_of_the_checks_run_inline(cfg, negative_control, monkeypatch):
     forked = list(verify.run(cfg.scenario, negative_control))
     assert_no_child_left()
-    monkeypatch.delattr(verify.os, "fork")  # _forked's path where os.fork is missing: join calls fn itself
+    monkeypatch.delattr(os, "fork")  # sim._forked's path where os.fork is missing: join calls fn itself
     assert forked == list(verify.run(cfg.scenario, negative_control))
     assert [name for name, _, _ in forked] == [check.__name__ for check in verify.CHECKS]
     assert all(ok for _, ok, _ in forked) != negative_control
+
+
+def test_a_failed_fork_runs_the_checks_inline(monkeypatch):
+    forked = list(verify.run(CONFIG.scenario))
+    diverging = dataclasses.replace(CONFIG, friction=dataclasses.replace(CONFIG.friction, tau_c=1e300))
+
+    def no_fork():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)  # sim._forked closes its pipe and calls fn at join
+    assert list(verify.run(CONFIG.scenario)) == forked
+    with pytest.raises(SimulationError, match="^oracle_equivalence: integration produced a non-finite state$"):
+        list(verify.run(diverging.scenario))
 
 
 def test_no_process_outlives_a_run_that_raises_or_is_closed():
@@ -75,7 +89,7 @@ def test_closing_a_run_ends_the_processes_its_checks_forked(monkeypatch, time_li
         time.sleep(60)
 
     def forks_a_sleeper(sc):
-        verify._forked(sleeper)  # never joined
+        sim._forked(sleeper)  # never joined
         time.sleep(60)
 
     monkeypatch.setattr(verify, "CHECKS", (verify.open_loop_poles, forks_a_sleeper))
