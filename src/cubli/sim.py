@@ -15,8 +15,11 @@ tuple and binds the step and the controller (control.controller) once, on
 the plant and gains its Scenario derived (dp, gains), with every branch
 picked before the first step.
 
-_forked is the one fork helper: steady_state_sweep runs each chunk of its
-levels but the first in a forked child, and verify each check and its oracle.
+side_by_side is the one rule for side-by-side work: it deals independent
+units round-robin into one chunk per usable core and runs each chunk in a
+forked child, with the results and the error of a serial loop.
+steady_state_sweep runs its levels through it, verify.run its checks and
+oracle_equivalence its two halves.
 """
 
 from __future__ import annotations
@@ -305,65 +308,80 @@ def settling(ts: TimeSeries, q_r, start: float, end: float) -> tuple[float, floa
 _in_child = False  # True in a forked child, whose own children stay in its process group
 
 
-def _forked(fn, *args):
-    """Start fn(*args) in a forked child, which leads a process group unless it
-    is a child's child, and return join.  join() reads the child's pickled (ok,
-    value or exception), reaps the child, and returns the value or raises the
-    exception; a child that ends without a result raises a CubliError.
-    join(kill=True) kills the child's group first.  Once a child is reaped, its
-    join does nothing.  Without os.fork, or when os.fork fails, join() calls
-    fn(*args) itself.
+def side_by_side(fn, units):
+    """Yield fn(unit) for each unit, in unit order, with the exception a serial
+    loop would raise at the first unit that fails.
+
+    The units are dealt round-robin into one chunk per usable core, and never
+    more chunks than units.  With two chunks or more, each runs in a forked
+    child, which leads a process group unless it is a child's child, pickles
+    one (ok, value or exception) per unit and stops at its first exception;
+    this process only joins, and yields each result once its chunk has
+    reported it.  A child that ends early raises a CubliError at the turn of
+    the first unit it did not report.  Every child still running when the
+    generator ends, raises or is closed is killed and reaped.  One chunk, or a
+    chunk whose fork is missing or fails, runs here, each unit at its turn.
     """
     global _in_child
-    read, write = os.pipe()
+    units = list(units)
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    n = min(len(units), cores)
+    children = {}  # chunk index -> (pid, pipe) of its running child
     try:
-        pid = os.fork()
-    except (AttributeError, OSError):  # no os.fork, or no process to be had (EAGAIN, ENOMEM)
-        os.close(read)
-        os.close(write)
-        return lambda kill=False: None if kill else fn(*args)
-    if pid == 0:  # the child, which returns to no caller
-        code = 1
-        try:
-            if not _in_child:
-                os.setpgid(0, 0)
-            _in_child = True
+        for c in range(n if n > 1 else 0):
+            read, write = os.pipe()
             try:
-                outcome = True, fn(*args)
-            except BaseException as exc:
-                outcome = False, exc
-            with open(write, "wb") as out:
-                out.write(pickle.dumps(outcome))
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write)
-    src = open(read, "rb")  # closed once the child is reaped, so an interrupted read leaves it to join(kill=True)
-
-    def join(kill=False):
-        nonlocal pid
-        if pid is None:
-            return None
-        if kill:
+                pid = os.fork()
+            except (AttributeError, OSError):  # no os.fork, or no process to be had (EAGAIN, ENOMEM)
+                os.close(read)
+                os.close(write)
+                continue
+            if pid == 0:  # the child, which returns to no caller
+                code = 1
+                try:
+                    if not _in_child:
+                        os.setpgid(0, 0)
+                    _in_child = True
+                    with open(write, "wb") as out:
+                        for unit in units[c::n]:
+                            try:
+                                outcome = True, fn(unit)
+                            except BaseException as exc:
+                                outcome = False, exc
+                            out.write(pickle.dumps(outcome))
+                            out.flush()
+                            if not outcome[0]:
+                                break
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write)
+            children[c] = pid, open(read, "rb")
+        for i, unit in enumerate(units):
+            if i % n not in children:
+                yield fn(unit)
+                continue
+            pid, src = children[i % n]
+            try:
+                ok, value = pickle.load(src)
+            except (EOFError, pickle.UnpicklingError):  # the child ended before reporting this unit
+                del children[i % n]
+                src.close()
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                raise CubliError(f"forked process ended without a result (exit status {code})") from None
+            if not ok:
+                raise value
+            yield value
+    finally:
+        if children:
             from signal import SIGKILL  # imported here, since importing signal costs every command about 1 ms
-
+        for pid, src in children.values():
             try:
                 os.killpg(pid, SIGKILL)
             except ProcessLookupError:  # no group: a child's child, or a child that has not made its group yet
                 os.kill(pid, SIGKILL)
-        data = b"" if kill else src.read()
-        src.close()
-        status, pid = os.waitpid(pid, 0)[1], None
-        if kill:
-            return None
-        if status:
-            raise CubliError(f"forked process ended without a result (exit status {os.waitstatus_to_exitcode(status)})")
-        ok, value = pickle.loads(data)
-        if not ok:
-            raise value
-        return value
-
-    return join
+            src.close()
+            os.waitpid(pid, 0)
 
 
 def steady_state_sweep(
@@ -389,10 +407,8 @@ def steady_state_sweep(
     out, in the same IEEE operations; any other stage point (the start at
     rest, a swing below zero, a negative level) goes through plant._friction.
 
-    The levels run in contiguous chunks, one per usable core and at most one
-    per level, the first here and each other in a forked child; joined in
-    order, they give the speeds and the error (the lowest failing level's) of
-    one serial loop.  One chunk forks nothing.
+    The levels run side by side (side_by_side), with the speeds and the
+    error (the lowest failing level's) of one serial loop.
     """
     dt, budget, accel_tol = 1e-2, 200.0, 1e-6
     half, sixth, inv_iwg = 0.5 * dt, dt / 6.0, 1.0 / params.I_wG
@@ -402,57 +418,38 @@ def steady_state_sweep(
     def accel(w: float, tau: float) -> float:  # a stage off the fast path (omega_w <= 0 or NaN)
         return (tau - plant._friction(w, plant._sign, tc, bw, cd)) * inv_iwg
 
-    def sweep(levels) -> list[float]:
-        speeds = []
-        for tau in levels:
-            tau = float(tau)
-            if not math.isfinite(tau):
-                raise IdentificationError(f"input torque {tau} N m is not finite")
-            if abs(tau) <= tc:
-                raise IdentificationError(f"input torque {tau:.3e} N m cannot overcome Coulomb friction {tc:.3e} N m")
-            w = 0.0
-            for step in range(1, max_steps + 1):
-                k1 = (tau - (tc + bw * w + cd * w * w)) * inv_iwg if w > 0.0 else accel(w, tau)
-                if abs(k1) < accel_tol:
-                    break
-                s = w + half * k1
-                k2 = (tau - (tc + bw * s + cd * s * s)) * inv_iwg if s > 0.0 else accel(s, tau)
-                s = w + half * k2
-                k3 = (tau - (tc + bw * s + cd * s * s)) * inv_iwg if s > 0.0 else accel(s, tau)
-                s = w + dt * k3
-                k4 = (tau - (tc + bw * s + cd * s * s)) * inv_iwg if s > 0.0 else accel(s, tau)
-                w_next = w + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                if w_next == w:  # stalled: the RK4 map is deterministic, so it stays here to the budget
-                    raise IdentificationError(
-                        f"wheel did not reach steady state within {budget:.0f} s at tau = {tau:.3e} N m: omega_w = {w!r}"
-                        f" rad/s is a fixed point of the {dt * 1e3:.0f} ms RK4 step, not of the wheel"
-                        f" (|omega_w_dot| = {abs(k1):.3e} rad/s^2)"
-                    )
-                w = w_next
-                if not math.isfinite(w):
-                    raise IdentificationError(
-                        f"wheel speed diverged to {w} rad/s at step {step} (t = {step * dt:.2f} s) at tau = {tau:.3e} N m"
-                    )
-            else:
-                raise IdentificationError(f"wheel did not reach steady state within {budget:.0f} s at tau = {tau:.3e} N m")
-            speeds.append(w)
-        return speeds
+    def sweep(tau) -> float:
+        tau = float(tau)
+        if not math.isfinite(tau):
+            raise IdentificationError(f"input torque {tau} N m is not finite")
+        if abs(tau) <= tc:
+            raise IdentificationError(f"input torque {tau:.3e} N m cannot overcome Coulomb friction {tc:.3e} N m")
+        w = 0.0
+        for step in range(1, max_steps + 1):
+            k1 = (tau - (tc + bw * w + cd * w * w)) * inv_iwg if w > 0.0 else accel(w, tau)
+            if abs(k1) < accel_tol:
+                return w
+            s = w + half * k1
+            k2 = (tau - (tc + bw * s + cd * s * s)) * inv_iwg if s > 0.0 else accel(s, tau)
+            s = w + half * k2
+            k3 = (tau - (tc + bw * s + cd * s * s)) * inv_iwg if s > 0.0 else accel(s, tau)
+            s = w + dt * k3
+            k4 = (tau - (tc + bw * s + cd * s * s)) * inv_iwg if s > 0.0 else accel(s, tau)
+            w_next = w + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if w_next == w:  # stalled: the RK4 map is deterministic, so it stays here to the budget
+                raise IdentificationError(
+                    f"wheel did not reach steady state within {budget:.0f} s at tau = {tau:.3e} N m: omega_w = {w!r}"
+                    f" rad/s is a fixed point of the {dt * 1e3:.0f} ms RK4 step, not of the wheel"
+                    f" (|omega_w_dot| = {abs(k1):.3e} rad/s^2)"
+                )
+            w = w_next
+            if not math.isfinite(w):
+                raise IdentificationError(
+                    f"wheel speed diverged to {w} rad/s at step {step} (t = {step * dt:.2f} s) at tau = {tau:.3e} N m"
+                )
+        raise IdentificationError(f"wheel did not reach steady state within {budget:.0f} s at tau = {tau:.3e} N m")
 
-    levels = list(tau_levels)
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    chunks = max(1, min(len(levels), cores))
-    bounds = [len(levels) * i // chunks for i in range(chunks + 1)]
-    joins = []
-    try:
-        for lo, hi in zip(bounds[1:], bounds[2:]):
-            joins.append(_forked(sweep, levels[lo:hi]))
-        speeds = sweep(levels[: bounds[1]])
-        for join in joins:
-            speeds += join()
-    finally:
-        for join in joins:
-            join(kill=True)
-    return np.array(speeds, dtype=float)
+    return np.array(list(side_by_side(sweep, tau_levels)), dtype=float)
 
 
 def fit_friction(taus, omegas) -> tuple[FrictionParams, float]:

@@ -6,9 +6,9 @@ metric text) on a sim.Scenario alone: it reads sc.dp, which no gravity model
 enters, and sc.gains, and loops over the gravity models it covers.  Each
 gated value goes through gate, which prints the tolerance it compares.  Its
 inputs, seeds, sample sizes and tolerances are stated here and nowhere else.
-run starts every check at once, each in a forked process of its own, and
-oracle_equivalence forks its oracle: a verify forks nine processes, through
-sim._forked, the one fork helper, which the friction sweep uses too.
+run deals the checks side by side (sim.side_by_side) and oracle_equivalence
+its two halves: on two usable cores a verify forks two processes, one of
+which forks two more, and the calling process runs no check.
 """
 
 from __future__ import annotations
@@ -117,8 +117,8 @@ def fbl_cancellation(sc):
 
 
 def oracle_equivalence(sc, tamper: bool = False):
-    """The circle form, stepped here, against the angle-form oracle, stepped in
-    a forked process, compared at every 1,000th of their 10,000 steps."""
+    """The circle form against the angle-form oracle, stepped side by side,
+    compared at every 1,000th of their 10,000 steps."""
     dp = sc.dp
     dp_oracle = dataclasses.replace(dp, mgd=dp.mgd * 1.01) if tamper else dp
     rng = np.random.default_rng(5)
@@ -131,7 +131,8 @@ def oracle_equivalence(sc, tamper: bool = False):
     def oracle_rate(x, out):
         return plant.angle_dynamics_rate(x, 0.0, dp_oracle, sc.friction, sc.plant_gravity, out=out)
 
-    def checkpoints(step, x):
+    def checkpoints(half):
+        step, x = half
         states = []
         for k in range(steps):
             x = step(x)
@@ -139,12 +140,10 @@ def oracle_equivalence(sc, tamper: bool = False):
                 states.append(x)
         return states
 
-    join = sim._forked(checkpoints, lambda x: sim.rk4(oracle_rate, x, dt), xa)
-    try:
-        circle = checkpoints(lambda x: sim.rk4_step(x, 0.0, dt, dp, sc.friction, sc.plant_gravity), xc)
-        angle = join()
-    finally:
-        join(kill=True)
+    circle, angle = sim.side_by_side(checkpoints, [
+        (lambda x: sim.rk4_step(x, 0.0, dt, dp, sc.friction, sc.plant_gravity), xc),
+        (lambda x: sim.rk4(oracle_rate, x, dt), xa),
+    ])
     decoded = (np.vstack([rotor.from_angle(xa[0]), xa[1:]]) for xa in angle)
     deviation = worst([np.max(np.abs(xc - xa)) for xc, xa in zip(circle, decoded)])
     ok, metric = gate(deviation, "max trajectory deviation", ", 20 runs, 1 s", tol="1e-8", relative=False)
@@ -157,14 +156,14 @@ def energy_drift(sc):
     e0 = plant.energies(x, dp, sc.plant_gravity)[2]
     x = tuple(x.tolist())  # stepped as Python floats, by the stepper bound here once
     step = sim.float_stepper(dp, plant.FRICTION_FREE, sc.plant_gravity, Fidelity.EXACT, 1e-4)
-    drifts, norms = [], []
-    for k in range(100000):
+    drifts, norms = [], np.empty(100000)  # 0.8 MB of float64, where a list of the floats takes 3.2 MB
+    for k in range(len(norms)):
         x = step(x, 0.0, 0.0)
-        norms.append(math.hypot(x[0], x[1]))
+        norms[k] = math.hypot(x[0], x[1])
         if (k + 1) % 2000 == 0:
             drifts.append(abs(plant.energies(np.array(x), dp, sc.plant_gravity)[2] - e0))
     energy_ok, energy = gate(worst(drifts) / abs(e0), "relative drift", tol="1e-6", relative=False)
-    norm_ok, norm = gate(worst(np.abs(np.array(norms) - 1.0)), "unit-norm drift", tol="1e-9", relative=False)
+    norm_ok, norm = gate(worst(np.abs(norms - 1.0)), "unit-norm drift", tol="1e-9", relative=False)
     return energy_ok and norm_ok, f"{energy}, {norm}"
 
 
@@ -174,31 +173,25 @@ CHECKS = (
 )
 
 
-def _run_check(check, sc, negative_control):
-    tamper = {"tamper": negative_control} if check is oracle_equivalence else {}
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return check(sc, **tamper)
-
-
 def run(sc: sim.Scenario, negative_control: bool = False):
-    """Start every check at once, each in a forked process of its own, and
-    yield (name, ok, metric text) in CHECKS order; a check's name prefixes a
-    CubliError it raises, and numpy's float warnings are off in it.  Every
-    process still running when the generator ends, raises or is closed is
-    killed and reaped.  The negative control tampers the oracle's gravity
-    constant, so oracle_equivalence must then fail.
+    """Yield (name, ok, metric text) for each check in CHECKS order, the checks
+    run side by side (sim.side_by_side); a check's name prefixes a CubliError
+    it raises, and numpy's float warnings are off in it.  Ending, raising or
+    closing the generator ends the side_by_side run, which kills and reaps
+    every process still running.  The negative control tampers the oracle's
+    gravity constant, so oracle_equivalence must then fail.
     """
-    joins = []
-    try:
-        for check in CHECKS:
-            joins.append(sim._forked(_run_check, check, sc, negative_control))
-        for check, join in zip(CHECKS, joins):
-            try:
-                ok, metric = join()
-            except CubliError as err:
-                err.args = (f"{check.__name__}: {err}",)
-                raise
-            yield check.__name__, ok, metric
-    finally:
-        for join in joins:
-            join(kill=True)
+
+    def line(check):
+        tamper = {"tamper": negative_control} if check is oracle_equivalence else {}
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return check(sc, **tamper)
+
+    results = sim.side_by_side(line, CHECKS)
+    for check in CHECKS:
+        try:
+            ok, metric = next(results)
+        except CubliError as err:
+            err.args = (f"{check.__name__}: {err}",)
+            raise
+        yield check.__name__, ok, metric

@@ -1,7 +1,9 @@
 import dataclasses
 import errno
+import itertools
 import math
 import os
+import select
 import signal
 import time
 import tracemalloc
@@ -14,7 +16,7 @@ from numpy.testing import assert_allclose
 
 from cubli import cli, control, plant, rotor, sim
 from cubli.control import Mode
-from cubli.errors import DivergenceError, IdentificationError, SingularityError, ValidationError
+from cubli.errors import CubliError, DivergenceError, IdentificationError, SingularityError, ValidationError
 from cubli.plant import CubliParams, Fidelity, FrictionParams, GravityModel, state
 
 
@@ -483,14 +485,14 @@ def test_steady_state_sweep_tells_a_stalled_step_from_a_slow_wheel():
     assert str(err.value) == "wheel did not reach steady state within 200 s at tau = 1.000e-02 N m"
 
 
-# The split sweep: contiguous chunks of levels, one per usable core, the first
-# in this process and each other in a forked child.
+# The split sweep: the levels dealt round-robin (sim.side_by_side), one chunk
+# per usable core, each chunk in a forked child once there are two.
 CLI_LEVELS = plant.friction_torque(np.linspace(60.0, 600.0, 20), FrictionParams())
 CHUNKS = pytest.mark.parametrize("chunks", [1, 2, 4], ids=["1-chunk", "2-chunks", "4-chunks"])
 
 
 def set_cores(monkeypatch, cores):
-    """The sweep's usable cores, and so its chunk count for enough levels."""
+    """side_by_side's usable cores, and so its chunk count for enough units."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
 
 
@@ -503,21 +505,42 @@ def no_fork():
     raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
 
 
+def count_forks(monkeypatch):
+    """The list that each os.fork call of this process appends to."""
+    calls, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: calls.append(None) or fork())
+    return calls
+
+
+@pytest.fixture
+def interrupt_after():
+    """interrupt_after(seconds) raises KeyboardInterrupt in this process once
+    that much time has passed; the timer is stopped when the test ends."""
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    yield lambda seconds: signal.setitimer(signal.ITIMER_REAL, seconds)
+    signal.setitimer(signal.ITIMER_REAL, 0)
+    signal.signal(signal.SIGALRM, previous)
+
+
 @CHUNKS
 def test_split_sweep_is_the_inline_sweep_bit_for_bit(chunks, monkeypatch):
     set_cores(monkeypatch, chunks)
     levels = np.concatenate([CLI_LEVELS, -CLI_LEVELS])
     forked = sim.steady_state_sweep(levels)
     assert_no_child_left()
-    monkeypatch.delattr(os, "fork")  # every chunk runs in this process, in level order
+    monkeypatch.delattr(os, "fork")  # every level runs in this process, in level order
     assert forked.tobytes() == sim.steady_state_sweep(levels).tobytes()
 
 
 @CHUNKS
 def test_split_sweep_raises_the_lowest_failing_levels_error(chunks, monkeypatch):
     # stiff drag: the first four CLI levels converge and the fifth stalls.  The
-    # stall at index 7 is in the first chunk of two and the second of four; the
-    # NaN at index 17, which fails at once, is in the last chunk of either
+    # stall at index 7 is in the second chunk of two and the fourth of four;
+    # the NaN at index 17, which fails at once, is in the second of either
     set_cores(monkeypatch, chunks)
     fp = FrictionParams(c_d=1e-4)
     levels = np.resize(plant.friction_torque(np.linspace(60.0, 600.0, 20)[:4], fp), 20)
@@ -545,12 +568,11 @@ def test_split_sweep_raises_a_failure_in_the_last_chunk_with_its_text(chunks, mo
 
 @pytest.mark.parametrize(
     "cores, n_levels, forks",
-    [(1, 20, 0), (2, 20, 1), (4, 20, 3), (4, 3, 2), (4, 1, 0), (4, 0, 0)],
+    [(1, 20, 0), (2, 20, 2), (4, 20, 4), (4, 3, 3), (4, 1, 0), (4, 0, 0)],
 )
-def test_split_sweep_forks_one_process_per_chunk_but_the_first(cores, n_levels, forks, monkeypatch):
+def test_split_sweep_forks_one_process_per_chunk(cores, n_levels, forks, monkeypatch):
     set_cores(monkeypatch, cores)
-    calls, fork = [], os.fork
-    monkeypatch.setattr(os, "fork", lambda: calls.append(None) or fork())
+    calls = count_forks(monkeypatch)
     speeds = sim.steady_state_sweep(CLI_LEVELS[:n_levels])
     assert len(calls) == forks and speeds.shape == (n_levels,)
     assert_no_child_left()
@@ -558,11 +580,13 @@ def test_split_sweep_forks_one_process_per_chunk_but_the_first(cores, n_levels, 
 
 @pytest.mark.parametrize(
     "chunks, where",
-    [(1, "own-chunk"), (2, "own-chunk"), (4, "own-chunk"), (2, "join"), (4, "join")],
+    [(1, "own-chunk"), (2, "child"), (4, "child"), (2, "join"), (4, "join")],
 )
-def test_no_process_outlives_an_interrupted_sweep(chunks, where, monkeypatch):
-    # every child stops at its first stage, at rest, off the fast path; this
-    # process is interrupted there too, or 0.2 s into waiting for a child
+def test_no_process_outlives_an_interrupted_sweep(chunks, where, monkeypatch, interrupt_after):
+    # every level stops at its first stage, at rest, off the fast path: with one
+    # chunk this process is interrupted there; with more, every child sleeps
+    # there while the child holding the first level fails it at once (a NaN),
+    # or while this process is interrupted 0.2 s into waiting for a child
     set_cores(monkeypatch, chunks)
     parent, friction = os.getpid(), plant._friction
 
@@ -573,20 +597,15 @@ def test_no_process_outlives_an_interrupted_sweep(chunks, where, monkeypatch):
             raise KeyboardInterrupt
         return friction(*args)
 
-    def interrupt(signum, frame):
-        raise KeyboardInterrupt
-
     monkeypatch.setattr(plant, "_friction", stage)
-    previous = signal.signal(signal.SIGALRM, interrupt)
+    levels = CLI_LEVELS.copy()
+    if where == "child":
+        levels[0] = math.nan
     start = time.monotonic()
-    try:
-        if where == "join":
-            signal.setitimer(signal.ITIMER_REAL, 0.2)
-        with pytest.raises(KeyboardInterrupt):
-            sim.steady_state_sweep(CLI_LEVELS)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
+    if where == "join":
+        interrupt_after(0.2)
+    with pytest.raises(IdentificationError if where == "child" else KeyboardInterrupt):
+        sim.steady_state_sweep(levels)
     assert_no_child_left()
     assert time.monotonic() - start < 10.0  # the children were killed, not waited for
 
@@ -602,7 +621,143 @@ def test_a_failed_fork_runs_the_sweep_inline(monkeypatch):
     assert sim.steady_state_sweep(CLI_LEVELS).tobytes() == forked.tobytes()
     with pytest.raises(IdentificationError, match=r"^input torque nan N m is not finite$"):
         sim.steady_state_sweep(failing)
-    assert len(pipes) == 6
+    assert len(pipes) == 8  # a pipe per chunk of each sweep
     for fd in sum(pipes, ()):  # both ends closed
         with pytest.raises(OSError):
             os.fstat(fd)
+
+
+# sim.side_by_side's guarantees, on stand-in units that cost nothing.
+
+
+def whose(unit):
+    """A stand-in unit's result: the unit and the process that ran it."""
+    return unit, os.getpid()
+
+
+@pytest.mark.parametrize("cores, n_units", [(1, 5), (2, 5), (3, 7), (4, 2)])
+def test_side_by_side_yields_each_result_in_unit_order_from_round_robin_chunks(cores, n_units, monkeypatch):
+    set_cores(monkeypatch, cores)
+    results = list(sim.side_by_side(whose, range(n_units)))
+    assert_no_child_left()
+    assert [unit for unit, _ in results] == list(range(n_units))
+    chunks = min(cores, n_units)
+    pids = [pid for _, pid in results]
+    assert all(pids[i] == pids[i % chunks] for i in range(n_units))  # unit i in chunk i mod chunks
+    assert len(set(pids)) == chunks
+    if chunks > 1:
+        assert os.getpid() not in pids  # this process only joins
+    else:
+        assert pids == [os.getpid()] * n_units
+
+
+def test_side_by_side_raises_the_lower_failure_held_by_a_later_chunk(monkeypatch):
+    # unit 1 (the second chunk) fails after unit 2 (the first chunk) has failed
+    set_cores(monkeypatch, 2)
+
+    def unit(u):
+        if u == 1:
+            time.sleep(0.1)
+        if u in (1, 2):
+            raise ValueError(f"unit {u}")
+        return u
+
+    results = sim.side_by_side(unit, range(6))
+    assert next(results) == 0
+    with pytest.raises(ValueError, match="^unit 1$"):
+        next(results)
+    assert_no_child_left()
+    monkeypatch.setattr(os, "fork", no_fork)
+    with pytest.raises(ValueError, match="^unit 1$"):  # as a serial loop raises it
+        list(sim.side_by_side(unit, range(6)))
+
+
+def test_a_child_that_dies_is_blamed_on_the_first_unit_it_did_not_report(monkeypatch):
+    set_cores(monkeypatch, 2)
+
+    def unit(u):
+        if u == 3:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return u
+
+    results = sim.side_by_side(unit, range(6))
+    assert [next(results) for _ in range(3)] == [0, 1, 2]
+    with pytest.raises(CubliError, match=r"^forked process ended without a result \(exit status -9\)$"):
+        next(results)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("how", ["raise", "close", "interrupt"])
+def test_no_child_or_grandchild_outlives_side_by_side(how, monkeypatch, interrupt_after):
+    # unit 1's child forks two grandchildren that sleep; unit 0's child waits
+    # until both are running, then fails, or reports while this process is
+    # closed or interrupted 0.2 s into waiting for unit 1
+    set_cores(monkeypatch, 2)
+    ready, held = os.pipe()  # inherited by every process of the run
+    start = time.monotonic()
+
+    def sleeper(u):
+        os.write(held, b"!")
+        time.sleep(60)
+
+    def unit(u):
+        if u == 1:
+            list(sim.side_by_side(sleeper, range(2)))
+        assert os.read(ready, 1) + os.read(ready, 1) == b"!!"
+        if how == "raise":
+            raise ValueError("unit 0")
+        return u
+
+    results = sim.side_by_side(unit, range(2))
+    try:
+        if how == "raise":
+            with pytest.raises(ValueError, match="^unit 0$"):
+                next(results)
+        else:
+            assert next(results) == 0
+            if how == "close":
+                results.close()
+            else:
+                interrupt_after(0.2)
+                with pytest.raises(KeyboardInterrupt):
+                    next(results)
+        os.close(held)
+        assert select.select([ready], [], [], 10)[0], "a process of the run still holds the pipe"
+        assert os.read(ready, 1) == b""
+    finally:
+        results.close()
+        os.close(ready)
+    assert_no_child_left()
+    assert time.monotonic() - start < 10.0  # the sleepers were killed, not waited for
+
+
+@pytest.mark.parametrize("fails", ["every-fork", "second-fork"])
+def test_a_failed_fork_closes_both_pipe_ends_and_runs_its_chunk_here(fails, monkeypatch):
+    set_cores(monkeypatch, 4)
+    pipes, pipe, fork = [], os.pipe, os.fork
+    monkeypatch.setattr(os, "pipe", lambda: pipes.append(pipe()) or pipes[-1])
+    # the second chunk's fork is the one called once its pipe, the second, is made
+    monkeypatch.setattr(os, "fork", lambda: no_fork() if fails == "every-fork" or len(pipes) == 2 else fork())
+    results = list(sim.side_by_side(whose, range(8)))
+    assert_no_child_left()
+    assert [unit for unit, _ in results] == list(range(8))
+    here = [unit for unit, pid in results if pid == os.getpid()]
+    assert here == (list(range(8)) if fails == "every-fork" else [1, 5])
+    assert len(pipes) == 4
+    for fd in pipes[1] if fails == "second-fork" else sum(pipes, ()):  # both ends closed
+        with pytest.raises(OSError):
+            os.fstat(fd)
+
+
+@pytest.mark.parametrize("cores, n_units, forks", [(1, 5, 0), (2, 5, 2), (4, 3, 3), (4, 1, 0), (4, 0, 0)])
+def test_one_chunk_forks_nothing_and_runs_each_unit_at_its_turn(cores, n_units, forks, monkeypatch):
+    set_cores(monkeypatch, cores)
+    calls = count_forks(monkeypatch)
+    ran = []
+    results = sim.side_by_side(lambda u: ran.append(u) or u, range(n_units))
+    assert list(itertools.islice(results, 1)) == list(range(n_units))[:1]
+    assert ran == ([] if forks else list(range(n_units))[:1])  # inline, as in a serial loop, unit 1 has not run yet
+    assert list(results) == list(range(1, n_units))
+    assert len(calls) == forks
+    assert ran == ([] if forks else list(range(n_units)))
+    assert_no_child_left()

@@ -1,6 +1,7 @@
-"""verify.run's processes: each check runs in a forked process of its own, the
-lines are those of the checks run one after another in this process, and no
-process outlives a run that passes, raises or is closed early.  And a NaN
+"""verify.run's processes: the checks run side by side in forked processes
+(sim.side_by_side), the lines are those of the checks run one after another
+in this process, and no process outlives a run that passes, raises or is
+closed early; the fork mechanics are tested on stand-in checks.  And a NaN
 that a check meets reaches its gate, which fails it."""
 
 import dataclasses
@@ -42,6 +43,30 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def set_cores(monkeypatch, cores):
+    """sim.side_by_side's usable cores, so a run of two stand-in checks forks both."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+
+
+def passes(sc):
+    """A stand-in check that passes at once."""
+    return True, "value = 1.000e+00 (tol 2)"
+
+
+def diverges(sc):
+    """A stand-in check that raises a SimulationError at once, as oracle_equivalence does at tau_c = 1e300."""
+    raise SimulationError("integration produced a non-finite state")
+
+
+def sleeps(sc):
+    """A stand-in check still running when the run ends."""
+    time.sleep(60)
+
+
+def no_fork():
+    raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+
 @pytest.mark.parametrize(
     "cfg, negative_control",
     [(CONFIG, False), (CONFIG, True), (PAPER_LITERAL, False)],
@@ -50,52 +75,59 @@ def assert_no_child_left():
 def test_forked_run_gives_the_lines_of_the_checks_run_inline(cfg, negative_control, monkeypatch):
     forked = list(verify.run(cfg.scenario, negative_control))
     assert_no_child_left()
-    monkeypatch.delattr(os, "fork")  # sim._forked's path where os.fork is missing: join calls fn itself
+    monkeypatch.delattr(os, "fork")  # sim.side_by_side's path where os.fork is missing: every check runs here
     assert forked == list(verify.run(cfg.scenario, negative_control))
     assert [name for name, _, _ in forked] == [check.__name__ for check in verify.CHECKS]
     assert all(ok for _, ok, _ in forked) != negative_control
 
 
 def test_a_failed_fork_runs_the_checks_inline(monkeypatch):
+    set_cores(monkeypatch, 2)
+    monkeypatch.setattr(verify, "CHECKS", (verify.open_loop_poles, passes))
     forked = list(verify.run(CONFIG.scenario))
-    diverging = dataclasses.replace(CONFIG, friction=dataclasses.replace(CONFIG.friction, tau_c=1e300))
-
-    def no_fork():
-        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
-
-    monkeypatch.setattr(os, "fork", no_fork)  # sim._forked closes its pipe and calls fn at join
+    assert_no_child_left()
+    pipes, pipe = [], os.pipe
+    monkeypatch.setattr(os, "pipe", lambda: pipes.append(pipe()) or pipes[-1])
+    monkeypatch.setattr(os, "fork", no_fork)  # side_by_side closes the chunk's pipe and runs it here
     assert list(verify.run(CONFIG.scenario)) == forked
-    with pytest.raises(SimulationError, match="^oracle_equivalence: integration produced a non-finite state$"):
-        list(verify.run(diverging.scenario))
+    monkeypatch.setattr(verify, "CHECKS", (passes, diverges))
+    with pytest.raises(SimulationError, match="^diverges: integration produced a non-finite state$"):
+        list(verify.run(CONFIG.scenario))
+    assert len(pipes) == 4
+    for fd in sum(pipes, ()):  # both ends closed
+        with pytest.raises(OSError):
+            os.fstat(fd)
 
 
-def test_no_process_outlives_a_run_that_raises_or_is_closed():
-    diverging = dataclasses.replace(CONFIG, friction=dataclasses.replace(CONFIG.friction, tau_c=1e300))
-    with pytest.raises(SimulationError, match="^oracle_equivalence: integration produced a non-finite state$"):
-        list(verify.run(diverging.scenario))
+def test_no_process_outlives_a_run_that_raises_or_is_closed(monkeypatch, time_limit):
+    set_cores(monkeypatch, 2)
+    monkeypatch.setattr(verify, "CHECKS", (diverges, sleeps))
+    with pytest.raises(SimulationError, match="^diverges: integration produced a non-finite state$"):
+        list(verify.run(CONFIG.scenario))
     assert_no_child_left()
 
+    monkeypatch.setattr(verify, "CHECKS", (passes, sleeps, sleeps))
     lines = verify.run(CONFIG.scenario)
-    assert next(lines)[0] == "linearization_fd"
-    lines.close()  # the oracle and energy checks are still running
+    assert next(lines)[0] == "passes"
+    lines.close()  # both sleepers are still running
     assert_no_child_left()
 
 
 def test_closing_a_run_ends_the_processes_its_checks_forked(monkeypatch, time_limit):
+    set_cores(monkeypatch, 2)
     read, write = os.pipe()  # inherited by every process of the run
 
-    def sleeper():
+    def sleeper(unit):
         os.write(write, b"!")
         time.sleep(60)
 
-    def forks_a_sleeper(sc):
-        sim._forked(sleeper)  # never joined
-        time.sleep(60)
+    def forks_sleepers(sc):
+        list(sim.side_by_side(sleeper, range(2)))  # never returns
 
-    monkeypatch.setattr(verify, "CHECKS", (verify.open_loop_poles, forks_a_sleeper))
+    monkeypatch.setattr(verify, "CHECKS", (verify.open_loop_poles, forks_sleepers))
     lines = verify.run(CONFIG.scenario)
     next(lines)
-    assert os.read(read, 1) == b"!"  # the check's own child is running
+    assert os.read(read, 1) + os.read(read, 1) == b"!!"  # both children of the check's process are running
     lines.close()
     os.close(write)
     assert select.select([read], [], [], 10)[0], "a process of the run still holds the pipe"
@@ -108,6 +140,7 @@ def test_a_check_whose_process_dies_raises_an_error_naming_it(monkeypatch, time_
     def killed(sc):
         os.kill(os.getpid(), signal.SIGKILL)
 
+    set_cores(monkeypatch, 2)  # on one core the check would run, and die, in this process
     monkeypatch.setattr(verify, "CHECKS", (verify.open_loop_poles, killed))
     lines = verify.run(CONFIG.scenario)
     assert next(lines)[:2] == ("open_loop_poles", True)
