@@ -3,7 +3,8 @@
 Commands: params, simulate, gains, verify, fit-friction.  Configuration is a
 flat key = value text file with dotted key paths; every key can also be
 overridden on the command line with --set key=value.  Angles in the config are
-degrees; everything internal is radians.
+degrees; everything internal is radians.  simulate formats its CSV on a second
+core while the run steps, and replaces output.path only once the file is whole.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import plant, rotor, sim, verify
+from . import csvlog, plant, rotor, sim, verify
 from .control import DesignSpec, Mode
 from .errors import CubliError, SimulationError, ValidationError
 from .plant import CubliParams, Fidelity, FrictionParams, GravityModel
@@ -26,7 +27,7 @@ EXIT_VALIDATION = 2
 EXIT_SIMULATION = 3
 EXIT_VERIFICATION = 4
 
-CSV_HEADER = ",".join(sim.TimeSeries.COLUMNS)
+CSV_HEADER = csvlog.HEADER
 
 
 # ---------------------------------------------------------------------------
@@ -238,20 +239,10 @@ CSV_BLOCK_ROWS = 1024  # rows turned into Python floats at a time, so memory sta
 
 
 def write_csv(ts: sim.TimeSeries, path: str) -> None:
-    """Write a run log with full double precision (shortest round-trip repr)."""
-    columns = [getattr(ts, name) for name in sim.TimeSeries.COLUMNS]
-    # repr'd a column at a time; a tau_applied cell with its tau_cmd's bits reuses that string
-    cmd, applied = sim.TimeSeries.COLUMNS.index("tau_cmd"), sim.TimeSeries.COLUMNS.index("tau_applied")
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(CSV_HEADER + "\n")
-        for lo in range(0, len(ts.t), CSV_BLOCK_ROWS):
-            block = [c[lo : lo + CSV_BLOCK_ROWS] for c in columns]
-            equal = (block[cmd].view(np.int64) == block[applied].view(np.int64)).tolist()
-            values = [c.tolist() for c in block]
-            cells = [map(repr, v) for v in values]  # lazy, so a block's strings are never all alive
-            cells[cmd] = list(map(repr, values[cmd]))
-            cells[applied] = (text if eq else repr(v) for text, eq, v in zip(cells[cmd], equal, values[applied]))
-            handle.writelines(",".join(row) + "\n" for row in zip(*cells))
+    """Write a run log with full double precision (shortest round-trip repr),
+    to a new file that replaces path once it is whole (csvlog.replacing)."""
+    with csvlog.replacing(path) as tmp:
+        csvlog.write(tmp, csvlog.blocks(ts, CSV_BLOCK_ROWS))
 
 
 def _print_kv(pairs):
@@ -313,8 +304,8 @@ def cmd_gains(sc: sim.Scenario) -> int:
 
 def cmd_simulate(cfg: Config) -> int:
     sc = cfg.scenario
-    ts = sim.run(sc)
-    write_csv(ts, cfg.output_path)
+    with csvlog.replacing(cfg.output_path) as tmp:
+        ts = csvlog.run_writing(sc, tmp, CSV_BLOCK_ROWS)
 
     # settling is measured before the first disturbance that acts, which would restart it
     first = min((d.start for d in sc.disturbances if d.start + d.duration > 0.0), default=math.inf)

@@ -15,15 +15,23 @@ tuple and binds the step and the controller (control.controller) once, on
 the plant and gains its Scenario derived (dp, gains), with every branch
 picked before the first step.
 
-side_by_side is the one rule for side-by-side work: it deals independent
-units round-robin into one chunk per usable core and runs each chunk in a
-forked child, with the results and the error of a serial loop.
-steady_state_sweep runs its levels through it, verify.run its checks and
-oracle_equivalence its two halves.
+run logs into an anonymous shared mapping, which a process forked in its
+progress hook reads as the rows are logged: the CSV writer of
+csvlog.run_writing.
+
+forked is the one place that forks, kills and reaps: it runs one iterable in a
+forked child and hands its items back as the child reports them.  side_by_side
+is the one rule for side-by-side work on it: it deals independent units
+round-robin into one chunk per usable core and runs each chunk in a forked
+child, with the results and the error of a serial loop.  steady_state_sweep
+runs its levels through it, verify.run its checks and oracle_equivalence its
+two halves.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 import os
 import pickle
@@ -210,7 +218,7 @@ def float_stepper(dp: plant.DerivedParams, fp: FrictionParams, model: GravityMod
     return step
 
 
-def run(scenario: Scenario) -> TimeSeries:
+def run(scenario: Scenario, progress=None, every: int = 1) -> TimeSeries:
     """Execute a closed-loop scenario and log every step.
 
     The mode's regulator is picked, and the step and the control sample are
@@ -221,6 +229,13 @@ def run(scenario: Scenario) -> TimeSeries:
     linearize, saturate) and logs one row (*x, u, tau_cmd, tau_applied); x is
     a tuple of five Python floats, so both run on floats.  A SingularityError or DivergenceError carries
     the grid time t[k], the step k and the state at which the run failed.
+
+    The log is an anonymous shared mapping, the (8, steps + 1) array of q0,
+    q1, theta_w, omega_c, omega_w, u, tau_cmd and tau_applied, whose rows the
+    TimeSeries views (time_series).  progress, if given, is called as
+    progress(log, rows) before the first step, with rows = 0, and after every
+    `every` rows and the last, with the rows logged so far: a process it
+    forks reads the rows as they are logged.
     """
     sc = scenario
     # looked up on the module when the run starts, so a wrapper installed there is the one called
@@ -228,27 +243,43 @@ def run(scenario: Scenario) -> TimeSeries:
     q_bias, q_r = tuple(rotor.from_angle(sc.sensor_bias).tolist()), tuple(sc.q_r.tolist())
     sample = control.controller(q_bias, q_r, regulator, sc.gains, sc.dp, sc.friction, sc.controller_gravity, sc.tau_max)
     step = float_stepper(sc.dp, sc.friction, sc.plant_gravity, sc.fidelity, sc.dt)
-    n_steps = int(_steps(sc.t_end, sc.dt))
+    rows = int(_steps(sc.t_end, sc.dt)) + 1
     try:
-        tau_ext = disturbance_torque(sc.disturbances, sc.dt, n_steps).tolist()
-        t = np.arange(n_steps + 1) * sc.dt
-        log = np.empty((n_steps + 1, 8))
-    except MemoryError:  # a grid within the 2**53 rule can still be more than memory holds
-        steps = f"t_end = {sc.t_end!r} s is {n_steps} steps of dt = {sc.dt!r} s"
+        tau_ext = disturbance_torque(sc.disturbances, sc.dt, rows - 1).tolist()
+        import mmap  # imported here, since importing it costs every command
+
+        log = np.frombuffer(mmap.mmap(-1, 8 * 8 * rows), float).reshape(8, rows)
+    except (MemoryError, OSError):  # a grid within the 2**53 rule can still be more than memory holds (mmap: ENOMEM)
+        steps = f"t_end = {sc.t_end!r} s is {rows - 1} steps of dt = {sc.dt!r} s"
         raise ValidationError(f"{steps}, too many to allocate") from None
     x = tuple(sc.initial.tolist())
+    columns = log.T  # its row k is step k's column of log
+    if progress:
+        progress(log, 0)
 
-    for k in range(n_steps + 1):
-        try:
-            if k:
-                x = step(x, applied, tau_ext[k - 1])
-            u, cmd, applied = sample(x)
-        except SimulationError as err:
-            state = np.array(x) if err.state is None else err.state
-            raise type(err)(f"{err} at t = {t[k]:.4f} s", t=float(t[k]), step=k, state=state) from None
-        log[k] = (*x, u, cmd, applied)
+    block = every if progress else rows
+    for lo in range(0, rows, block):
+        for k in range(lo, min(lo + block, rows)):
+            try:
+                if k:
+                    x = step(x, applied, tau_ext[k - 1])
+                u, cmd, applied = sample(x)
+            except SimulationError as err:
+                state = np.array(x) if err.state is None else err.state
+                raise type(err)(f"{err} at t = {k * sc.dt:.4f} s", t=k * sc.dt, step=k, state=state) from None
+            columns[k] = (*x, u, cmd, applied)
+        if progress:
+            progress(log, k + 1)
+    return time_series(sc, log)
 
-    log = np.ascontiguousarray(log.T)  # rows q0, q1, theta_w, omega_c, omega_w, u, tau_cmd, tau_applied
+
+def time_series(sc: Scenario, log: np.ndarray, first: int = 0) -> TimeSeries:
+    """The TimeSeries of rows first, first + 1, ... of a run of sc, whose
+    logged columns are those of log, the (8, rows) array run logs them into,
+    or a block of its columns; the series views log's rows, and its t and
+    derived columns are computed elementwise, so a block's bits are the
+    whole run's."""
+    t = np.arange(first, first + log.shape[1]) * sc.dt
     # math.atan2, not np.arctan2: the vectorized one differs in the last bit on some hosts
     angles = (math.degrees(math.atan2(q1, q0)) for q0, q1 in zip(log[0], log[1]))
     theta_c_deg = np.fromiter(angles, float, len(t))
@@ -306,6 +337,88 @@ def settling(ts: TimeSeries, q_r, start: float, end: float) -> tuple[float, floa
 
 
 _in_child = False  # True in a forked child, whose own children stay in its process group
+_reports = set()  # the report pipe ends this process holds, which a child it forks closes
+
+
+def usable_cores() -> int:
+    """The cores this process may run on: its affinity mask, else the cpu count."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+@contextlib.contextmanager
+def forked(items):
+    """Run items() in a forked child and yield an iterator over its items,
+    each once the child has reported it; or fork nothing and yield None where
+    os.fork is missing or fails (no process to be had).
+
+    The child leads a process group unless it is a child's child, and closes
+    every report pipe end it inherited, so its report pipe closes when it
+    ends, whatever its own children still run.  It pickles one (ok, item or
+    exception) per item and stops at its first exception, which the iterator
+    raises here; a child that ends before reporting an item raises a
+    CubliError there.  When the block ends, raises or is interrupted, the
+    child's group is killed and the child reaped.  This is the one function
+    that forks, kills and reaps.
+    """
+    global _in_child
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except (AttributeError, OSError):  # no os.fork, or no process to be had (EAGAIN, ENOMEM)
+        os.close(read)
+        os.close(write)
+        yield None
+        return
+    if pid == 0:  # the child, which returns to no caller
+        code = 1
+        try:
+            for fd in (read, *_reports):
+                os.close(fd)
+            _reports.clear()
+            _reports.add(write)
+            if not _in_child:
+                os.setpgid(0, 0)
+            _in_child = True
+            with open(write, "wb") as out:
+                try:
+                    for item in items():
+                        out.write(pickle.dumps((True, item)))
+                        out.flush()
+                except BaseException as exc:
+                    out.write(pickle.dumps((False, exc)))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    _reports.add(read)
+    src, status = open(read, "rb"), None
+
+    def reported():
+        nonlocal status
+        while True:
+            try:
+                ok, value = pickle.load(src)
+            except (EOFError, pickle.UnpicklingError):  # the child ended before reporting this item
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                raise CubliError(f"forked process ended without a result (exit status {status})") from None
+            if not ok:
+                raise value
+            yield value
+
+    try:
+        yield reported()
+    finally:
+        from signal import SIGKILL  # imported here, since importing signal costs every command about 1 ms
+
+        try:  # a group outlives its reaped leader while a process is left in it
+            os.killpg(pid, SIGKILL)
+        except ProcessLookupError:  # no group: a child's child, or a child that has not made its group yet
+            if status is None:
+                os.kill(pid, SIGKILL)
+        _reports.discard(read)
+        src.close()
+        if status is None:
+            os.waitpid(pid, 0)
 
 
 def side_by_side(fn, units):
@@ -314,74 +427,21 @@ def side_by_side(fn, units):
 
     The units are dealt round-robin into one chunk per usable core, and never
     more chunks than units.  With two chunks or more, each runs in a forked
-    child, which leads a process group unless it is a child's child, pickles
-    one (ok, value or exception) per unit and stops at its first exception;
-    this process only joins, and yields each result once its chunk has
-    reported it.  A child that ends early raises a CubliError at the turn of
-    the first unit it did not report.  Every child still running when the
-    generator ends, raises or is closed is killed and reaped.  One chunk, or a
-    chunk whose fork is missing or fails, runs here, each unit at its turn.
+    child (forked), which stops at its first exception; this process only
+    joins, and yields each result once its chunk has reported it.  A child
+    that ends early raises a CubliError at the turn of the first unit it did
+    not report.  Every child still running when the generator ends, raises or
+    is closed is killed and reaped.  One chunk, or a chunk whose fork is
+    missing or fails, runs here, each unit at its turn.
     """
-    global _in_child
     units = list(units)
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    n = min(len(units), cores)
-    children = {}  # chunk index -> (pid, pipe) of its running child
-    try:
-        for c in range(n if n > 1 else 0):
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except (AttributeError, OSError):  # no os.fork, or no process to be had (EAGAIN, ENOMEM)
-                os.close(read)
-                os.close(write)
-                continue
-            if pid == 0:  # the child, which returns to no caller
-                code = 1
-                try:
-                    if not _in_child:
-                        os.setpgid(0, 0)
-                    _in_child = True
-                    with open(write, "wb") as out:
-                        for unit in units[c::n]:
-                            try:
-                                outcome = True, fn(unit)
-                            except BaseException as exc:
-                                outcome = False, exc
-                            out.write(pickle.dumps(outcome))
-                            out.flush()
-                            if not outcome[0]:
-                                break
-                    code = 0
-                finally:
-                    os._exit(code)
-            os.close(write)
-            children[c] = pid, open(read, "rb")
-        for i, unit in enumerate(units):
-            if i % n not in children:
-                yield fn(unit)
-                continue
-            pid, src = children[i % n]
-            try:
-                ok, value = pickle.load(src)
-            except (EOFError, pickle.UnpicklingError):  # the child ended before reporting this unit
-                del children[i % n]
-                src.close()
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                raise CubliError(f"forked process ended without a result (exit status {code})") from None
-            if not ok:
-                raise value
-            yield value
-    finally:
-        if children:
-            from signal import SIGKILL  # imported here, since importing signal costs every command about 1 ms
-        for pid, src in children.values():
-            try:
-                os.killpg(pid, SIGKILL)
-            except ProcessLookupError:  # no group: a child's child, or a child that has not made its group yet
-                os.kill(pid, SIGKILL)
-            src.close()
-            os.waitpid(pid, 0)
+    n = min(len(units), usable_cores())
+    with contextlib.ExitStack() as stack:
+        chunks = [units[c::n] for c in range(n)]
+        reports = [stack.enter_context(forked(functools.partial(map, fn, chunk))) if n > 1 else None for chunk in chunks]
+        results = [report or map(fn, chunk) for report, chunk in zip(reports, chunks)]
+        for i in range(len(units)):
+            yield next(results[i % n])
 
 
 def steady_state_sweep(

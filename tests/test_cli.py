@@ -1,17 +1,22 @@
 import dataclasses
 import errno
+import itertools
 import json
 import math
 import os
 import re
+import stat
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from cubli import cli, plant, sim, verify
+from cubli import cli, csvlog, plant, sim, verify
+from cubli.control import Mode
 from cubli.errors import ValidationError
-from cubli.plant import CubliParams, FrictionParams
+from cubli.plant import CubliParams, Fidelity, FrictionParams, GravityModel
 
 
 def run_cli(*argv):
@@ -218,6 +223,214 @@ def test_simulate_divergence_exit_code(tmp_path, capsys):
     )
     assert code == cli.EXIT_SIMULATION
     assert "t =" in capsys.readouterr().err
+
+
+# simulate writes its CSV in a writer forked before the first step, which
+# formats each block as the run logs it, or after the run where no second core
+# or no fork is to be had; either way into a file that replaces --out once whole
+
+
+def set_cores(monkeypatch, cores):
+    """sim.usable_cores's reading, through the affinity mask it reads."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+
+
+def no_fork():
+    raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(params=["forked", "failed-fork", "one-core"])
+def writer(request, monkeypatch):
+    """How simulate writes its CSV: in a forked writer, or after the run when the
+    fork fails or one core is usable.  Yields the list each fork appends to."""
+    forks, fork = [], os.fork
+    set_cores(monkeypatch, 1 if request.param == "one-core" else 2)
+    monkeypatch.setattr(os, "fork", no_fork if request.param == "failed-fork" else lambda: forks.append(1) or fork())
+    yield forks
+    assert_no_child_left()
+
+
+DIVERGES = ("--set", "scenario.dt=0.9", "--set", "scenario.t_end=900")
+
+
+@pytest.mark.parametrize("rows", [3, 5, 6, 10, 11])
+@settings(deadline=None, max_examples=8, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    mode=st.sampled_from(Mode),
+    plant_gravity=st.sampled_from(GravityModel),
+    controller_gravity=st.sampled_from(GravityModel),
+    fidelity=st.sampled_from(Fidelity),
+    bias=st.floats(-5.0, 5.0),
+)
+def test_the_csv_written_while_the_run_steps_is_the_csv_of_the_run(
+    rows, mode, plant_gravity, controller_gravity, fidelity, bias, tmp_path, monkeypatch
+):
+    # blocks of 5 rows: the last one short, whole, and one row long
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 5)
+    set_cores(monkeypatch, 2)
+    cfg = cli.Config(
+        mode=mode, plant_gravity=plant_gravity, controller_gravity=controller_gravity, fidelity=fidelity,
+        sensor_bias_deg=bias, dt=0.01, t_end=(rows - 1) * 0.01, output_path=str(tmp_path / "forked.csv"),
+    )
+    forks, fork = [], os.fork
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        assert cli.cmd_simulate(cfg) == cli.EXIT_OK
+    assert len(forks) == 1
+    cli.write_csv(sim.run(cfg.scenario), str(tmp_path / "serial.csv"))
+    assert (tmp_path / "forked.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+    assert len((tmp_path / "forked.csv").read_text().splitlines()) == rows + 1
+    assert_no_child_left()
+
+
+def test_every_writer_writes_the_same_bytes_and_summary(writer, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 64)
+    args = ("--set", "scenario.t_end=1", "--sensor-bias-deg", "2", "--out")
+    assert run_cli("simulate", *args, str(tmp_path / "run.csv")) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert len(writer) == (os.fork is not no_fork and sim.usable_cores() > 1)
+    cfg = cli.Config(t_end=1.0, sensor_bias_deg=2.0)
+    cli.write_csv(sim.run(cfg.scenario), str(tmp_path / "serial.csv"))
+    assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+    monkeypatch.undo()  # a forked writer, as the default
+    assert run_cli("simulate", *args, str(tmp_path / "again.csv")) == cli.EXIT_OK
+    assert capsys.readouterr().out == out.replace("run.csv", "again.csv")
+    assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "run.csv").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["again.csv", "run.csv", "serial.csv"]
+
+
+def test_a_log_that_cannot_be_mapped_is_too_many_steps_to_allocate(tmp_path, monkeypatch, capsys):
+    # an anonymous mapping that fails raises OSError(ENOMEM), where np.empty raised MemoryError
+    import mmap
+
+    def no_memory(*args):
+        raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+    monkeypatch.setattr(mmap, "mmap", no_memory)
+    assert run_cli("simulate", "--set", "scenario.t_end=2", "--out", str(tmp_path / "x.csv")) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: t_end = 2.0 s is 2000 steps of dt = 0.001 s, too many to allocate\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def full_disk(monkeypatch):
+    """Make the CSV's second block of rows fail part-way, as a full disk does."""
+    real_open = open
+
+    class FullDisk:
+        def __init__(self, handle):
+            self.handle, self.blocks = handle, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.handle.close()
+
+        def write(self, text):
+            self.handle.write(text)
+
+        def writelines(self, lines):
+            self.blocks += 1
+            if self.blocks == 2:
+                self.handle.writelines(itertools.islice(lines, 2))
+                self.handle.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+            self.handle.writelines(lines)
+
+    def opener(path, mode="r", *args, **kwargs):
+        handle = real_open(path, mode, *args, **kwargs)
+        return FullDisk(handle) if mode == "w" else handle
+
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 5)
+    monkeypatch.setattr(csvlog, "open", opener, raising=False)
+
+
+def test_a_failed_write_leaves_the_old_csv_alone(writer, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "run.csv"
+    path.write_bytes(b"the old CSV\n")
+    full_disk(monkeypatch)
+    assert run_cli("simulate", "--set", "scenario.t_end=0.02", "--out", str(path)) == cli.EXIT_VALIDATION
+    assert capsys.readouterr() == ("", "error: [Errno 28] No space left on device\n")
+    assert path.read_bytes() == b"the old CSV\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["run.csv"]
+    with pytest.raises(OSError, match="No space left on device"):  # demo 04's write
+        cli.write_csv(sim.run(cli.Config(t_end=0.02).scenario), str(path))
+    assert path.read_bytes() == b"the old CSV\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["run.csv"]
+
+
+@pytest.mark.parametrize(
+    "out, error",
+    [
+        ("missing/run.csv", "[Errno 2] No such file or directory: '{}'"),
+        ("adir", "[Errno 21] Is a directory: '{}'"),
+        ("adir/", "[Errno 21] Is a directory: '{}'"),
+    ],
+    ids=["missing-directory", "directory", "directory-slash"],
+)
+def test_an_out_that_cannot_be_written_exits_2_unless_the_run_fails(out, error, writer, tmp_path, capsys):
+    (tmp_path / "adir").mkdir()
+    path = os.path.join(tmp_path, out)
+    assert run_cli("simulate", "--set", "scenario.t_end=0.01", "--out", path) == cli.EXIT_VALIDATION
+    assert capsys.readouterr() == ("", "error: " + error.format(path) + "\n")
+    # the run's error wins
+    assert run_cli("simulate", *DIVERGES, "--out", path) == cli.EXIT_SIMULATION
+    assert capsys.readouterr() == ("", "simulation error: integration produced a non-finite state at t = 3.6000 s\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["adir"] and not list((tmp_path / "adir").iterdir())
+
+
+@pytest.mark.parametrize(
+    "sets", [DIVERGES, ("--set", "scenario.reference_angle_deg=130")], ids=["diverging", "singular"]
+)
+def test_a_run_that_fails_leaves_no_file_and_no_process(sets, writer, tmp_path, capsys):
+    assert run_cli("simulate", *sets, "--out", str(tmp_path / "run.csv")) == cli.EXIT_SIMULATION
+    assert capsys.readouterr().err.startswith("simulation error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_interrupted_simulate_leaves_the_old_csv_and_no_process(writer, tmp_path, monkeypatch):
+    # Ctrl-C at step 500 of 1000, with the writer running
+    path = tmp_path / "run.csv"
+    path.write_bytes(b"the old CSV\n")
+    stepper, steps = sim.float_stepper, []
+
+    def interrupted(*args):
+        step = stepper(*args)
+
+        def interrupt(*x):
+            steps.append(1)
+            if len(steps) == 500:
+                raise KeyboardInterrupt
+            return step(*x)
+
+        return interrupt
+
+    monkeypatch.setattr(sim, "float_stepper", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_cli("simulate", "--set", "scenario.t_end=1", "--out", str(path))
+    assert path.read_bytes() == b"the old CSV\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["run.csv"]
+
+
+def test_the_csv_replaces_a_file_keeping_its_mode_and_writes_through_a_symlink(tmp_path):
+    ts = sim.run(cli.Config(t_end=0.01).scenario)
+    umask = os.umask(0)
+    os.umask(umask)
+    cli.write_csv(ts, str(tmp_path / "new.csv"))
+    assert stat.S_IMODE((tmp_path / "new.csv").stat().st_mode) == 0o666 & ~umask
+    (tmp_path / "old.csv").write_text("old")
+    (tmp_path / "old.csv").chmod(0o640)
+    (tmp_path / "link.csv").symlink_to("old.csv")
+    assert run_cli("simulate", "--set", "scenario.t_end=0.01", "--out", str(tmp_path / "link.csv")) == cli.EXIT_OK
+    assert (tmp_path / "link.csv").is_symlink()
+    assert (tmp_path / "old.csv").read_bytes() == (tmp_path / "new.csv").read_bytes()
+    assert stat.S_IMODE((tmp_path / "old.csv").stat().st_mode) == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "new.csv", "old.csv"]
 
 
 # a float power raises OverflowError (omega_n = 1e100 omega_0), and a float

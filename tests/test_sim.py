@@ -731,6 +731,35 @@ def test_no_child_or_grandchild_outlives_side_by_side(how, monkeypatch, interrup
     assert time.monotonic() - start < 10.0  # the sleepers were killed, not waited for
 
 
+def test_a_killed_childs_error_does_not_wait_for_its_grandchild(monkeypatch):
+    # unit 1's child forks a grandchild that sleeps 3 s, then kills itself: the
+    # grandchild closed its copy of the child's report pipe, so the error comes at once
+    set_cores(monkeypatch, 2)
+    ready, held = os.pipe()  # inherited by every process of the run
+
+    def unit(u):
+        if u == 1:
+            with sim.forked(lambda: [time.sleep(3)]):
+                os.kill(os.getpid(), signal.SIGKILL)
+        return u
+
+    start = time.monotonic()
+    results = sim.side_by_side(unit, range(2))
+    try:
+        assert next(results) == 0
+        with pytest.raises(CubliError, match=r"^forked process ended without a result \(exit status -9\)$"):
+            next(results)
+        assert time.monotonic() - start < 1.0
+        os.close(held)
+        assert select.select([ready], [], [], 10)[0], "a process of the run still holds the pipe"
+        assert os.read(ready, 1) == b""
+    finally:
+        results.close()
+        os.close(ready)
+    assert_no_child_left()
+    assert time.monotonic() - start < 3.0  # the grandchild was killed, not waited for
+
+
 @pytest.mark.parametrize("fails", ["every-fork", "second-fork"])
 def test_a_failed_fork_closes_both_pipe_ends_and_runs_its_chunk_here(fails, monkeypatch):
     set_cores(monkeypatch, 4)
