@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import csvlog, plant, rotor, sim, verify
+from . import plant, rotor, sim, verify
 from .control import DesignSpec, Mode
 from .errors import CubliError, SimulationError, ValidationError
 from .plant import CubliParams, Fidelity, FrictionParams, GravityModel
@@ -26,8 +26,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_SIMULATION = 3
 EXIT_VERIFICATION = 4
-
-CSV_HEADER = csvlog.HEADER
 
 
 # ---------------------------------------------------------------------------
@@ -235,14 +233,13 @@ def design_spec(cfg: Config) -> DesignSpec:
 # output helpers
 
 
-CSV_BLOCK_ROWS = 1024  # rows turned into Python floats at a time, so memory stays flat
-
-
 def write_csv(ts: sim.TimeSeries, path: str) -> None:
     """Write a run log with full double precision (shortest round-trip repr),
     to a new file that replaces path once it is whole (csvlog.replacing)."""
+    from . import csvlog  # imported here, since only simulate and this write a CSV
+
     with csvlog.replacing(path) as tmp:
-        csvlog.write(tmp, csvlog.blocks(ts, CSV_BLOCK_ROWS))
+        csvlog.write(tmp, csvlog.blocks(ts))
 
 
 def _print_kv(pairs):
@@ -303,9 +300,11 @@ def cmd_gains(sc: sim.Scenario) -> int:
 
 
 def cmd_simulate(cfg: Config) -> int:
+    from . import csvlog  # imported here, since only simulate and write_csv write a CSV
+
     sc = cfg.scenario
     with csvlog.replacing(cfg.output_path) as tmp:
-        ts = csvlog.run_writing(sc, tmp, CSV_BLOCK_ROWS)
+        ts = csvlog.run_writing(sc, tmp)
 
     # settling is measured before the first disturbance that acts, which would restart it
     first = min((d.start for d in sc.disturbances if d.start + d.duration > 0.0), default=math.inf)

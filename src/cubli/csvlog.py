@@ -1,7 +1,6 @@
 """A run's log as CSV: the one formatter, the file that replaces the output
 path only once it is whole, and the writer that formats a run's rows on a
-second core while the run steps.  The block size, the rows turned into Python
-floats at a time, is the caller's (cli.CSV_BLOCK_ROWS).
+second core while the run steps.
 """
 
 from __future__ import annotations
@@ -16,24 +15,25 @@ import numpy as np
 from . import sim
 
 HEADER = ",".join(sim.TimeSeries.COLUMNS)
+CSV_BLOCK_ROWS = 1024  # rows turned into Python floats at a time, so memory stays flat
 
 
-def blocks(ts: sim.TimeSeries, rows: int):
-    """ts's TimeSeries.COLUMNS arrays, rows at a time."""
+def blocks(ts: sim.TimeSeries):
+    """ts's TimeSeries.COLUMNS arrays, CSV_BLOCK_ROWS rows at a time."""
     columns = [getattr(ts, name) for name in sim.TimeSeries.COLUMNS]
-    for lo in range(0, len(ts.t), rows):
-        yield [c[lo : lo + rows] for c in columns]
+    for lo in range(0, len(ts.t), CSV_BLOCK_ROWS):
+        yield [c[lo : lo + CSV_BLOCK_ROWS] for c in columns]
 
 
-def logged_blocks(sc: sim.Scenario, log, fd: int, rows: int):
+def logged_blocks(sc: sim.Scenario, log, fd: int):
     """Each block of the rows that sim.run logs into log, its (8, steps + 1)
-    array, once the row count that ends it arrives on the pipe fd (one every
-    `rows` rows), with its derived columns (sim.time_series)."""
+    array, once the row count that ends it arrives on the pipe fd, with its
+    derived columns (sim.time_series)."""
     lo = 0
     with open(fd, "rb") as counts:
         while count := counts.read(8):
             hi = int.from_bytes(count, "little")
-            yield from blocks(sim.time_series(sc, log[:, lo:hi], lo), rows)
+            yield from blocks(sim.time_series(sc, log[:, lo:hi], lo))
             lo = hi
 
 
@@ -58,16 +58,23 @@ def write(path: str, row_blocks) -> None:
 def replacing(path: str):
     """Yield a temporary path beside path, for a file that replaces path once
     the block ends without an error, and is removed whatever happens, so a
-    file at path is left as it was until then.  As with open(path, "w"), a
-    symlink is written through, a file there keeps its mode and a new one
-    gets the umask's, a directory or a path ending in a separator raises
-    IsADirectoryError, and an error names path."""
+    file at path is left as it was until then.
+
+    As with open(path, "w"), a symlink is written through, a file there keeps
+    its mode and a new one gets the umask's, and an error names path.  A
+    directory, or a path ending in a separator, is yielded as it is, so the
+    open fails at once with open's own IsADirectoryError.  Unlike open, the
+    file at path is a new one: another hard link to the old file keeps the
+    old bytes, the new file is owned by the user who writes it, and a
+    read-only file is replaced wherever its directory is writable.
+    """
     target = os.path.realpath(path)
+    if path.endswith(os.sep) or os.path.isdir(target):
+        yield path
+        return
     tmp = f"{target}.{os.getpid()}.tmp"
     try:
         yield tmp
-        if path.endswith(os.sep) or os.path.isdir(target):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         with contextlib.suppress(FileNotFoundError):
             os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))
         os.replace(tmp, target)
@@ -80,14 +87,14 @@ def replacing(path: str):
             os.remove(tmp)
 
 
-def run_writing(sc: sim.Scenario, path: str, rows: int) -> sim.TimeSeries:
+def run_writing(sc: sim.Scenario, path: str) -> sim.TimeSeries:
     """sim.run(sc), with its CSV written to path by write.
 
     With a second usable core and a fork to be had, a writer forked before the
-    first step (sim.forked) formats each block of `rows` rows once the run has
-    logged it, so the formatting overlaps the run: the run's progress hook
-    sends each row count down a pipe, and the writer reads the rows from the
-    run's shared log.  Otherwise the formatter runs after the run.  An error of
+    first step (sim.forked) formats each block of CSV_BLOCK_ROWS rows once the
+    run has logged it, so the formatting overlaps the run: the run's progress
+    hook sends each row count down a pipe, and the writer reads the rows from
+    the run's shared log.  Otherwise the formatter runs after the run.  An error of
     the run wins over the writer's, and the writer is killed and reaped however
     the run ends.
     """
@@ -105,14 +112,14 @@ def run_writing(sc: sim.Scenario, path: str, rows: int) -> sim.TimeSeries:
 
                 def write_here():  # in the forked writer
                     os.close(write_end)  # its copy of the write end, so that the run's close ends the rows
-                    yield write(path, logged_blocks(sc, log, read, rows))
+                    yield write(path, logged_blocks(sc, log, read))
 
                 report = stack.enter_context(sim.forked(write_here))
                 os.close(read)
 
-        ts = sim.run(sc, progress, rows)
+        ts = sim.run(sc, progress, CSV_BLOCK_ROWS)
         if report is None:
-            write(path, blocks(ts, rows))
+            write(path, blocks(ts))
         else:
             counts.close()  # the end of the rows: the writer formats the last block and reports
             next(report)

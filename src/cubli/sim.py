@@ -218,7 +218,7 @@ def float_stepper(dp: plant.DerivedParams, fp: FrictionParams, model: GravityMod
     return step
 
 
-def run(scenario: Scenario, progress=None, every: int = 1) -> TimeSeries:
+def run(scenario: Scenario, progress=None, every=None) -> TimeSeries:
     """Execute a closed-loop scenario and log every step.
 
     The mode's regulator is picked, and the step and the control sample are
@@ -232,10 +232,10 @@ def run(scenario: Scenario, progress=None, every: int = 1) -> TimeSeries:
 
     The log is an anonymous shared mapping, the (8, steps + 1) array of q0,
     q1, theta_w, omega_c, omega_w, u, tau_cmd and tau_applied, whose rows the
-    TimeSeries views (time_series).  progress, if given, is called as
-    progress(log, rows) before the first step, with rows = 0, and after every
-    `every` rows and the last, with the rows logged so far: a process it
-    forks reads the rows as they are logged.
+    TimeSeries views (time_series).  progress, if given with a row count
+    every, is called as progress(log, rows) before the first step, with
+    rows = 0, and after every `every` rows and the last, with the rows logged
+    so far: a process it forks reads the rows as they are logged.
     """
     sc = scenario
     # looked up on the module when the run starts, so a wrapper installed there is the one called

@@ -171,7 +171,7 @@ def test_simulate_writes_csv_and_summary(tmp_path, capsys):
     summary = capsys.readouterr().out
     assert "attitude settling" in summary
     lines = out_csv.read_text().splitlines()
-    assert lines[0] == cli.CSV_HEADER
+    assert lines[0] == csvlog.HEADER
     assert len(lines) == 2002  # header + 2001 records
     first = lines[1].split(",")
     assert len(first) == 12
@@ -181,7 +181,7 @@ def test_simulate_writes_csv_and_summary(tmp_path, capsys):
 def test_write_csv_matches_per_value_repr(tmp_path, monkeypatch):
     # Edge values: signed zero, tiny, subnormal, huge, non-finite, and a value
     # whose shortest repr needs all 17 digits; blocks of 5 rows end mid-table.
-    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 5)
+    monkeypatch.setattr(csvlog, "CSV_BLOCK_ROWS", 5)
     special = [0.0, -0.0, 1e-300, 5e-324, 2.2250738585072014e-308, 1e300, math.nan, math.inf, -math.inf,
                0.1 + 0.2, -1.0 / 3.0, 12345.678901234567]
     n = len(special)
@@ -271,7 +271,7 @@ def test_the_csv_written_while_the_run_steps_is_the_csv_of_the_run(
     rows, mode, plant_gravity, controller_gravity, fidelity, bias, tmp_path, monkeypatch
 ):
     # blocks of 5 rows: the last one short, whole, and one row long
-    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 5)
+    monkeypatch.setattr(csvlog, "CSV_BLOCK_ROWS", 5)
     set_cores(monkeypatch, 2)
     cfg = cli.Config(
         mode=mode, plant_gravity=plant_gravity, controller_gravity=controller_gravity, fidelity=fidelity,
@@ -289,7 +289,7 @@ def test_the_csv_written_while_the_run_steps_is_the_csv_of_the_run(
 
 
 def test_every_writer_writes_the_same_bytes_and_summary(writer, tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 64)
+    monkeypatch.setattr(csvlog, "CSV_BLOCK_ROWS", 64)
     args = ("--set", "scenario.t_end=1", "--sensor-bias-deg", "2", "--out")
     assert run_cli("simulate", *args, str(tmp_path / "run.csv")) == cli.EXIT_OK
     out = capsys.readouterr().out
@@ -346,7 +346,7 @@ def full_disk(monkeypatch):
         handle = real_open(path, mode, *args, **kwargs)
         return FullDisk(handle) if mode == "w" else handle
 
-    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 5)
+    monkeypatch.setattr(csvlog, "CSV_BLOCK_ROWS", 5)
     monkeypatch.setattr(csvlog, "open", opener, raising=False)
 
 
@@ -381,6 +381,18 @@ def test_an_out_that_cannot_be_written_exits_2_unless_the_run_fails(out, error, 
     # the run's error wins
     assert run_cli("simulate", *DIVERGES, "--out", path) == cli.EXIT_SIMULATION
     assert capsys.readouterr() == ("", "simulation error: integration produced a non-finite state at t = 3.6000 s\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["adir"] and not list((tmp_path / "adir").iterdir())
+
+
+@pytest.mark.parametrize("out", ["adir", "adir/", "missing/"])
+def test_a_directory_out_is_opened_as_it_is_and_fails_at_once(out, tmp_path):
+    # no temporary file is written in full only to be refused
+    (tmp_path / "adir").mkdir()
+    path = os.path.join(tmp_path, out)
+    with pytest.raises(IsADirectoryError, match=re.escape(f"Is a directory: '{path}'")):
+        with csvlog.replacing(path) as tmp:
+            assert tmp == path
+            open(tmp, "w")
     assert [p.name for p in tmp_path.iterdir()] == ["adir"] and not list((tmp_path / "adir").iterdir())
 
 
